@@ -6,7 +6,9 @@
    catalogue's 7-MB binaries are chunked once ever, not once per world.
    [Filler] and [Binary] render to (header +) a uniform pad, so they take
    {!Repro_store.Chunker.chunks_prefixed_uniform}'s analytic path and are
-   never materialized at all. *)
+   never materialized: after one settling sample per distinct header and
+   pad byte, a descriptor of any size costs its chunk count plus one
+   digest of at most max_size bytes. *)
 
 open Repro_os
 module Chunker = Repro_store.Chunker

@@ -80,50 +80,90 @@ let chunk_of_bytes b = { digest = Digest.string b; size = String.length b }
 let chunks_of_string ?params s = List.map chunk_of_bytes (split ?params s)
 
 (* [chunks_prefixed_uniform ~prefix ~fill ~total] == [chunks_of_string
-   (prefix ^ String.make (total - length prefix) fill)], in
-   O(prefix + max_size) instead of O(total).
+   (prefix ^ String.make (total - length prefix) fill)], read off a cut
+   skeleton of the infinite blob [prefix ^ fill fill fill ...].
 
    After the rolling window (mask_bits bytes) has passed the prefix, the
    hash is a constant H(fill): either H qualifies at every position (cuts
    every min_size) or never (forced cuts every max_size).  We chunk a
-   sample long enough to reach that steady state, keep its cuts verbatim
-   (prefix stability), and extrapolate the periodic tail. *)
+   sample long enough to reach that steady state once per
+   (params, prefix, fill) and keep only its cut offsets up to the last
+   steady cut c2 and their chunks.  Cuts are prefix-stable, so the cuts of
+   any blob of that family are the skeleton's cuts below [total], then
+   c2 + k * period, then [total] itself. *)
+type skeleton = {
+  cuts : int array; (* ascending exclusive chunk ends; the last one is c2 *)
+  heads : chunk array; (* heads.(i) ends at cuts.(i) *)
+  period : int;
+  body : chunk; (* [period] fill bytes: every whole chunk past c2 *)
+}
+
+(* Never holds the sample itself: the Top-50 alone has dozens of distinct
+   binary headers, and a 256 KiB sample per header shows up in the heap. *)
+let skeletons : (params * string * char, skeleton) Hashtbl.t = Hashtbl.create 64
+
+let skeleton params ~prefix ~fill =
+  let key = (params, prefix, fill) in
+  match Hashtbl.find_opt skeletons key with
+  | Some sk -> sk
+  | None ->
+      let plen = String.length prefix in
+      let sample = prefix ^ String.make ((4 * params.max_size) + params.mask_bits) fill in
+      let slen = String.length sample in
+      let cuts = List.filter (fun c -> c < slen) (cut_points ~params sample) in
+      (* last three cuts are deep in the uniform region: equal spacing *)
+      let rec last3 = function
+        | [ a; b; c ] -> (a, b, c)
+        | _ :: tl -> last3 tl
+        | [] -> assert false
+      in
+      let c0, c1, c2 = last3 cuts in
+      let period = c2 - c1 in
+      assert (c1 - c0 = period && c2 > plen + params.mask_bits);
+      let cuts = Array.of_list (List.filter (fun c -> c <= c2) cuts) in
+      let heads =
+        Array.mapi
+          (fun i c ->
+            let prev = if i = 0 then 0 else cuts.(i - 1) in
+            { digest = Digest.substring sample prev (c - prev); size = c - prev })
+          cuts
+      in
+      (* no chunk exceeds max_size and the sample runs 4 * max_size fill
+         bytes past the prefix, so [c1, c2) is [period] fill bytes *)
+      let sk = { cuts; heads; period; body = heads.(Array.length heads - 1) } in
+      Hashtbl.replace skeletons key sk;
+      sk
+
+(* Scratch space for a blob's final partial chunk (at most max_size
+   bytes), shared by every call so no call allocates its bytes. *)
+let scratch = ref Bytes.empty
+
+(* The chunk of bytes [start, stop) of [prefix ^ fill fill ...]. *)
+let partial_chunk ~prefix ~fill start stop =
+  let len = stop - start in
+  if Bytes.length !scratch < len then scratch := Bytes.create len;
+  let b = !scratch in
+  let from_prefix = max 0 (String.length prefix - start) in
+  if from_prefix > 0 then Bytes.blit_string prefix start b 0 from_prefix;
+  Bytes.fill b from_prefix (len - from_prefix) fill;
+  { digest = Digest.subbytes b 0 len; size = len }
+
 let chunks_prefixed_uniform ?(params = default_params) ~prefix ~fill ~total () =
   validate params;
-  let plen = String.length prefix in
-  if total < plen then invalid_arg "Chunker.chunks_prefixed_uniform: total < prefix";
-  let settle = (4 * params.max_size) + params.mask_bits in
-  if total <= plen + settle + params.max_size then
-    chunks_of_string ~params (prefix ^ String.make (total - plen) fill)
-  else begin
-    let sample = prefix ^ String.make settle fill in
-    let slen = String.length sample in
-    let cuts = List.filter (fun c -> c < slen) (cut_points ~params sample) in
-    (* last three cuts are deep in the uniform region: equal spacing *)
-    let rec last3 = function
-      | [ a; b; c ] -> (a, b, c)
-      | _ :: tl -> last3 tl
-      | [] -> assert false
-    in
-    let c0, c1, c2 = last3 cuts in
-    let period = c2 - c1 in
-    assert (c1 - c0 = period && c2 > plen + params.mask_bits);
-    (* head: the sample's chunks up to c2 are exact chunks of the full blob *)
-    let head, _ =
-      List.fold_left
-        (fun (acc, prev) cut -> (chunk_of_bytes (String.sub sample prev (cut - prev)) :: acc, cut))
-        ([], 0)
-        (List.filter (fun c -> c <= c2) cuts)
-    in
-    let head = List.rev head in
-    (* tail: identical uniform chunks of [period] bytes, then the remainder *)
-    let remaining = total - c2 in
-    let n_body = remaining / period in
-    let rem = remaining mod period in
-    let body_chunk = chunk_of_bytes (String.make period fill) in
-    let body = List.init n_body (fun _ -> body_chunk) in
-    let tail = if rem = 0 then body else body @ [ chunk_of_bytes (String.make rem fill) ] in
-    head @ tail
-  end
+  if total < String.length prefix then
+    invalid_arg "Chunker.chunks_prefixed_uniform: total < prefix";
+  let sk = skeleton params ~prefix ~fill in
+  let nh = Array.length sk.cuts in
+  let c2 = sk.cuts.(nh - 1) in
+  (* the i-th cut of the infinite blob and the chunk ending there *)
+  let cut i = if i < nh then sk.cuts.(i) else c2 + ((i - nh + 1) * sk.period) in
+  let chunk i = if i < nh then sk.heads.(i) else sk.body in
+  let rec go i prev acc =
+    let c = cut i in
+    if c <= total then go (i + 1) c (chunk i :: acc)
+    else if prev < total then List.rev (partial_chunk ~prefix ~fill prev total :: acc)
+    else List.rev acc
+  in
+  go 0 0 []
 
 let manifest_bytes chunks = List.fold_left (fun acc c -> acc + c.size) 0 chunks

@@ -32,10 +32,17 @@ val chunks_of_string : ?params:params -> string -> chunk list
 
 (** [chunks_prefixed_uniform ~prefix ~fill ~total ()] equals
     [chunks_of_string (prefix ^ String.make (total - length prefix) fill)]
-    but runs in O(prefix + max_size): once the rolling window passes the
-    prefix the hash is constant and cuts become periodic, so the tail is
-    emitted analytically.  This is how multi-megabyte [Filler]/[Binary]
-    descriptors are chunked without rendering them. *)
+    without rendering it.  Once the rolling window passes the prefix the
+    hash is constant and cuts become periodic, so the first call for a
+    [(params, prefix, fill)] chunks one settling sample of [prefix] plus
+    [4 * max_size + mask_bits] fill bytes and memoizes its cut skeleton for
+    the life of the process; every call then costs O(chunks) plus one
+    digest of the final partial chunk, at most [max_size] bytes.  Per key
+    the memo retains the sample's cut offsets and chunk descriptors up to
+    its last steady cut, the period and the body chunk, never the sample's
+    bytes; all calls share one scratch buffer of at most [max_size] bytes.
+    This is how [Filler]/[Binary] descriptors are chunked.
+    @raise Invalid_argument if [total < String.length prefix]. *)
 val chunks_prefixed_uniform :
   ?params:params -> prefix:string -> fill:char -> total:int -> unit -> chunk list
 

@@ -57,6 +57,26 @@ let test_content_kinds () =
   check_b "binary parses" true
     (match Binfmt.parse (Content.render b) with Some (Binfmt.Bin "gdb") -> true | _ -> false)
 
+(* Descriptor manifests at production chunking params equal the chunks of
+   the rendered bytes; every registry number rests on this.  Sizes straddle
+   the appmain header (14 bytes), min_size, max_size, the settling
+   sample's last steady cut (262144) and the sample length plus max_size
+   (327693), and one blob is several MiB. *)
+let test_descriptor_manifests () =
+  let module Chunker = Repro_store.Chunker in
+  let sizes =
+    [ 0; 1; 13; 14; 15; 4095; 4096; 4097; 65535; 65536; 65537; 262143; 262144; 262145; 327693;
+      327694; Size.mib 3 + 7 ]
+  in
+  List.iter
+    (fun n ->
+      List.iter
+        (fun (what, c) ->
+          if Blobs.content_chunks c <> Chunker.chunks_of_string (Content.render c) then
+            Alcotest.failf "%s %d: descriptor manifest differs from the rendered bytes" what n)
+        [ ("Filler", Content.Filler n); ("Binary appmain", Content.Binary { prog = "appmain"; size = n }) ])
+    sizes
+
 (* Incompressible content: every CDC chunk is unique, so a cold pull must
    transfer the full byte count and the bandwidth model is visible. *)
 let incompressible ~seed n = Bytes.to_string (Rng.bytes (Rng.create ~seed) n)
@@ -247,6 +267,7 @@ let () =
           Alcotest.test_case "layer size & paths" `Quick test_layer_size;
           Alcotest.test_case "union + whiteout" `Quick test_union_whiteout;
           Alcotest.test_case "content kinds" `Quick test_content_kinds;
+          Alcotest.test_case "descriptor manifests" `Quick test_descriptor_manifests;
         ] );
       ( "registry",
         [

@@ -76,17 +76,41 @@ let prop_bounded_invalidation =
       let after' = List.filter (fun c -> c > horizon) cuts' in
       after = after')
 
-(* the analytic uniform-fill path equals chunking the rendered string *)
+(* Fills in each steady regime under [small]: past the prefix the hash
+   is constant, so cuts fall every min_size if that constant qualifies
+   (10 of the 256 bytes, ['@'] among them) and every max_size otherwise. *)
+let min_period_fill = '@'
+let max_period_fill = 'x'
+
+let steady_period fill =
+  match List.rev (Chunker.cut_points ~params:small (String.make 2048 fill)) with
+  | _ :: c2 :: c1 :: _ -> c2 - c1
+  | _ -> 0
+
+(* the analytic uniform-fill path equals chunking the rendered string, at
+   several totals per (prefix, fill) so later totals read the memoized
+   skeleton: one inside the first chunks, one around the steady cut, one
+   deep in the periodic body *)
 let prop_uniform_fast_path =
   QCheck.Test.make ~name:"analytic uniform chunking = rendered chunking" ~count:60
-    QCheck.(pair arb_bytes (pair (int_bound 8192) printable_char))
-    (fun (prefix, (extra, fill)) ->
-      let total = String.length prefix + extra in
-      let rendered =
-        prefix ^ String.make (total - String.length prefix) fill
-      in
-      Chunker.chunks_prefixed_uniform ~params:small ~prefix ~fill ~total ()
-      = Chunker.chunks_of_string ~params:small rendered)
+    QCheck.(
+      pair arb_bytes
+        (pair (triple (int_bound 300) (int_bound 1536) (int_bound 8192)) printable_char))
+    (fun (prefix, ((e1, e2, e3), fill)) ->
+      let plen = String.length prefix in
+      List.for_all
+        (fun fill ->
+          List.for_all
+            (fun extra ->
+              let total = plen + extra in
+              Chunker.chunks_prefixed_uniform ~params:small ~prefix ~fill ~total ()
+              = Chunker.chunks_of_string ~params:small (prefix ^ String.make extra fill))
+            [ e1; e2; e3 ])
+        [ fill; min_period_fill; max_period_fill ])
+
+let test_fill_regimes () =
+  check_i "min_size regime" small.Chunker.min_size (steady_period min_period_fill);
+  check_i "max_size regime" small.Chunker.max_size (steady_period max_period_fill)
 
 (* concatenation property the registry relies on: chunks of a shared
    prefix survive as a prefix of the chunk list of any extension *)
@@ -161,6 +185,7 @@ let () =
           Alcotest.test_case "chunks match split" `Quick (qcheck prop_chunks_match_split);
           Alcotest.test_case "bounded invalidation" `Quick (qcheck prop_bounded_invalidation);
           Alcotest.test_case "analytic uniform path" `Quick (qcheck prop_uniform_fast_path);
+          Alcotest.test_case "uniform fill regimes" `Quick test_fill_regimes;
           Alcotest.test_case "prefix stable" `Quick (qcheck prop_prefix_stable);
         ] );
       ( "store",
