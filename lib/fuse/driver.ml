@@ -42,9 +42,21 @@ type t = {
   clock : Clock.t;
   cost : Cost.t;
   fs_id : int;
-  (* page cache: presence/LRU/dirty in [pcache], bytes in [pdata] *)
+  (* page cache: presence/LRU/dirty in [pcache], bytes in [pdata], one
+     store per inode.  A cached page is always whole in its store: an
+     install writes the server's reply and zero-fills the pages past its
+     end, and a write into an uncached page zero-fills the rest of the
+     page, or fetches it first when the page holds older data.  Eviction
+     leaves a page's bytes in place, so a page evicted while an install
+     runs can be re-inserted with its own bytes; otherwise nothing reads
+     an uncached page before one of those whole-page writes replaces it.
+     An inode's bytes are dropped only with all its pages: when
+     [invalidate_inode] or [discard_inode] removes the whole inode. *)
   pcache : Page_cache.t;
-  pdata : (int * int, Bytes.t) Hashtbl.t;
+  pdata : (Types.ino, Fdata.t) Hashtbl.t;
+  (* inodes unlinked while a writable handle kept their pages; the pages
+     are discarded at its last close *)
+  unlinked : (Types.ino, unit) Hashtbl.t;
   sizes : (Types.ino, int) Hashtbl.t;
   (* dentry/attr caches carry a virtual-clock expiry; 0L = valid forever
      (the paper's behaviour, when the *_timeout_ns knobs are zero) *)
@@ -156,14 +168,30 @@ let expiry_of t valid_ns =
 
 let expired t exp = exp <> 0L && Clock.now_ns t.clock >= exp
 
+let size_of t ino = Option.value ~default:0 (Hashtbl.find_opt t.sizes ino)
+
+(* Cache the server's attributes [st] and return them as the driver sees
+   them.  While a file has dirty pages in the writeback cache the driver
+   owns its size: the server's is stale until they are flushed, so it
+   never shrinks the driver's. *)
 let cache_attr ?valid_ns t st =
+  let st =
+    match st.Types.st_kind with
+    | Types.Reg ->
+        let ino = st.Types.st_ino in
+        let size =
+          if Page_cache.dirty_count t.pcache ino > 0 then max st.Types.st_size (size_of t ino)
+          else st.Types.st_size
+        in
+        Hashtbl.replace t.sizes ino size;
+        if size = st.Types.st_size then st else { st with Types.st_size = size }
+    | _ -> st
+  in
   if t.opts.Opts.attr_cache then begin
     let v = Option.value ~default:t.opts.Opts.attr_timeout_ns valid_ns in
     Hashtbl.replace t.attrs st.Types.st_ino (st, expiry_of t v)
   end;
-  (match st.Types.st_kind with
-  | Types.Reg -> Hashtbl.replace t.sizes st.Types.st_ino st.Types.st_size
-  | _ -> ())
+  st
 
 let cached_attr t ino =
   match Hashtbl.find_opt t.attrs ino with
@@ -215,9 +243,7 @@ let getattr t ino =
   | Some st -> Ok st
   | None -> (
       match rt t Protocol.root_ctx (Protocol.Getattr ino) with
-      | Ok (Protocol.R_attr st) ->
-          cache_attr t st;
-          Ok st
+      | Ok (Protocol.R_attr st) -> Ok (cache_attr t st)
       | Ok _ -> Error Errno.EIO
       | Error e -> Error e)
 
@@ -243,8 +269,6 @@ let check_delete t cred dir_ino child_ino =
       || cred.Types.uid = dir_st.Types.st_uid
     then Ok ()
     else Error Errno.EPERM
-
-let size_of t ino = Option.value ~default:0 (Hashtbl.find_opt t.sizes ino)
 
 let invalidate_attr t ino = Hashtbl.remove t.attrs ino
 
@@ -273,13 +297,86 @@ let queue_forget t ino =
 
 (* --- page data helpers --------------------------------------------------- *)
 
-let get_page_bytes t ino page =
-  match Hashtbl.find_opt t.pdata (ino, page) with
-  | Some b -> b
+let store t ino =
+  match Hashtbl.find_opt t.pdata ino with
+  | Some d -> d
   | None ->
-      let b = Bytes.make (page_size t) '\000' in
-      Hashtbl.replace t.pdata (ino, page) b;
-      b
+      let d = Fdata.create () in
+      Hashtbl.replace t.pdata ino d;
+      d
+
+(* Flush, then drop every page of [ino] and their bytes. *)
+let invalidate_pages t ino =
+  Page_cache.invalidate_inode t.pcache ino;
+  Hashtbl.remove t.pdata ino
+
+(* Drop every page of [ino] and their bytes, dirty ones unwritten. *)
+let discard_pages t ino =
+  Page_cache.discard_inode t.pcache ino;
+  Hashtbl.remove t.pdata ino
+
+(* [ino] was unlinked: drop its pages now, or, while a writable handle
+   still uses them, at that handle's last close. *)
+let drop_unlinked_pages t ino =
+  if Hashtbl.mem t.wb_fhs ino then Hashtbl.replace t.unlinked ino ()
+  else discard_pages t ino
+
+(* Which of pages [first, first + pages) of [ino] are uncached when a
+   reply for them is requested: only those may take its bytes.  A page
+   cached then may hold dirty data newer than the reply, and it keeps its
+   bytes even if it is evicted (and written back) before the reply is
+   installed. *)
+let uncached t ~ino ~first ~pages =
+  Array.init pages (fun i -> not (Page_cache.mem t.pcache ~ino ~page:(first + i)))
+
+(* Install pages [first, first + Array.length fresh) of [ino] from [data],
+   the reply for that range (short at EOF: the rest reads as zeros), where
+   [fresh] is {!uncached} taken when the reply was requested.  Every page
+   of the range that is not cached right before its turn is inserted, in
+   order; the fresh ones that are still uncached take the reply's bytes,
+   each run of them with one store write before its pages are inserted.
+   An insert can evict a later page of the range or yield to a task that
+   caches one, so membership is tested again before each insert. *)
+let install t ~ino ~first ~fresh data =
+  let ps = page_size t in
+  let stop = first + Array.length fresh in
+  let cached page = Page_cache.mem t.pcache ~ino ~page in
+  let insert page =
+    if not (cached page) then ignore (Page_cache.touch t.pcache ~ino ~page ~dirty:false)
+  in
+  let rec run_end p =
+    if p < stop && fresh.(p - first) && not (cached p) then run_end (p + 1) else p
+  in
+  let rec go p =
+    if p < stop then begin
+      let e = run_end p in
+      if e = p then insert p
+      else begin
+        let d = store t ino in
+        let pos = (p - first) * ps and len = (e - p) * ps in
+        let n = max 0 (min len (String.length data - pos)) in
+        Fdata.write_sub d ~off:(p * ps) data ~pos ~len:n;
+        Fdata.zero d ~off:((p * ps) + n) ~len:(len - n);
+        for page = p to e - 1 do
+          insert page
+        done
+      end;
+      go (max e (p + 1))
+    end
+  in
+  go first
+
+(* Copy [data.[pos .. pos + len - 1]], just written at [off] behind the
+   cache's back, into the pages of it that are cached. *)
+let patch_cached t ino ~off data ~pos ~len =
+  let ps = page_size t in
+  if len > 0 then
+    for page = off / ps to (off + len - 1) / ps do
+      if Page_cache.mem t.pcache ~ino ~page then begin
+        let s = max off (page * ps) and e = min (off + len) ((page + 1) * ps) in
+        Fdata.write_sub (store t ino) ~off:s data ~pos:(pos + s - off) ~len:(e - s)
+      end
+    done
 
 (* Fetch pages [first..last] of [ino] from the server via READ requests
    and install them in the cache.  With async_read the chunks are submitted
@@ -288,22 +385,6 @@ let get_page_bytes t ino page =
 let fetch_pages t ctx ~server_fh ~ino ~first ~last =
   let ps = page_size t in
   let pages_per_req = max 1 (t.opts.Opts.max_read / ps) in
-  (* install one chunk's page data — but never clobber pages already cached
-     (they may hold dirty data newer than the server's copy) *)
-  let install page chunk_pages data =
-    for p = 0 to chunk_pages - 1 do
-      if not (Page_cache.mem t.pcache ~ino ~page:(page + p)) then begin
-        let b = Bytes.make ps '\000' in
-        let src_off = p * ps in
-        if src_off < String.length data then begin
-          let n = min ps (String.length data - src_off) in
-          Bytes.blit_string data src_off b 0 n
-        end;
-        Hashtbl.replace t.pdata (ino, page + p) b;
-        ignore (Page_cache.touch t.pcache ~ino ~page:(page + p) ~dirty:false)
-      end
-    done
-  in
   let rec chunks page acc =
     if page > last then List.rev acc
     else
@@ -334,18 +415,23 @@ let fetch_pages t ctx ~server_fh ~ino ~first ~last =
               Protocol.Read { fh = server_fh; off = page * ps; len = chunk_pages * ps })
             group
         in
+        let fresh =
+          List.map
+            (fun (page, chunk_pages) -> (page, uncached t ~ino ~first:page ~pages:chunk_pages))
+            group
+        in
         let resps = Conn.call_group t.conn ~splice ctx reqs in
         let* () =
           List.fold_left2
-            (fun acc (page, chunk_pages) resp ->
+            (fun acc (page, fresh) resp ->
               let* () = acc in
               match Protocol.err_of_resp resp with
               | Ok (Protocol.R_data d) ->
-                  install page chunk_pages d;
+                  install t ~ino ~first:page ~fresh d;
                   Ok ()
               | Ok _ -> Error Errno.EIO
               | Error e -> Error e)
-            (Ok ()) group resps
+            (Ok ()) fresh resps
         in
         fetch_groups rest
   in
@@ -381,13 +467,7 @@ let install_flush_hook t =
               let off = page * ps in
               let len = min (n * ps) (max 0 (size - off)) in
               if len > 0 then begin
-                let buf = Buffer.create len in
-                for p = page to page + n - 1 do
-                  match Hashtbl.find_opt t.pdata (ino, p) with
-                  | Some b -> Buffer.add_bytes buf b
-                  | None -> Buffer.add_string buf (String.make ps '\000')
-                done;
-                let data = Buffer.sub buf 0 len in
+                let data = Fdata.read (store t ino) ~off ~len in
                 ignore
                   (rt t ~splice:t.opts.Opts.splice_write Protocol.root_ctx
                      (Protocol.Write { fh; off; data }))
@@ -395,8 +475,7 @@ let install_flush_hook t =
               send (page + n) (remaining - n)
             end
           in
-          send page pages);
-  Page_cache.set_on_evict t.pcache (fun ~ino ~page -> Hashtbl.remove t.pdata (ino, page))
+          send page pages)
 
 let flush_dirty t ino = Page_cache.flush_inode t.pcache ino
 
@@ -451,7 +530,8 @@ let create ~conn ~opts ~budget =
       pcache =
         Page_cache.create ~metrics ~name:"fuse" ~budget
           ~page_size:cost.Cost.page_size ();
-      pdata = Hashtbl.create 1024;
+      pdata = Hashtbl.create 64;
+      unlinked = Hashtbl.create 8;
       sizes = Hashtbl.create 64;
       entries = Hashtbl.create 256;
       attrs = Hashtbl.create 256;
@@ -489,12 +569,6 @@ let create ~conn ~opts ~budget =
 let conn t = t.conn
 let obs t = Conn.obs t.conn
 
-(* debug: first byte of every cached page (test introspection) *)
-let debug_pages t =
-  Hashtbl.fold (fun (i, pg) b acc -> (i, pg, Bytes.get b 0) :: acc) t.pdata []
-  |> List.sort compare
-let cache_stats t = Page_cache.stats t.pcache
-
 (* --- Fsops implementation ------------------------------------------------- *)
 
 let lookup t cred parent name =
@@ -519,7 +593,7 @@ let lookup t cred parent name =
         | Ok (Protocol.R_entry (ino, st)) ->
             put_entry t parent name ino;
             drop_neg t parent name;
-            cache_attr t st;
+            let st = cache_attr t st in
             bump_nlookup t ino;
             Ok (ino, st)
         | Ok _ -> Error Errno.EIO
@@ -580,13 +654,11 @@ let setattr t cred ino sa =
   match resp with
   | Protocol.R_attr st ->
       invalidate_attr t ino;
-      cache_attr t st;
-      (match sa.Types.sa_size with
-      | Some size ->
-          Hashtbl.replace t.sizes ino size;
-          (* truncation invalidates cached pages beyond the new end *)
-          Page_cache.invalidate_inode t.pcache ino
-      | None -> ());
+      (* a truncation sets the size outright *)
+      Option.iter (Hashtbl.replace t.sizes ino) sa.Types.sa_size;
+      let st = cache_attr t st in
+      (* truncation invalidates cached pages beyond the new end *)
+      if sa.Types.sa_size <> None then invalidate_pages t ino;
       Ok st
   | _ -> Error Errno.EIO
 
@@ -625,7 +697,7 @@ let entry_req t cred req =
   let* resp = rt t (ctx_of cred) req in
   match resp with
   | Protocol.R_entry (ino, st) ->
-      cache_attr t st;
+      let st = cache_attr t st in
       bump_nlookup t ino;
       Ok st
   | _ -> Error Errno.EIO
@@ -678,7 +750,7 @@ let unlink t cred parent name =
       invalidate_attr t ino;
       touch_parent_attr t parent ~dentries:(-1) ~dnlink:0;
       (* dirty pages of a deleted file are dropped, never written *)
-      if not (Hashtbl.mem t.wb_fhs ino) then Page_cache.discard_inode t.pcache ino;
+      drop_unlinked_pages t ino;
       if not (ino_referenced t ino) then queue_forget t ino;
       Ok ()
   | _ -> Error Errno.EIO
@@ -732,7 +804,7 @@ let rename t cred src_parent src_name dst_parent dst_name =
       let doom r_ino =
         if r_ino <> src_ino then begin
           invalidate_attr t r_ino;
-          if not (Hashtbl.mem t.wb_fhs r_ino) then Page_cache.discard_inode t.pcache r_ino;
+          drop_unlinked_pages t r_ino;
           if not (ino_referenced t r_ino) then queue_forget t r_ino
         end
       in
@@ -781,12 +853,12 @@ let open_ t cred ino flags =
          cached pages — the Figure 3(a) ablation. *)
       if not t.opts.Opts.keep_cache then begin
         flush_dirty t ino;
-        Page_cache.invalidate_inode t.pcache ino
+        invalidate_pages t ino
       end;
       if List.mem Types.O_TRUNC flags && Types.flag_writable flags then begin
         Hashtbl.replace t.sizes ino 0;
         invalidate_attr t ino;
-        Page_cache.invalidate_inode t.pcache ino
+        invalidate_pages t ino
       end;
       let fh =
         alloc_handle t ~ino ~server_fh ~readable:(Types.flag_readable flags)
@@ -823,7 +895,7 @@ let create_file t cred parent name ~mode flags =
   | Protocol.R_create (ino, st, server_fh) ->
       put_entry t parent name ino;
       drop_neg t parent name;
-      cache_attr t st;
+      let st = cache_attr t st in
       bump_nlookup t ino;
       touch_parent_attr t parent ~dentries:1 ~dnlink:0;
       (* a file the driver itself just created cannot carry
@@ -872,23 +944,13 @@ let pt_read t h g ~off ~len =
    backing copy — same rule as [fetch_pages]). *)
 let pt_fetch_pages t g ~ino ~first ~last =
   let ps = page_size t in
-  match g.Protocol.g_read ~off:(first * ps) ~len:((last - first + 1) * ps) with
+  let fresh = uncached t ~ino ~first ~pages:(last - first + 1) in
+  match g.Protocol.g_read ~off:(first * ps) ~len:(Array.length fresh * ps) with
   | Error e -> Error e
   | Ok data ->
       pt_incr t (fun c -> c.ptm_reads);
       Clock.consume_int t.clock (Cost.mem_cost t.cost (String.length data));
-      for p = 0 to last - first do
-        if not (Page_cache.mem t.pcache ~ino ~page:(first + p)) then begin
-          let b = Bytes.make ps '\000' in
-          let src_off = p * ps in
-          if src_off < String.length data then begin
-            let n = min ps (String.length data - src_off) in
-            Bytes.blit_string data src_off b 0 n
-          end;
-          Hashtbl.replace t.pdata (ino, first + p) b;
-          ignore (Page_cache.touch t.pcache ~ino ~page:(first + p) ~dirty:false)
-        end
-      done;
+      install t ~ino ~first ~fresh data;
       Ok ()
 
 let read t fh ~off ~len =
@@ -973,24 +1035,9 @@ let read t fh ~off ~len =
     done;
     flush_run last;
     let* () = !result in
-    (* assemble from page data *)
-    let buf = Bytes.make len '\000' in
-    let rec assemble pos =
-      if pos < len then begin
-        let abs = off + pos in
-        let page = abs / ps in
-        let poff = abs mod ps in
-        let n = min (ps - poff) (len - pos) in
-        (match Hashtbl.find_opt t.pdata (ino, page) with
-        | Some b -> Bytes.blit b poff buf pos n
-        | None -> ());
-        assemble (pos + n)
-      end
-    in
-    assemble 0;
     (* copy out to userspace *)
     Clock.consume_int t.clock (Cost.copy_cost t.cost len);
-    Ok (Bytes.unsafe_to_string buf)
+    Ok (Fdata.read (store t ino) ~off ~len)
   end
   end
   end
@@ -1039,7 +1086,7 @@ let write t cred fh ~off data =
           match resp with
           | Protocol.R_attr st' ->
               invalidate_attr t ino;
-              cache_attr t st';
+              ignore (cache_attr t st');
               Ok ()
           | _ -> Error Errno.EIO
     in
@@ -1076,19 +1123,7 @@ let write t cred fh ~off data =
         match g.Protocol.g_write (ctx_of cred) ~off data with
         | Ok n ->
             pt_incr t (fun c -> c.ptm_writes);
-            if n > 0 then begin
-              let ps = page_size t in
-              let first = off / ps and last = (off + n - 1) / ps in
-              for page = first to last do
-                if Hashtbl.mem t.pdata (ino, page) then begin
-                  let b = get_page_bytes t ino page in
-                  let pstart = page * ps in
-                  let s = max off pstart in
-                  let e = min (off + n) (pstart + ps) in
-                  Bytes.blit_string data (s - off) b (s - pstart) (e - s)
-                end
-              done
-            end;
+            patch_cached t ino ~off data ~pos:0 ~len:n;
             update_local_attr ~new_size:(off + n);
             Ok n
         | Error e -> Error e)
@@ -1100,38 +1135,52 @@ let write t cred fh ~off data =
       (* read-modify-write: boundary pages that partially overlap existing
          data must be fetched first *)
       let need_fetch page =
-        (not (Hashtbl.mem t.pdata (ino, page)))
+        (not (Page_cache.mem t.pcache ~ino ~page))
         && page * ps < size
         && ((page = first && off mod ps <> 0)
            || (page = last && (off + len) mod ps <> 0 && off + len < size))
       in
-      let* () =
-        if need_fetch first || need_fetch last then
-          let* () =
-            if need_fetch first then
-              fetch_pages t (ctx_of cred) ~server_fh:h.dh_server_fh ~ino ~first ~last:first
-            else Ok ()
-          in
-          if last <> first && need_fetch last then
-            fetch_pages t (ctx_of cred) ~server_fh:h.dh_server_fh ~ino ~first:last ~last
-          else Ok ()
-        else Ok ()
+      let fetch page =
+        fetch_pages t (ctx_of cred) ~server_fh:h.dh_server_fh ~ino ~first:page ~last:page
       in
-      (* modify page data and dirty the cache *)
-      let rec store pos =
-        if pos < len then begin
+      let* () = if need_fetch first then fetch first else Ok () in
+      let* () = if last <> first && need_fetch last then fetch last else Ok () in
+      (* modify page data and dirty the cache.  Inserting a page can evict
+         an earlier one of this write, so the size grows before each page
+         is cached (an evicted page is written back in full), and a
+         boundary page found uncached here is fetched again.  If that
+         fetch fails after earlier pages are stored, the write ends short
+         at them. *)
+      let rec put pos =
+        if pos >= len then Ok len
+        else begin
           let abs = off + pos in
           let page = abs / ps in
           let poff = abs mod ps in
           let n = min (ps - poff) (len - pos) in
-          let b = get_page_bytes t ino page in
-          Bytes.blit_string data pos b poff n;
-          ignore (Page_cache.touch t.pcache ~ino ~page ~dirty:true);
-          store (pos + n)
+          let ready =
+            if Page_cache.mem t.pcache ~ino ~page then Ok ()
+            else if need_fetch page then fetch page
+            else begin
+              (* a fresh page: zeros around the write *)
+              let d = store t ino in
+              Fdata.zero d ~off:(page * ps) ~len:poff;
+              Fdata.zero d ~off:(abs + n) ~len:(ps - poff - n);
+              Ok ()
+            end
+          in
+          match ready with
+          | Error _ when pos > 0 -> Ok pos
+          | Error e -> Error e
+          | Ok () ->
+              if abs + n > size_of t ino then Hashtbl.replace t.sizes ino (abs + n);
+              Fdata.write_sub (store t ino) ~off:abs data ~pos ~len:n;
+              ignore (Page_cache.touch t.pcache ~ino ~page ~dirty:true);
+              put (pos + n)
         end
       in
-      store 0;
-      update_local_attr ~new_size:(off + len);
+      let* written = put 0 in
+      update_local_attr ~new_size:(off + written);
       if
         t.opts.Opts.writeback_limit_pages > 0
         && Page_cache.dirty_count t.pcache ino >= t.opts.Opts.writeback_limit_pages
@@ -1147,7 +1196,7 @@ let write t cred fh ~off data =
           t.conn.Conn.background <- false
         end
       end;
-      Ok len
+      Ok written
     end
     else begin
       (* write-through: one WRITE request per max_write chunk *)
@@ -1163,17 +1212,7 @@ let write t cred fh ~off data =
           match resp with
           | Protocol.R_written _ ->
               (* keep cached pages coherent *)
-              let ps = page_size t in
-              let first = (off + pos) / ps and last = (off + pos + n - 1) / ps in
-              for page = first to last do
-                if Hashtbl.mem t.pdata (ino, page) then begin
-                  let b = get_page_bytes t ino page in
-                  let pstart = page * ps in
-                  let s = max (off + pos) pstart in
-                  let e = min (off + pos + n) (pstart + ps) in
-                  Bytes.blit_string data (s - off) b (s - pstart) (e - s)
-                end
-              done;
+              patch_cached t ino ~off:(off + pos) data ~pos ~len:n;
               update_local_attr ~new_size:(off + pos + n);
               send (pos + n)
           | _ -> Error Errno.EIO
@@ -1203,12 +1242,24 @@ let release t fh =
         if h.dh_writable then begin
           flush_dirty t h.dh_ino;
           (* another writable handle may still reference the ino *)
-          let still_writable =
+          let other =
             Hashtbl.fold
-              (fun _ o acc -> acc || (o.dh_open && o.dh_ino = h.dh_ino && o.dh_writable))
-              t.handles false
+              (fun _ o acc ->
+                if o.dh_open && o.dh_ino = h.dh_ino && o.dh_writable then Some o else acc)
+              t.handles None
           in
-          if not still_writable then Hashtbl.remove t.wb_fhs h.dh_ino
+          match other with
+          | Some o ->
+              (* later writeback must not go to the server fh released below *)
+              if Hashtbl.find_opt t.wb_fhs h.dh_ino = Some h.dh_server_fh then
+                Hashtbl.replace t.wb_fhs h.dh_ino o.dh_server_fh
+          | None ->
+              Hashtbl.remove t.wb_fhs h.dh_ino;
+              (* the pages of an unlinked file are flushed: drop them *)
+              if Hashtbl.mem t.unlinked h.dh_ino then begin
+                Hashtbl.remove t.unlinked h.dh_ino;
+                discard_pages t h.dh_ino
+              end
         end;
         (* RELEASE is asynchronous in FUSE: a one-way background message *)
         Conn.post t.conn Protocol.root_ctx (Protocol.Release h.dh_server_fh)
@@ -1252,10 +1303,11 @@ let readdir t cred ino =
                     (if entry_valid > 0 then entry_valid
                      else t.opts.Opts.entry_timeout_ns);
                 drop_neg t ino de.Types.d_name;
-                cache_attr t st
-                  ~valid_ns:
-                    (if attr_valid > 0 then attr_valid
-                     else t.opts.Opts.attr_timeout_ns);
+                ignore
+                  (cache_attr t st
+                     ~valid_ns:
+                       (if attr_valid > 0 then attr_valid
+                        else t.opts.Opts.attr_timeout_ns));
                 bump_nlookup t child
             | _ -> ())
           l;

@@ -45,17 +45,3 @@ val ino_paths : t -> (int * string * int) list
     the writeback-fh map.  Handles whose inode did not survive are marked
     dead (subsequent use fails [EBADF]). *)
 val on_server_restart : t -> unit
-
-(** Page-cache statistics (hits, misses, evictions, writeback).
-
-    Deprecated: thin wrapper over the metrics registry (the
-    [vfs.page_cache.fuse.*] counters on {!obs}); kept for one release —
-    new code should read the registry directly. *)
-val cache_stats : t -> Page_cache.stats
-
-(** Test introspection: [(ino, page, first byte)] of every cached page.
-
-    Deprecated: prefer the [vfs.page_cache.fuse.*] counters on {!obs} for
-    cache behaviour assertions; this remains only for tests that must see
-    page *contents*. *)
-val debug_pages : t -> (int * int * char) list

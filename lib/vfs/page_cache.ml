@@ -1,6 +1,7 @@
 (* LRU page cache with dirty tracking.  Pages are (inode, page-index) keys;
-   data lives in the filesystem's inode table — the cache only models
-   *presence* (for cost accounting) and dirtiness (for writeback). *)
+   data lives in the filesystem's inode table or, for the FUSE driver, in
+   its per-inode stores — the cache only models *presence* (for cost
+   accounting) and dirtiness (for writeback). *)
 
 type key = { k_ino : int; k_page : int }
 
@@ -40,9 +41,6 @@ type t = {
   (* Called when a dirty page run must reach the device: [on_flush ~ino
      ~page ~pages] where the run covers [pages] contiguous pages. *)
   mutable on_flush : ino:int -> page:int -> pages:int -> unit;
-  (* Called whenever a page leaves the cache (eviction, invalidation,
-     discard) — users holding page *data* alongside must drop it. *)
-  mutable on_evict : ino:int -> page:int -> unit;
 }
 
 let ratio hits misses =
@@ -91,12 +89,10 @@ let create ?metrics ~name ~budget ~page_size () =
     m_writeback_ios = Metrics.counter metrics (key "writeback_ios");
     m_writeback_pages = Metrics.counter metrics (key "writeback_pages");
     on_flush = (fun ~ino:_ ~page:_ ~pages:_ -> ());
-    on_evict = (fun ~ino:_ ~page:_ -> ());
   }
 
 let budget t = t.budget
 let set_on_flush t f = t.on_flush <- f
-let set_on_evict t f = t.on_evict <- f
 
 (* Snapshot view over the registry counters. *)
 let stats t =
@@ -202,7 +198,6 @@ let evict_one t =
       end;
       unlink_node t n;
       Hashtbl.remove t.pages n.key;
-      t.on_evict ~ino:n.key.k_ino ~page:n.key.k_page;
       Mem_budget.release t.budget t.page_size;
       Metrics.incr t.m_evictions
 
@@ -263,7 +258,6 @@ let discard_inode t ino =
     (fun n ->
       unlink_node t n;
       Hashtbl.remove t.pages n.key;
-      t.on_evict ~ino:n.key.k_ino ~page:n.key.k_page;
       Mem_budget.release t.budget t.page_size)
     to_remove
 
@@ -280,7 +274,6 @@ let invalidate_inode t ino =
     (fun n ->
       unlink_node t n;
       Hashtbl.remove t.pages n.key;
-      t.on_evict ~ino:n.key.k_ino ~page:n.key.k_page;
       Mem_budget.release t.budget t.page_size)
     to_remove
 

@@ -1,6 +1,6 @@
 (** LRU page cache with dirty tracking.  Pages are (inode, page-index)
     presence records for cost accounting; users that also need the bytes
-    (the FUSE driver) keep them alongside and react to {!set_on_evict}. *)
+    (the FUSE driver) keep them alongside. *)
 
 (** Immutable snapshot of the cache's registry counters, taken by
     {!stats}. *)
@@ -25,10 +25,6 @@ val create :
 
 (** Device-write callback for each flushed contiguous run. *)
 val set_on_flush : t -> (ino:int -> page:int -> pages:int -> unit) -> unit
-
-(** Called whenever a page leaves the cache (eviction, invalidation,
-    discard). *)
-val set_on_evict : t -> (ino:int -> page:int -> unit) -> unit
 
 (** Fresh snapshot of the registry counters. *)
 val stats : t -> stats

@@ -15,9 +15,14 @@ open Repro_cntrfs
 
 let ok = Errno.ok_exn
 
-type sys = { k : Kernel.t; proc : Proc.t; base : string }
+(* [kept]: per file slot, the fd [Op_kwrite] opened and keeps open *)
+type sys = { k : Kernel.t; proc : Proc.t; base : string; kept : (int, int) Hashtbl.t }
 
-let boot_pair_full ?(threads = 4) ~opts () =
+let sys k proc base = { k; proc; base; kept = Hashtbl.create 8 }
+
+(* [budget] is the FUSE page cache's memory budget in bytes; the default
+   holds every trace's files, so nothing is ever evicted. *)
+let boot_pair_full ?(threads = 4) ?(budget = 32 * 1024 * 1024) ~opts () =
   let clock = Clock.create () in
   let cost = Cost.default in
   let rootfs = Nativefs.create ~name:"rootfs" ~clock ~cost Store.Ram () in
@@ -26,15 +31,15 @@ let boot_pair_full ?(threads = 4) ~opts () =
   List.iter (fun d -> ok (Kernel.mkdir k init d ~mode:0o777)) [ "/back"; "/native" ];
   ok (Kernel.mkdir k init "/mnt" ~mode:0o755);
   let server = Kernel.fork k init in
-  let budget = Mem_budget.create ~limit_bytes:(32 * 1024 * 1024) in
+  let budget = Mem_budget.create ~limit_bytes:budget in
   let session =
     Session.create ~kernel:k ~server_proc:server ~root_path:"/back" ~opts ~threads ~budget ()
   in
   ignore (ok (Kernel.mount_at k init ~fs:(Session.fs session) "/mnt"));
-  ({ k; proc = init; base = "/mnt" }, { k; proc = init; base = "/native" }, session)
+  (sys k init "/mnt", sys k init "/native", session)
 
-let boot_pair ?threads ~opts () =
-  let fuse_sys, native_sys, _session = boot_pair_full ?threads ~opts () in
+let boot_pair ?threads ?budget ~opts () =
+  let fuse_sys, native_sys, _session = boot_pair_full ?threads ?budget ~opts () in
   (fuse_sys, native_sys)
 
 (* --- the operation language --------------------------------------------------- *)
@@ -57,14 +62,34 @@ type op =
   | Op_chmod of int * int
   | Op_xattr_set of int * int
   | Op_xattr_get of int
+  | Op_kwrite of int * int * int (* like Op_write, through the slot's kept fd *)
+  | Op_kclose of int (* close the slot's kept fd *)
+
+(* 64 KiB: the file-data store's chunk, and the size of Dbench's reads *)
+let chunk = 65536
 
 let gen_op =
   QCheck.Gen.(
     frequency
       [
         (6, map3 (fun a b c -> Op_write (a, b, c)) (int_range 0 7) (int_range 0 20000) (int_range 1 3000));
+        (* writes ending just past a chunk boundary *)
+        ( 1,
+          map3
+            (fun a k (len, past) -> Op_write (a, (k * chunk) + past - len, len))
+            (int_range 0 7) (int_range 1 3)
+            (pair (int_range 1 3000) (int_range 1 100)) );
+        (* ~64 KiB writes, chunk-aligned or anywhere *)
+        ( 1,
+          map3
+            (fun a off len -> Op_write (a, off, len))
+            (int_range 0 7)
+            (oneof [ map (fun k -> k * chunk) (int_range 0 3); int_range 0 200_000 ])
+            (int_range 60_000 70_000) );
         (3, map2 (fun a b -> Op_append (a, b)) (int_range 0 7) (int_range 1 500));
         (5, map3 (fun a b c -> Op_read (a, b, c)) (int_range 0 7) (int_range 0 25000) (int_range 1 4000));
+        (* chunk-aligned whole-chunk reads *)
+        (2, map2 (fun a k -> Op_read (a, k * chunk, chunk)) (int_range 0 7) (int_range 0 3));
         (3, map (fun a -> Op_read_whole a) (int_range 0 7));
         (2, map2 (fun a b -> Op_truncate (a, b)) (int_range 0 7) (int_range 0 15000));
         (2, map (fun a -> Op_unlink a) (int_range 0 7));
@@ -81,8 +106,24 @@ let gen_op =
         (1, map (fun a -> Op_xattr_get a) (int_range 0 7));
       ])
 
+(* [gen_op] plus writes through a read-write fd kept open across later
+   ops, so dirty pages outlive the write into reads, evictions, unlinks
+   and renames.  The fault-injected leg leaves these out: a file
+   unlinked while open does not survive a server restart. *)
+let gen_op_kept =
+  QCheck.Gen.(
+    frequency
+      [
+        (16, gen_op);
+        (2, map3 (fun a b c -> Op_kwrite (a, b, c)) (int_range 0 7) (int_range 0 140_000) (int_range 1 5000));
+        (1, map (fun a -> Op_kclose a) (int_range 0 7));
+      ])
+
 let fname slot = Printf.sprintf "f%d" slot
 let dname slot = Printf.sprintf "d%d" slot
+
+(* Every write's bytes are a prefix of this: printable, period 90. *)
+let payload_source = String.init 131_072 (fun i -> Char.chr (33 + ((i * 7) mod 90)))
 
 (* Execute one op; the observation is a string capturing everything
    user-visible about the outcome. *)
@@ -94,7 +135,7 @@ let execute sys op =
     | Error e -> "err:" ^ Errno.to_string e
   in
   let unit_obs = obs_of_result (fun () -> "()") in
-  let payload n = String.init n (fun i -> Char.chr (33 + ((i * 7) mod 90))) in
+  let payload n = String.sub payload_source 0 n in
   match op with
   | Op_write (slot, off, len) ->
       let r =
@@ -164,6 +205,29 @@ let execute sys op =
       unit_obs (Kernel.setxattr k p (path (fname slot)) (Printf.sprintf "user.k%d" key) "v")
   | Op_xattr_get (slot) ->
       obs_of_result Fun.id (Kernel.getxattr k p (path (fname slot)) "user.k0")
+  | Op_kwrite (slot, off, len) ->
+      let fd =
+        match Hashtbl.find_opt sys.kept slot with
+        | Some fd -> Ok fd
+        | None ->
+            Result.map
+              (fun fd ->
+                Hashtbl.replace sys.kept slot fd;
+                fd)
+              (Kernel.open_ k p (path (fname slot)) [ Types.O_CREAT; Types.O_RDWR ] ~mode:0o644)
+      in
+      obs_of_result string_of_int (Result.bind fd (fun fd -> Kernel.pwrite k p fd ~off (payload len)))
+  | Op_kclose slot -> (
+      match Hashtbl.find_opt sys.kept slot with
+      | None -> "no-fd"
+      | Some fd ->
+          Hashtbl.remove sys.kept slot;
+          unit_obs (Kernel.close k p fd))
+
+(* Close every kept fd, as the trace's last op. *)
+let close_kept sys =
+  Hashtbl.iter (fun _ fd -> ignore (Kernel.close sys.k sys.proc fd)) sys.kept;
+  Hashtbl.reset sys.kept
 
 (* Final deep comparison: every file's full content and the listing. *)
 let fingerprint sys =
@@ -196,8 +260,8 @@ let fingerprint sys =
              end));
   Buffer.contents buf
 
-let run_trace ?threads ~opts ops =
-  let fuse_sys, native_sys = boot_pair ?threads ~opts () in
+let run_trace ?threads ?budget ~opts ops =
+  let fuse_sys, native_sys = boot_pair ?threads ?budget ~opts () in
   let rec go i = function
     | [] -> None
     | op :: rest ->
@@ -209,6 +273,8 @@ let run_trace ?threads ~opts ops =
   match go 0 ops with
   | Some msg -> Some msg
   | None ->
+      close_kept fuse_sys;
+      close_kept native_sys;
       let fa = fingerprint fuse_sys and fb = fingerprint native_sys in
       if fa <> fb then Some (Printf.sprintf "final state diverged:\n  cntrfs=%s\n  native=%s" fa fb)
       else None
@@ -275,11 +341,48 @@ let pp_op = function
   | Op_link (a, b) -> Printf.sprintf "link f%d f%d" a b
   | Op_symlink (a, b) -> Printf.sprintf "symlink f%d f%d" a b
   | Op_stat a -> Printf.sprintf "stat f%d" a
+  | Op_kwrite (a, b, c) -> Printf.sprintf "kwrite f%d off=%d len=%d" a b c
+  | Op_kclose a -> Printf.sprintf "kclose f%d" a
   | Op_readdir -> "readdir"
   | Op_fsync a -> Printf.sprintf "fsync f%d" a
   | Op_chmod (a, b) -> Printf.sprintf "chmod f%d %o" a b
   | Op_xattr_set (a, b) -> Printf.sprintf "xattr_set f%d k%d" a b
   | Op_xattr_get a -> Printf.sprintf "xattr_get f%d" a
+
+(* Four page-cache data-loss bugs under eviction, each replayed at the
+   budget that exposes it. *)
+let eviction_regressions =
+  [
+    ( "readahead evicts the page being read",
+      64,
+      { Opts.cntr_default with Opts.writeback = false },
+      [ Op_write (0, 0, 131072); Op_read (0, 4096, 4096) ] );
+    ( "write evicts its own boundary page",
+      128,
+      Opts.cntr_default,
+      [ Op_write (0, 65536, 66606); Op_write (0, 0, 68563) ] );
+    ( "extending write evicts its own first page",
+      64,
+      Opts.cntr_default,
+      [ Op_write (6, 65536, 67638) ] );
+    (* f0's dirty page 1 is the least recently used page when a read of
+       page 0 fetches both: installing page 0 evicts it *)
+    ( "readahead evicts a dirty page it covers",
+      64,
+      Opts.cntr_default,
+      [
+        Op_write (1, 0, 61440);
+        Op_kwrite (0, 4096, 4096);
+        Op_read (1, 0, 61440);
+        Op_read (0, 0, 4096);
+        Op_read (0, 4096, 4096);
+      ] );
+  ]
+
+let test_eviction_regression (kib, opts, ops) () =
+  match run_trace ~budget:(kib * 1024) ~opts ops with
+  | None -> ()
+  | Some msg -> Alcotest.fail msg
 
 let prop_differential_faulted ?(count = 60) ?threads ~name ~opts () =
   QCheck.Test.make ~name ~count
@@ -292,14 +395,14 @@ let prop_differential_faulted ?(count = 60) ?threads ~name ~opts () =
       | None -> true
       | Some msg -> QCheck.Test.fail_report msg)
 
-let prop_differential ?(count = 60) ?threads ~name ~opts () =
+let prop_differential ?(count = 60) ?threads ?budget ~name ~opts () =
   QCheck.Test.make ~name ~count
     (QCheck.make ~print:(fun ops ->
          Printf.sprintf "<%d ops>\n%s" (List.length ops)
            (String.concat "\n" (List.mapi (Printf.sprintf "  %d: %s") (List.map pp_op ops))))
-       QCheck.Gen.(list_size (int_range 10 80) gen_op))
+       QCheck.Gen.(list_size (int_range 10 80) gen_op_kept))
     (fun ops ->
-      match run_trace ?threads ~opts ops with
+      match run_trace ?threads ?budget ~opts ops with
       | None -> true
       | Some msg -> QCheck.Test.fail_report msg)
 
@@ -352,17 +455,14 @@ let search () =
                  | _ -> ());
                  real ctx req);
              ignore (ok (Kernel.mount_at k init ~fs:(Session.fs session) "/mnt"));
-             let sys = { k; proc = init; base = "/mnt" } in
+             let sys = sys k init "/mnt" in
              List.iteri
                (fun i op ->
                  Printf.printf "  [op %d] %s\n" i (pp_op op);
                  ignore (execute sys op))
                ops;
              Printf.printf "  [fingerprint]\n";
-             ignore (fingerprint sys);
-             List.iter
-               (fun (i, pg, c) -> Printf.printf "    pdata ino=%d page=%d first=%C\n" i pg c)
-               (Driver.debug_pages session.Session.driver));
+             ignore (fingerprint sys));
             (* also dump the fuse system's BACKING view to localize the bug *)
             (for slot = 0 to 7 do
               let rd base = Kernel.read_whole fuse_sys.k fuse_sys.proc (base ^ "/" ^ fname slot) in
@@ -435,7 +535,27 @@ let () =
           QCheck_alcotest.to_alcotest
             (prop_differential ~name:"passthrough (tiny grant LRU)"
                ~opts:{ Opts.cntr_default with Opts.passthrough = 4 } ());
+          (* a page cache smaller than the trace's files: installs, reads
+             and writeback stores evict pages (their own included) while
+             they run, so no byte may depend on a page staying cached *)
+          QCheck_alcotest.to_alcotest
+            (prop_differential ~name:"evicting page cache (512 KiB)"
+               ~budget:(512 * 1024) ~opts:Opts.cntr_default ());
+          QCheck_alcotest.to_alcotest
+            (prop_differential ~name:"evicting page cache (256 KiB, no writeback)"
+               ~budget:(256 * 1024)
+               ~opts:{ Opts.cntr_default with Opts.writeback = false } ());
+          (* small enough that a page dirtied through a kept fd is often
+             the least recently used one when a read's readahead covers it *)
+          QCheck_alcotest.to_alcotest
+            (prop_differential ~name:"evicting page cache (128 KiB)"
+               ~budget:(128 * 1024) ~opts:Opts.cntr_default ());
         ] );
+      ( "eviction-replays",
+        List.map
+          (fun (name, kib, opts, ops) ->
+            Alcotest.test_case name `Quick (test_eviction_regression (kib, opts, ops)))
+          eviction_regressions );
       ( "fault-injected",
         [
           (* crash + recovery mid-trace must be observationally invisible *)

@@ -31,7 +31,7 @@ let files = [ ("alpha", 3000); ("beta", 300); ("gamma", 12000) ]
 let payload name n =
   String.init n (fun i -> Char.chr (33 + ((Hashtbl.hash name + (i * 7)) mod 90)))
 
-let boot ?opts ?fault ?retry () =
+let boot ?opts ?fault ?retry ?(budget = 32 * 1024 * 1024) () =
   let clock = Clock.create () in
   let cost = Cost.default in
   let rootfs = Nativefs.create ~name:"rootfs" ~clock ~cost Store.Ram () in
@@ -46,7 +46,7 @@ let boot ?opts ?fault ?retry () =
       ok (Kernel.close k init fd))
     files;
   let server = Kernel.fork k init in
-  let budget = Mem_budget.create ~limit_bytes:(32 * 1024 * 1024) in
+  let budget = Mem_budget.create ~limit_bytes:budget in
   let session =
     Session.create ~kernel:k ~server_proc:server ~root_path:"/back" ?opts ?fault ?retry ~budget ()
   in
@@ -192,6 +192,26 @@ let test_enospc_on_write_path () =
   Session.quiesce sys.session;
   check_b "ENOSPC injected" true (counter sys "fault.injected.backing.ENOSPC" >= 1);
   check_s "backing unchanged" before (backing_fingerprint sys)
+
+(* With a two-page cache, a writeback write over gamma's three pages
+   evicts its own last page (fetched first, for the bytes past the write)
+   when it stores the middle one, so it fetches that page again.  That
+   fetch fails: the pages already stored stay written and the write
+   returns short at them. *)
+let test_short_write_on_failed_refetch () =
+  let plan =
+    Fault.plan
+      [ { Fault.site = Fault.Fuse (Some "read"); trigger = Fault.Nth 3; action = Fault.Fail Errno.EIO } ]
+  in
+  let sys = boot ~budget:(2 * 4096) ~fault:plan () in
+  let fd = ok (Kernel.open_ sys.k sys.init "/mnt/gamma" [ Types.O_WRONLY ] ~mode:0) in
+  let n = ok (Kernel.pwrite sys.k sys.init fd ~off:100 (String.make 11800 'w')) in
+  ok (Kernel.close sys.k sys.init fd);
+  check_i "short at the failed page" (8192 - 100) n;
+  let old = payload "gamma" 12000 in
+  check_s "stored pages written back"
+    (String.sub old 0 100 ^ String.make (8192 - 100) 'w' ^ String.sub old 8192 (12000 - 8192))
+    (ok (read_file sys "/back/gamma"))
 
 let test_backing_faults_spare_other_processes () =
   let plan = Fault.plan [ { Fault.site = Fault.Backing None; trigger = Fault.Every 1; action = Fault.Fail Errno.EIO } ] in
@@ -381,6 +401,7 @@ let () =
           Alcotest.test_case "latency spike" `Quick test_latency_spike_slows_but_succeeds;
           Alcotest.test_case "disk delay" `Quick test_disk_delay_charged;
           Alcotest.test_case "ENOSPC on write path" `Quick test_enospc_on_write_path;
+          Alcotest.test_case "short write on failed refetch" `Quick test_short_write_on_failed_refetch;
           Alcotest.test_case "backing faults are server-only" `Quick test_backing_faults_spare_other_processes;
         ] );
       ( "crash-recovery",

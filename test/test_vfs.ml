@@ -54,22 +54,103 @@ let test_fdata_cross_chunk () =
   ignore (Fdata.write d ~off "abcdef");
   check_s "crosses boundary" "abcdef" (Fdata.read d ~off ~len:6)
 
-(* Random writes compared against a flat-bytes reference model. *)
+(* Random mutations and reads spanning six chunks, compared against a
+   flat-bytes reference model.  Whole-chunk reads of fully allocated chunks
+   are lent out, so every string a read returns is kept and must still
+   equal the model's bytes at the time of the read once the trace is done:
+   a mutation through a lent chunk shows up there. *)
+type fop =
+  | F_write of int * int * int (* offset, length, salt *)
+  | F_write_sub of int * int * int * int (* offset, source position, length, salt *)
+  | F_zero of int * int
+  | F_truncate of int
+  | F_read of int * int
+
+let pp_fop = function
+  | F_write (o, l, s) -> Printf.sprintf "write off=%d len=%d salt=%d" o l s
+  | F_write_sub (o, p, l, s) -> Printf.sprintf "write_sub off=%d pos=%d len=%d salt=%d" o p l s
+  | F_zero (o, l) -> Printf.sprintf "zero off=%d len=%d" o l
+  | F_truncate n -> Printf.sprintf "truncate %d" n
+  | F_read (o, l) -> Printf.sprintf "read off=%d len=%d" o l
+
+let pattern salt len = String.init len (fun i -> Char.chr (97 + ((i + salt) mod 26)))
+
+let gen_fop =
+  let cs = Fdata.chunk_size in
+  let span = 4 * cs in
+  QCheck.Gen.(
+    let off = int_range 0 span in
+    let len = frequency [ (3, int_range 1 200); (1, int_range 1 (cs + 5000)) ] in
+    let salt = int_range 0 25 in
+    let k = int_range 0 3 in
+    frequency
+      [
+        (4, map3 (fun o l s -> F_write (o, l, s)) off len salt);
+        (* writes that end a chunk *)
+        (3, map3 (fun k l s -> F_write (((k + 1) * cs) - l, l, s)) k (int_range 1 cs) salt);
+        (2, map3 (fun o (p, l) s -> F_write_sub (o, p, l, s)) off (pair (int_range 0 50) len) salt);
+        (2, map2 (fun o l -> F_zero (o, l)) off len);
+        (1, map (fun n -> F_truncate n) (int_range 0 (span + cs)));
+        (3, map2 (fun o l -> F_read (o, l)) off len);
+        (* whole-chunk reads *)
+        (4, map (fun k -> F_read (k * cs, cs)) k);
+      ])
+
 let prop_fdata_model =
-  QCheck.Test.make ~name:"fdata matches flat model" ~count:100
-    QCheck.(small_list (pair (int_range 0 5000) (string_gen_of_size (Gen.int_range 1 200) Gen.printable)))
+  QCheck.Test.make ~name:"fdata matches flat model" ~count:200
+    (QCheck.make
+       ~print:(fun ops -> String.concat "\n" (List.map pp_fop ops))
+       QCheck.Gen.(list_size (int_range 1 40) gen_fop))
     (fun ops ->
+      let cs = Fdata.chunk_size in
       let d = Fdata.create () in
-      let model = Bytes.make 8192 '\000' in
-      let model_size = ref 0 in
+      let model = Bytes.make (6 * cs) '\000' in
+      let size = ref 0 in
+      let chunks = Hashtbl.create 8 in
+      let reads = ref [] in
+      let extend off len = size := max !size (off + len) in
+      let written off len =
+        for idx = off / cs to (off + len - 1) / cs do
+          Hashtbl.replace chunks idx ()
+        done
+      in
       List.iter
-        (fun (off, data) ->
-          ignore (Fdata.write d ~off data);
-          Bytes.blit_string data 0 model off (String.length data);
-          model_size := max !model_size (off + String.length data))
+        (function
+          | F_write (off, len, salt) ->
+              let data = pattern salt len in
+              ignore (Fdata.write d ~off data);
+              Bytes.blit_string data 0 model off len;
+              written off len;
+              extend off len
+          | F_write_sub (off, pos, len, salt) ->
+              let src = pattern salt (pos + len + 7) in
+              Fdata.write_sub d ~off src ~pos ~len;
+              Bytes.blit_string src pos model off len;
+              written off len;
+              extend off len
+          | F_zero (off, len) ->
+              Fdata.zero d ~off ~len;
+              Bytes.fill model off len '\000';
+              extend off len
+          | F_truncate n ->
+              Fdata.truncate d n;
+              if n < !size then begin
+                Bytes.fill model n (!size - n) '\000';
+                Hashtbl.filter_map_inplace
+                  (fun idx () -> if n = 0 || idx > (n - 1) / cs then None else Some ())
+                  chunks
+              end;
+              size := n
+          | F_read (off, len) ->
+              let expected =
+                if off >= !size then "" else Bytes.sub_string model off (min len (!size - off))
+              in
+              reads := (Fdata.read d ~off ~len, expected) :: !reads)
         ops;
-      Fdata.size d = !model_size
-      && Fdata.read d ~off:0 ~len:!model_size = Bytes.sub_string model 0 !model_size)
+      List.for_all (fun (got, expected) -> got = expected) !reads
+      && Fdata.size d = !size
+      && Fdata.read d ~off:0 ~len:!size = Bytes.sub_string model 0 !size
+      && Fdata.allocated d = Hashtbl.length chunks * cs)
 
 (* --- Page cache ---------------------------------------------------------- *)
 
