@@ -1,9 +1,10 @@
 (* The evaluation harness: regenerates every table and figure of the
    paper's §5 (see DESIGN.md's per-experiment index).
 
-     dune exec bench/main.exe            # everything
-     dune exec bench/main.exe e2 e4      # selected experiments
-     dune exec bench/main.exe micro      # bechamel wall-clock micro-benches
+     dune exec bench/main.exe              # the default set (see [experiments])
+     dune exec bench/main.exe e2 e4        # selected experiments
+     dune exec bench/main.exe e2 --json    # also write BENCH_e2.json
+     dune exec bench/main.exe micro        # bechamel wall-clock micro-benches
 
    E1  §5.1   xfstests: 94 generic tests, native vs CntrFS
    E2  Fig 2  Phoronix suite relative overheads (20 benchmarks)
@@ -11,7 +12,10 @@
    E4  Fig 4  CntrFS server threads sweep
    E5  Fig 5  Docker-Slim on the Top-50 images
    E6  §1     deployment time: fat vs slim image pulls
-   E7  §4     implementation inventory *)
+   E7  §4     implementation inventory
+
+   Each experiment prints its table and returns a [report]; the driver at
+   the bottom checks the report's gates and writes its JSON. *)
 
 open Repro_util
 
@@ -20,10 +24,25 @@ let section title =
   Printf.printf "%s\n" title;
   Printf.printf "==========================================================\n%!"
 
+(* [json] is the experiment's JSON document, when it has one: `--json`
+   writes it to BENCH_<name>.json in the current directory.  Everything in
+   those documents derives from the virtual clock and the fixed workload
+   seeds, so two runs write byte-identical files.  [gates] are the
+   experiment's self-checks, each a message and whether it holds; one that
+   fails exits 1 before anything is written. *)
+type report = { json : string option; gates : (string * bool) list }
+
+(* An experiment that only prints. *)
+let text run () =
+  run ();
+  { json = None; gates = [] }
+
+(* A table in the committed baselines' layout. *)
+let table ?(gates = []) fields = { json = Some (Jsonx.to_string_pretty (Jsonx.Obj fields)); gates }
+
 (* --- E1: xfstests ----------------------------------------------------------- *)
 
 let e1 () =
-  section "E1 (§5.1) xfstests generic suite — completeness & correctness";
   let open Repro_xfstests in
   let native = Harness.run_suite (Harness.setup_native ()) Suite.all in
   let cntrfs = Harness.run_suite (Harness.setup_cntrfs ()) Suite.all in
@@ -48,22 +67,7 @@ let e1 () =
 
 (* --- E2: Figure 2 ------------------------------------------------------------ *)
 
-(* `--json`: experiments that have a JSON form additionally write a
-   BENCH_<exp>.json file into the current directory (the repo root, when
-   run via `dune exec` from there).  Everything in those files derives from
-   the virtual clock and the fixed workload seeds, so two runs produce
-   byte-identical bytes. *)
-let json_mode = ref false
-
-let write_json_file path content =
-  let oc = open_out path in
-  output_string oc content;
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote %s\n%!" path
-
 let e2 () =
-  section "E2 (Figure 2) Phoronix suite: relative overhead of CntrFS (lower is better)";
   Printf.printf "%-22s %8s %10s   %s\n" "benchmark" "paper" "measured" "";
   let bars v =
     let n = int_of_float (v *. 4.) in
@@ -81,27 +85,24 @@ let e2 () =
       Repro_workloads.Suite.figure2
   in
   Printf.printf "\n%d out of 20 benchmarks at or below 1.5x (paper: 13/20 below 1.5x)\n%!" !within;
-  if !json_mode then begin
-    let buf = Buffer.create 2048 in
-    Buffer.add_string buf "{\n  \"experiment\": \"e2\",\n  \"metric\": \"relative overhead (cntrfs/native)\",\n  \"workloads\": [\n";
-    List.iteri
-      (fun i (name, paper, measured) ->
-        Buffer.add_string buf
-          (Printf.sprintf "    {\"name\": \"%s\", \"paper\": %.1f, \"measured\": %.4f}%s\n"
-             (Repro_obs.Metrics.json_escape name) paper measured
-             (if i = List.length rows - 1 then "" else ",")))
-      rows;
-    Buffer.add_string buf "  ]\n}";
-    write_json_file "BENCH_e2.json" (Buffer.contents buf)
-  end
+  let row (name, paper, measured) =
+    Jsonx.(Obj [ ("name", Str name); ("paper", Fixed (1, paper)); ("measured", Fixed (4, measured)) ])
+  in
+  table
+    Jsonx.
+      [
+        ("experiment", Str "e2");
+        ("metric", Str "relative overhead (cntrfs/native)");
+        ("workloads", List (List.map row rows));
+      ]
 
-(* E2 smoke mode: one workload per family through the CntrFS backend, all
-   feeding one shared registry, dumped as BENCH_smoke.json.  Runs under
-   `dune runtest` as a fast end-to-end check that the observability layer
-   sees real traffic from every subsystem. *)
+(* E2 smoke: one workload per family through the CntrFS backend, all
+   feeding one shared registry, whose snapshot is the JSON document
+   (BENCH_smoke.json).  Runs under `dune runtest` as a fast end-to-end
+   check that the observability layer sees real traffic from every
+   subsystem. *)
 
-let e2_smoke () =
-  section "E2 (smoke) one workload per family -> BENCH_smoke.json";
+let smoke () =
   let wanted =
     [ "IOzone: Read"; "IOzone: Write"; "PostMark"; "Compileb.: Read"; "Gzip" ]
   in
@@ -119,21 +120,15 @@ let e2_smoke () =
       in
       Printf.printf "  %-22s %12d virtual ns\n%!" w.Repro_workloads.Bench_env.w_name ns)
     smoke;
-  let json = Repro_obs.Obs.to_json obs in
-  let oc = open_out "BENCH_smoke.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  let metrics = Repro_obs.Obs.metrics obs in
-  let c name = Repro_obs.Metrics.counter_value metrics name in
-  Printf.printf
-    "wrote BENCH_smoke.json: %d workloads, %d fuse requests, %d syscalls, %d lookups\n%!"
-    (List.length smoke) (c "fuse.req.count") (c "os.syscall.count")
-    (c "cntrfs.lookup.count");
-  if c "fuse.req.count" = 0 || c "os.syscall.count" = 0 then begin
-    Printf.eprintf "smoke: registry saw no traffic\n";
-    exit 1
-  end
+  let c name = Repro_obs.Metrics.counter_value (Repro_obs.Obs.metrics obs) name in
+  {
+    json = Some (Repro_obs.Obs.to_json obs);
+    gates =
+      [
+        ("registry saw no FUSE requests", c "fuse.req.count" > 0);
+        ("registry saw no syscalls", c "os.syscall.count" > 0);
+      ];
+  }
 
 (* --- E2a: zero-copy data-path ablation --------------------------------------- *)
 
@@ -145,9 +140,8 @@ let e2_smoke () =
 
    Self-gating: the ladder must hold on every streaming row — passthrough
    must strictly cut overhead vs. the copy baseline, and must never
-   regress the splice-only leg.  A violated rung exits 1. *)
+   regress the splice-only leg. *)
 let e2a () =
-  section "E2a (ablation) data path: copy vs splice vs splice+passthrough";
   let open Repro_fuse in
   let streaming =
     [ "IOzone: Read"; "IOzone: Write"; "Gzip"; "Threaded I/O: Read"; "FIO" ]
@@ -179,42 +173,35 @@ let e2a () =
      page cache and flush in the background, the grant never bites, and
      the three legs must price identically.  Every read-streaming row must
      strictly improve down the ladder. *)
-  let fail = ref false in
-  List.iter
-    (fun (name, c, s, p) ->
-      let strict = not (String.equal name "IOzone: Write") in
-      if (strict && p >= c) || p > c +. 1e-9 then begin
-        Printf.eprintf "e2a: %s: passthrough (%.4fx) did not beat the copy baseline (%.4fx)\n"
-          name p c;
-        fail := true
-      end;
-      if p > s +. 1e-9 then begin
-        Printf.eprintf "e2a: %s: passthrough (%.4fx) regressed the splice leg (%.4fx)\n"
-          name p s;
-        fail := true
-      end)
-    measured;
-  if !fail then exit 1;
-  if !json_mode then begin
-    let buf = Buffer.create 1024 in
-    Buffer.add_string buf
-      "{\n  \"experiment\": \"e2a\",\n  \"metric\": \"relative overhead (cntrfs/native) per data-path config\",\n  \"workloads\": [\n";
-    List.iteri
-      (fun i (name, c, s, p) ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "    {\"name\": \"%s\", \"copy\": %.4f, \"splice\": %.4f, \"splice_passthrough\": %.4f}%s\n"
-             (Repro_obs.Metrics.json_escape name) c s p
-             (if i = List.length measured - 1 then "" else ",")))
-      measured;
-    Buffer.add_string buf "  ]\n}";
-    write_json_file "BENCH_e2a.json" (Buffer.contents buf)
-  end
+  let gates =
+    List.concat_map
+      (fun (name, c, s, p) ->
+        let strict = not (String.equal name "IOzone: Write") in
+        [
+          ( Printf.sprintf "%s: passthrough (%.4fx) did not beat the copy baseline (%.4fx)" name p c,
+            not ((strict && p >= c) || p > c +. 1e-9) );
+          ( Printf.sprintf "%s: passthrough (%.4fx) regressed the splice leg (%.4fx)" name p s,
+            p <= s +. 1e-9 );
+        ])
+      measured
+  in
+  let row (name, c, s, p) =
+    Jsonx.(
+      Obj
+        [ ("name", Str name); ("copy", Fixed (4, c)); ("splice", Fixed (4, s));
+          ("splice_passthrough", Fixed (4, p)) ])
+  in
+  table ~gates
+    Jsonx.
+      [
+        ("experiment", Str "e2a");
+        ("metric", Str "relative overhead (cntrfs/native) per data-path config");
+        ("workloads", List (List.map row measured));
+      ]
 
 (* --- E3: Figure 3 ------------------------------------------------------------ *)
 
 let e3 () =
-  section "E3 (Figure 3) Effectiveness of the optimizations";
   List.iter
     (fun a ->
       let open Repro_workloads.Experiments in
@@ -226,7 +213,6 @@ let e3 () =
 (* --- E4: Figure 4 ------------------------------------------------------------ *)
 
 let e4 () =
-  section "E4 (Figure 4) Sequential read vs number of CntrFS threads";
   let open Repro_workloads.Experiments in
   let points = figure4 () in
   let base = (List.hd points).tp_mbps in
@@ -251,63 +237,52 @@ let e4 () =
         "  %3d threads  %8.1f MB/s   steals: %4d   steal_fails: %4d   local_hits: %5d\n"
         c.cp_threads c.cp_mbps c.cp_steals c.cp_steal_fails c.cp_local_hits)
     contended;
-  (* Self-gates: the scheduler claims behind this PR, enforced on every
-     bench run so a regression fails CI rather than drifting the baseline. *)
-  let fail = ref false in
-  let check cond msg = if not cond then begin
-      Printf.eprintf "e4 gate FAILED: %s\n" msg; fail := true end
+  (* Self-gates: the scheduler's claims, enforced on every bench run so a
+     regression fails CI rather than drifting the baseline. *)
+  let _, monotone =
+    List.fold_left_map
+      (fun prev p ->
+        ( p.tp_mbps,
+          ( Printf.sprintf "throughput rose with more threads at %d (non-monotone tail)"
+              p.tp_threads,
+            p.tp_mbps <= prev +. 0.0001 ) ))
+      base points
   in
-  check (drop >= 0. && drop <= 3.)
-    (Printf.sprintf "drop at 16 threads %.2f%% outside [0%%, 3%%]" drop);
-  ignore
-    (List.fold_left
-       (fun prev p ->
-         check (p.tp_mbps <= prev +. 0.0001)
-           (Printf.sprintf "throughput rose with more threads at %d (non-monotone tail)"
-              p.tp_threads);
-         p.tp_mbps)
-       base points);
-  check ((at 256).tp_mbps /. base >= 0.95)
-    (Printf.sprintf "256-thread leg collapsed: %.3f of single-thread"
-       ((at 256).tp_mbps /. base));
   let total_steals = List.fold_left (fun a c -> a + c.cp_steals) 0 contended in
-  check (total_steals > 0) "contended sweep recorded no steals";
-  if !fail then exit 1;
-  if !json_mode then begin
-    (* Everything below derives from the virtual clock and the fixed
-       workload, so two runs write byte-identical files (the determinism
-       test in test/test_workloads.ml relies on it). *)
-    let buf = Buffer.create 512 in
-    Buffer.add_string buf
-      "{\n  \"experiment\": \"e4\",\n  \"metric\": \"sequential read throughput \
-       [MB/s] vs CntrFS server threads\",\n  \"points\": [\n";
-    List.iteri
-      (fun i p ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "    {\"threads\": %d, \"mbps\": %.4f, \"relative\": %.6f}%s\n"
-             p.tp_threads p.tp_mbps (p.tp_mbps /. base)
-             (if i = List.length points - 1 then "" else ",")))
-      points;
-    Buffer.add_string buf "  ],\n  \"contended\": [\n";
-    List.iteri
-      (fun i c ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "    {\"threads\": %d, \"mbps\": %.4f, \"steals\": %d, \
-              \"steal_fails\": %d, \"local_hits\": %d}%s\n"
-             c.cp_threads c.cp_mbps c.cp_steals c.cp_steal_fails c.cp_local_hits
-             (if i = List.length contended - 1 then "" else ",")))
-      contended;
-    Buffer.add_string buf
-      (Printf.sprintf "  ],\n  \"drop_at_16_threads_pct\": %.4f\n}" drop);
-    write_json_file "BENCH_e4.json" (Buffer.contents buf)
-  end
+  let gates =
+    [ (Printf.sprintf "drop at 16 threads %.2f%% outside [0%%, 3%%]" drop, drop >= 0. && drop <= 3.) ]
+    @ monotone
+    @ [
+        ( Printf.sprintf "256-thread leg collapsed: %.3f of single-thread" ((at 256).tp_mbps /. base),
+          (at 256).tp_mbps /. base >= 0.95 );
+        ("contended sweep recorded no steals", total_steals > 0);
+      ]
+  in
+  let point p =
+    Jsonx.(
+      Obj
+        [ ("threads", Int p.tp_threads); ("mbps", Fixed (4, p.tp_mbps));
+          ("relative", Fixed (6, p.tp_mbps /. base)) ])
+  in
+  let contended_point c =
+    Jsonx.(
+      Obj
+        [ ("threads", Int c.cp_threads); ("mbps", Fixed (4, c.cp_mbps)); ("steals", Int c.cp_steals);
+          ("steal_fails", Int c.cp_steal_fails); ("local_hits", Int c.cp_local_hits) ])
+  in
+  table ~gates
+    Jsonx.
+      [
+        ("experiment", Str "e4");
+        ("metric", Str "sequential read throughput [MB/s] vs CntrFS server threads");
+        ("points", List (List.map point points));
+        ("contended", List (List.map contended_point contended));
+        ("drop_at_16_threads_pct", Fixed (4, drop));
+      ]
 
 (* --- E5: Figure 5 ------------------------------------------------------------ *)
 
 let e5 () =
-  section "E5 (Figure 5, §5.3) Docker-Slim reduction of the Top-50 Docker Hub images";
   let open Repro_runtime in
   let open Repro_slim in
   let world = Repro_cntr.Testbed.create () in
@@ -352,21 +327,15 @@ let e5 () =
 (* E5 re-tabulated at registry scale: 5000 synthesized images across ~20
    program families, pushed into the content-addressed chunk store, then
    statically partitioned in parallel on the work-stealing fiber pool.
-   Self-gates (exit 1) at exactly N=5000: chunk-level dedup ratio must
-   beat 1.5x, the sweep must actually steal, the reduction distribution
-   must be non-degenerate, and the static-partition slim image of every
-   family must still run its entrypoint to exit 0. *)
+   Self-gates at exactly N=5000: chunk-level dedup ratio must beat 1.5x,
+   the sweep must actually steal at a throughput that prints above 0.00,
+   the reduction distribution must be non-degenerate, and the
+   static-partition slim image of every family must still run its
+   entrypoint to exit 0. *)
 
 let e5r_n = 5000
 
 let e5r () =
-  section
-    (Printf.sprintf "E5R (§5.3 at scale) chunk-dedup store + parallel static slimming of %d images"
-       e5r_n);
-  let fail msg =
-    Printf.eprintf "E5R GATE FAILED: %s\n%!" msg;
-    exit 1
-  in
   let open Repro_image in
   let open Repro_slim in
   let open Repro_store in
@@ -374,7 +343,6 @@ let e5r () =
   let images = Family.synthesize ~n:e5r_n in
   let n = List.length images in
   Printf.printf "families: %d, images synthesized: %d\n%!" (List.length Family.specs) n;
-  if n <> e5r_n then fail (Printf.sprintf "synthesize returned %d images, want %d" n e5r_n);
   (* 2. push everything into a content-addressed registry *)
   let clock = Clock.create () in
   let metrics = Repro_obs.Metrics.create () in
@@ -389,7 +357,6 @@ let e5r () =
     (Size.to_string (Store.logical_bytes store))
     (Size.to_string (Store.physical_bytes store));
   Printf.printf "  chunk-level dedup ratio: %.2fx (gate: > 1.5x)\n%!" dedup;
-  if dedup <= 1.5 then fail (Printf.sprintf "dedup ratio %.3f <= 1.5" dedup);
   (* 3. parallel static partitioning on the work-stealing fiber pool *)
   let sweep_clock = Clock.create () in
   let cost_ns image =
@@ -406,10 +373,6 @@ let e5r () =
     stats.Sweep.sw_images_per_s;
   Printf.printf "  steals: %d (fails %d), local hits: %d\n%!" stats.Sweep.sw_steals
     stats.Sweep.sw_steal_fails stats.Sweep.sw_local_hits;
-  if stats.Sweep.sw_steals <= 0 then fail "work-stealing sweep recorded no steals";
-  if stats.Sweep.sw_images_per_s <= 0.0 then fail "non-positive slimming throughput";
-  if Repro_obs.Metrics.counter_value metrics "sched.steals" <> stats.Sweep.sw_steals then
-    fail "sched.steals metric does not mirror the pool counter";
   (* 4. the reduction distribution *)
   let reductions = List.map (fun r -> r.Partition.p_reduction *. 100.) reports in
   let mean = Stats.mean reductions in
@@ -424,72 +387,83 @@ let e5r () =
     counts;
   Printf.printf "mean static reduction: %.1f%%\n%!" mean;
   let nonzero = Array.fold_left (fun acc c -> if c > 0 then acc + 1 else acc) 0 counts in
-  if nonzero < 3 then
-    fail (Printf.sprintf "degenerate reduction distribution (%d nonzero buckets)" nonzero);
   (* 5. dynamic (fanotify) vs static (dependency graph) on one
         representative per family, with the static slim validated *)
   let world = Repro_cntr.Testbed.create () in
   Printf.printf "\ndynamic vs static, one representative per family:\n";
   Printf.printf "  %-10s %10s %10s %7s\n" "family" "dynamic" "static" "valid";
-  let family_rows =
-    List.map
-      (fun (spec, image) ->
-        let static_report, static_image = Partition.slim image in
-        let valid =
-          match Slimmer.validate ~world static_image with Ok b -> b | Error _ -> false
-        in
-        let dynamic =
-          match Slimmer.analyze ~world image with
-          | Ok r -> r.Slimmer.r_reduction
-          | Error e ->
-              fail
-                (Printf.sprintf "dynamic analysis of %s failed: %s" (Image.ref_ image)
-                   (Errno.to_string e))
-        in
-        Printf.printf "  %-10s %9.1f%% %9.1f%% %7s\n" spec.Family.f_name (100. *. dynamic)
-          (100. *. static_report.Partition.p_reduction)
-          (if valid then "yes" else "NO");
-        if not valid then
-          fail (Printf.sprintf "static slim of family %s failed validation" spec.Family.f_name);
-        (spec.Family.f_name, dynamic, static_report.Partition.p_reduction, valid))
-      (Family.representatives ~n:e5r_n)
+  let family_rows, family_gates =
+    List.split
+      (List.map
+         (fun (spec, image) ->
+           let name = spec.Family.f_name in
+           let static_report, static_image = Partition.slim image in
+           let valid =
+             match Slimmer.validate ~world static_image with Ok b -> b | Error _ -> false
+           in
+           let dynamic, analysed =
+             let what = Printf.sprintf "dynamic analysis of %s" (Image.ref_ image) in
+             match Slimmer.analyze ~world image with
+             | Ok r -> (r.Slimmer.r_reduction, (what, true))
+             | Error e -> (nan, (what ^ " failed: " ^ Errno.to_string e, false))
+           in
+           Printf.printf "  %-10s %9.1f%% %9.1f%% %7s\n" name (100. *. dynamic)
+             (100. *. static_report.Partition.p_reduction)
+             (if valid then "yes" else "NO");
+           ( (name, dynamic, static_report.Partition.p_reduction, valid),
+             [ analysed; (Printf.sprintf "static slim of family %s failed validation" name, valid) ] ))
+         (Family.representatives ~n:e5r_n))
   in
   Printf.printf "%!";
-  if !json_mode then begin
-    let buf = Buffer.create 2048 in
-    Buffer.add_string buf
-      (Printf.sprintf "{\n  \"experiment\": \"e5r\",\n  \"n\": %d,\n" n);
-    Buffer.add_string buf
-      (Printf.sprintf
-         "  \"store\": {\"chunks_total\": %d, \"chunks_unique\": %d, \"bytes_logical\": %d, \"bytes_physical\": %d, \"dedup_ratio\": %.4f},\n"
-         (Store.total_chunks store) (Store.unique_chunks store) (Store.logical_bytes store)
-         (Store.physical_bytes store) dedup);
-    Buffer.add_string buf
-      (Printf.sprintf
-         "  \"sweep\": {\"workers\": %d, \"images\": %d, \"elapsed_ns\": %Ld, \"images_per_s\": %.2f, \"steals\": %d, \"steal_fails\": %d, \"local_hits\": %d},\n"
-         stats.Sweep.sw_workers stats.Sweep.sw_images stats.Sweep.sw_elapsed_ns
-         stats.Sweep.sw_images_per_s stats.Sweep.sw_steals stats.Sweep.sw_steal_fails
-         stats.Sweep.sw_local_hits);
-    Buffer.add_string buf
-      (Printf.sprintf "  \"static\": {\"mean_reduction\": %.2f, \"histogram\": [%s]},\n" mean
-         (String.concat ", " (Array.to_list (Array.map string_of_int counts))));
-    Buffer.add_string buf "  \"families\": [\n";
-    List.iteri
-      (fun i (name, dynamic, static, valid) ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "    {\"family\": \"%s\", \"dynamic_reduction\": %.4f, \"static_reduction\": %.4f, \"static_valid\": %b}%s\n"
-             name dynamic static valid
-             (if i = List.length family_rows - 1 then "" else ",")))
-      family_rows;
-    Buffer.add_string buf "  ]\n}";
-    write_json_file "BENCH_e5r.json" (Buffer.contents buf)
-  end
+  let images_per_s = stats.Sweep.sw_images_per_s in
+  let gates =
+    [
+      (Printf.sprintf "synthesize returned %d images, want %d" n e5r_n, n = e5r_n);
+      (Printf.sprintf "dedup ratio %.3f <= 1.5" dedup, dedup > 1.5);
+      ("work-stealing sweep recorded no steals", stats.Sweep.sw_steals > 0);
+      ( Printf.sprintf "slimming throughput %g images/s prints as 0.00" images_per_s,
+        images_per_s >= 0.005 );
+      ( "sched.steals metric does not mirror the pool counter",
+        Repro_obs.Metrics.counter_value metrics "sched.steals" = stats.Sweep.sw_steals );
+      (Printf.sprintf "degenerate reduction distribution (%d nonzero buckets)" nonzero, nonzero >= 3);
+    ]
+    @ List.concat family_gates
+  in
+  let family (name, dynamic, static, valid) =
+    Jsonx.(
+      Obj
+        [ ("family", Str name); ("dynamic_reduction", Fixed (4, dynamic));
+          ("static_reduction", Fixed (4, static)); ("static_valid", Bool valid) ])
+  in
+  table ~gates
+    Jsonx.
+      [
+        ("experiment", Str "e5r");
+        ("n", Int n);
+        ( "store",
+          Obj
+            [ ("chunks_total", Int (Store.total_chunks store));
+              ("chunks_unique", Int (Store.unique_chunks store));
+              ("bytes_logical", Int (Store.logical_bytes store));
+              ("bytes_physical", Int (Store.physical_bytes store));
+              ("dedup_ratio", Fixed (4, dedup)) ] );
+        ( "sweep",
+          Obj
+            [ ("workers", Int stats.Sweep.sw_workers); ("images", Int stats.Sweep.sw_images);
+              ("elapsed_ns", Int (Int64.to_int stats.Sweep.sw_elapsed_ns));
+              ("images_per_s", Fixed (2, images_per_s)); ("steals", Int stats.Sweep.sw_steals);
+              ("steal_fails", Int stats.Sweep.sw_steal_fails);
+              ("local_hits", Int stats.Sweep.sw_local_hits) ] );
+        ( "static",
+          Obj
+            [ ("mean_reduction", Fixed (2, mean));
+              ("histogram", List (Array.to_list (Array.map (fun c -> Int c) counts))) ] );
+        ("families", List (List.map family family_rows));
+      ]
 
 (* --- E6: deployment time ------------------------------------------------------ *)
 
 let e6 () =
-  section "E6 (§1 extension) Deployment time: fat vs slim image pull";
   let open Repro_runtime in
   let open Repro_image in
   let open Repro_slim in
@@ -526,7 +500,6 @@ let e6 () =
 (* --- E7: implementation inventory ---------------------------------------------- *)
 
 let e7 () =
-  section "E7 (§4) Implementation inventory (paper: 3651 LoC of Rust total)";
   let count_dir dir =
     try
       Sys.readdir dir |> Array.to_list
@@ -566,7 +539,6 @@ let e7 () =
 (* --- ablation matrix ------------------------------------------------------------- *)
 
 let ablate () =
-  section "Ablation matrix: per-optimization overhead on compilebench-read (lower is better)";
   List.iter
     (fun row ->
       let open Repro_workloads.Experiments in
@@ -575,7 +547,6 @@ let ablate () =
     (Repro_workloads.Experiments.ablation_matrix ())
 
 let cache_sweep () =
-  section "IOzone working-set vs page cache (§5.2.2: double buffering)";
   List.iter
     (fun pt ->
       let open Repro_workloads.Experiments in
@@ -587,7 +558,6 @@ let cache_sweep () =
 (* --- e3e: metadata fast path (extension) ----------------------------------------- *)
 
 let e3e () =
-  section "E3e (extension) Metadata fast path: the LOOKUP tax, off vs on";
   let rows = Repro_workloads.Experiments.fig3e () in
   Printf.printf "%-22s %9s %9s %8s   %s\n" "workload" "off" "on" "improv" "";
   List.iter
@@ -602,24 +572,23 @@ let e3e () =
   Printf.printf
     "off = the paper's configuration (leaves Figure 2 untouched); on = Opts.fastpath:\n\
      READDIRPLUS + TTL dentry/attr + negative dentries + server handle cache\n%!";
-  if !json_mode then begin
-    let buf = Buffer.create 1024 in
-    Buffer.add_string buf
-      "{\n  \"experiment\": \"e3e\",\n  \"metric\": \"relative overhead (cntrfs/native), metadata fast path off vs on\",\n  \"workloads\": [\n";
-    List.iteri
-      (fun i r ->
-        let open Repro_workloads.Experiments in
-        Buffer.add_string buf
-          (Printf.sprintf
-             "    {\"name\": \"%s\", \"off\": %.4f, \"on\": %.4f, \"amp_off\": %.4f, \"amp_on\": %.4f, \"backing_off\": %d, \"backing_on\": %d, \"negative_hits\": %d, \"readdirplus_entries\": %d, \"handle_cache_hits\": %d}%s\n"
-             (Repro_obs.Metrics.json_escape r.er_workload)
-             r.er_off r.er_on r.er_amp_off r.er_amp_on r.er_backing_off r.er_backing_on
-             r.er_neg_hits r.er_rdp_entries r.er_hc_hits
-             (if i = List.length rows - 1 then "" else ",")))
-      rows;
-    Buffer.add_string buf "  ]\n}";
-    write_json_file "BENCH_e3e.json" (Buffer.contents buf)
-  end
+  let row r =
+    let open Repro_workloads.Experiments in
+    Jsonx.(
+      Obj
+        [ ("name", Str r.er_workload); ("off", Fixed (4, r.er_off)); ("on", Fixed (4, r.er_on));
+          ("amp_off", Fixed (4, r.er_amp_off)); ("amp_on", Fixed (4, r.er_amp_on));
+          ("backing_off", Int r.er_backing_off); ("backing_on", Int r.er_backing_on);
+          ("negative_hits", Int r.er_neg_hits); ("readdirplus_entries", Int r.er_rdp_entries);
+          ("handle_cache_hits", Int r.er_hc_hits) ])
+  in
+  table
+    Jsonx.
+      [
+        ("experiment", Str "e3e");
+        ("metric", Str "relative overhead (cntrfs/native), metadata fast path off vs on");
+        ("workloads", List (List.map row rows));
+      ]
 
 (* --- e8: robustness matrix (fault plane) ------------------------------------------ *)
 
@@ -646,10 +615,11 @@ type e8_row = {
   x_ns : int; (* virtual ns the workload consumed *)
 }
 
-(* [opts] selects the mount configuration (the passthrough scenario runs
-   with grants armed); [hold] keeps one fd on /mnt/alpha open across the
-   whole phase-A loop so a crash lands while its passthrough grant is
-   live; [expect_pt] additionally gates on the grant/revocation counters. *)
+(* One scenario's row and its gates.  [opts] selects the mount
+   configuration (the passthrough scenario runs with grants armed); [hold]
+   keeps one fd on /mnt/alpha open across the whole phase-A loop so a crash
+   lands while its passthrough grant is live; [expect_pt] gates on the
+   grant/revocation counters. *)
 let e8_scenario ~name ~recover ?opts ?(hold = false) ?(expect_pt = false) ?fault ?retry () =
   let open Repro_vfs in
   let open Repro_os in
@@ -775,29 +745,29 @@ let e8_scenario ~name ~recover ?opts ?(hold = false) ?(expect_pt = false) ?fault
   in
   let ns = Int64.to_int (Int64.sub (Clock.now_ns clock) t0) in
   (match held with Some fd -> ignore (Kernel.close k init fd) | None -> ());
-  if expect_pt then begin
-    if c "fuse.passthrough.grants" < 1 then begin
-      Printf.eprintf "e8: scenario %s: passthrough armed but no grant was issued\n" name;
-      exit 1
-    end;
-    if c "fuse.passthrough.revocations" < 1 then begin
-      Printf.eprintf "e8: scenario %s: crash with a live grant counted no revocation\n" name;
-      exit 1
-    end
-  end;
+  let pt_gates =
+    if expect_pt then
+      [
+        ( Printf.sprintf "scenario %s: passthrough armed but no grant was issued" name,
+          c "fuse.passthrough.grants" >= 1 );
+        ( Printf.sprintf "scenario %s: crash with a live grant counted no revocation" name,
+          c "fuse.passthrough.revocations" >= 1 );
+      ]
+    else []
+  in
   Session.quiesce session;
-  {
-    x_name = name;
-    x_injected = (match Session.fault session with Some f -> Fault.injected f | None -> 0);
-    x_recoveries = c "session.recoveries";
-    x_usable = usable;
-    x_integrity = String.equal fp_before (backing_fp ());
-    x_enotconn_only = !bounded;
-    x_ns = ns;
-  }
+  ( {
+      x_name = name;
+      x_injected = (match Session.fault session with Some f -> Fault.injected f | None -> 0);
+      x_recoveries = c "session.recoveries";
+      x_usable = usable;
+      x_integrity = String.equal fp_before (backing_fp ());
+      x_enotconn_only = !bounded;
+      x_ns = ns;
+    },
+    pt_gates )
 
 let e8 () =
-  section "E8 (extension) Robustness matrix: fault plan x workload";
   let r site trigger action = { Fault.site; trigger; action } in
   let scenarios =
     [
@@ -848,24 +818,22 @@ let e8 () =
         None );
     ]
   in
-  let rows =
+  let planned =
     List.map
       (fun (name, recover, fault, retry) -> e8_scenario ~name ~recover ?fault ?retry ())
       scenarios
   in
-  let rows =
-    rows
-    @ [
-        (* crash while a passthrough grant is live: the bypass plane must
-           revoke the grant, fall back to round-trip I/O and recover with
-           no data loss (gated inside the scenario via [expect_pt]) *)
-        e8_scenario ~name:"crash-pt-grant" ~recover:true
-          ~opts:{ Repro_fuse.Opts.cntr_default with Repro_fuse.Opts.passthrough = 4 }
-          ~hold:true ~expect_pt:true
-          ~fault:(Fault.plan [ r (Fault.Fuse None) (Fault.Nth 25) Fault.Crash_server ])
-          ~retry:Fault.retry_default ();
-      ]
+  (* crash while a passthrough grant is live: the bypass plane must revoke
+     the grant, fall back to round-trip I/O and recover with no data loss
+     (gated via [expect_pt]) *)
+  let crash_pt =
+    e8_scenario ~name:"crash-pt-grant" ~recover:true
+      ~opts:{ Repro_fuse.Opts.cntr_default with Repro_fuse.Opts.passthrough = 4 }
+      ~hold:true ~expect_pt:true
+      ~fault:(Fault.plan [ r (Fault.Fuse None) (Fault.Nth 25) Fault.Crash_server ])
+      ~retry:Fault.retry_default ()
   in
+  let rows, pt_gates = List.split (planned @ [ crash_pt ]) in
   let base_ns =
     match rows with { x_ns; _ } :: _ -> float_of_int (max 1 x_ns) | [] -> 1.
   in
@@ -887,41 +855,36 @@ let e8 () =
   (* the matrix is also the acceptance gate: every recovering scenario ends
      usable with >= 1 recovery; the no-recovery crash degrades to bounded
      ENOTCONN and still never corrupts the app container *)
-  List.iter
-    (fun row ->
-      let fail msg =
-        Printf.eprintf "e8: scenario %s violated the robustness contract: %s\n" row.x_name msg;
-        exit 1
-      in
-      if not row.x_integrity then fail "backing bytes changed";
-      if not row.x_enotconn_only then fail "non-ENOTCONN residual failure";
-      if String.equal row.x_name "crash-norecover" then begin
-        if row.x_usable then fail "usable without recovery";
-        if row.x_recoveries <> 0 then fail "unexpected recovery"
-      end
-      else begin
-        if not row.x_usable then fail "not usable after recovery";
-        if row.x_recoveries < 1 then fail "no recovery counted"
-      end)
-    rows;
-  if !json_mode then begin
-    let buf = Buffer.create 1024 in
-    Buffer.add_string buf
-      "{\n  \"experiment\": \"e8\",\n  \"metric\": \"fault plan x workload -> recovery, integrity, residual overhead\",\n  \"scenarios\": [\n";
-    List.iteri
-      (fun i row ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "    {\"name\": \"%s\", \"injected\": %d, \"recoveries\": %d, \"usable\": %b, \"integrity\": %b, \"bounded\": %b, \"virtual_ns\": %d, \"overhead\": %.4f}%s\n"
-             (Repro_obs.Metrics.json_escape row.x_name)
-             row.x_injected row.x_recoveries row.x_usable row.x_integrity
-             row.x_enotconn_only row.x_ns
-             (float_of_int row.x_ns /. base_ns)
-             (if i = List.length rows - 1 then "" else ",")))
-      rows;
-    Buffer.add_string buf "  ]\n}";
-    write_json_file "BENCH_e8.json" (Buffer.contents buf)
-  end
+  let contract row =
+    let gate msg holds =
+      (Printf.sprintf "scenario %s violated the robustness contract: %s" row.x_name msg, holds)
+    in
+    [ gate "backing bytes changed" row.x_integrity;
+      gate "non-ENOTCONN residual failure" row.x_enotconn_only ]
+    @
+    if String.equal row.x_name "crash-norecover" then
+      [ gate "usable without recovery" (not row.x_usable);
+        gate "unexpected recovery" (row.x_recoveries = 0) ]
+    else
+      [ gate "not usable after recovery" row.x_usable;
+        gate "no recovery counted" (row.x_recoveries >= 1) ]
+  in
+  let scenario row =
+    Jsonx.(
+      Obj
+        [ ("name", Str row.x_name); ("injected", Int row.x_injected);
+          ("recoveries", Int row.x_recoveries); ("usable", Bool row.x_usable);
+          ("integrity", Bool row.x_integrity); ("bounded", Bool row.x_enotconn_only);
+          ("virtual_ns", Int row.x_ns); ("overhead", Fixed (4, float_of_int row.x_ns /. base_ns)) ])
+  in
+  table
+    ~gates:(List.concat pt_gates @ List.concat_map contract rows)
+    Jsonx.
+      [
+        ("experiment", Str "e8");
+        ("metric", Str "fault plan x workload -> recovery, integrity, residual overhead");
+        ("scenarios", List (List.map scenario rows));
+      ]
 
 (* --- e9: forwarding-plane matrix -------------------------------------------------- *)
 
@@ -1054,7 +1017,6 @@ let e9_stalls () =
   stalls
 
 let e9 () =
-  section "E9 (extension) Forwarding plane: splice vs copy relay (S3.2.4)";
   let module Proxy = Repro_proxy.Proxy in
   let cells =
     List.concat_map
@@ -1098,51 +1060,41 @@ let e9 () =
   Printf.printf "constrained-buffer stalls (4 KiB staging): %d\n%!" stalls;
   (* acceptance gates: identical bytes either mode; zero-copy wins bulk
      streaming at scale; the constrained cell really exercises backpressure *)
-  let fail msg =
-    Printf.eprintf "e9: %s\n" msg;
-    exit 1
+  let pair_gates workload conns =
+    let s = find workload conns "splice" and c = find workload conns "copy" in
+    [
+      ( Printf.sprintf "%s x%d: splice moved %d bytes, copy %d" workload conns s.p_bytes c.p_bytes,
+        s.p_bytes = c.p_bytes );
+      (Printf.sprintf "%s x%d: splice mode made no splice calls" workload conns, s.p_splices <> 0);
+    ]
   in
-  List.iter
-    (fun workload ->
-      List.iter
-        (fun conns ->
-          let s = find workload conns "splice" and c = find workload conns "copy" in
-          if s.p_bytes <> c.p_bytes then
-            fail
-              (Printf.sprintf "%s x%d: splice moved %d bytes, copy %d" workload conns
-                 s.p_bytes c.p_bytes);
-          if s.p_splices = 0 then
-            fail (Printf.sprintf "%s x%d: splice mode made no splice calls" workload conns))
-        [ 1; 8; 64 ])
-    [ "chatter"; "bulk" ];
-  List.iter
-    (fun conns ->
-      let s = find "bulk" conns "splice" and c = find "bulk" conns "copy" in
-      if s.p_ns >= c.p_ns then
-        fail
-          (Printf.sprintf "bulk x%d: splice datapath (%d ns) did not beat copy (%d ns)" conns
-             s.p_ns c.p_ns))
-    [ 8; 64 ];
-  if stalls <= 0 then fail "constrained-buffer cell recorded no stalls";
-  if !json_mode then begin
-    let buf = Buffer.create 1024 in
-    Buffer.add_string buf
-      "{\n  \"experiment\": \"e9\",\n  \"metric\": \"forwarding plane: splice vs copy relay, virtual-ns per cell\",\n  \"cells\": [\n";
-    List.iteri
-      (fun i r ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "    {\"workload\": \"%s\", \"conns\": %d, \"mode\": \"%s\", \"bytes\": %d, \"datapath_ns\": %d, \"elapsed_ns\": %d, \"splices\": %d, \"wakeups\": %d}%s\n"
-             (Repro_obs.Metrics.json_escape r.p_workload)
-             r.p_conns
-             (Repro_obs.Metrics.json_escape r.p_mode)
-             r.p_bytes r.p_ns r.p_elapsed r.p_splices r.p_wakeups
-             (if i = List.length cells - 1 then "" else ",")))
-      cells;
-    Buffer.add_string buf
-      (Printf.sprintf "  ],\n  \"constrained_buffer_stalls\": %d\n}" stalls);
-    write_json_file "BENCH_e9.json" (Buffer.contents buf)
-  end
+  let bulk_gate conns =
+    let s = find "bulk" conns "splice" and c = find "bulk" conns "copy" in
+    ( Printf.sprintf "bulk x%d: splice datapath (%d ns) did not beat copy (%d ns)" conns s.p_ns c.p_ns,
+      s.p_ns < c.p_ns )
+  in
+  let gates =
+    List.concat_map
+      (fun workload -> List.concat_map (pair_gates workload) [ 1; 8; 64 ])
+      [ "chatter"; "bulk" ]
+    @ List.map bulk_gate [ 8; 64 ]
+    @ [ ("constrained-buffer cell recorded no stalls", stalls > 0) ]
+  in
+  let cell r =
+    Jsonx.(
+      Obj
+        [ ("workload", Str r.p_workload); ("conns", Int r.p_conns); ("mode", Str r.p_mode);
+          ("bytes", Int r.p_bytes); ("datapath_ns", Int r.p_ns); ("elapsed_ns", Int r.p_elapsed);
+          ("splices", Int r.p_splices); ("wakeups", Int r.p_wakeups) ])
+  in
+  table ~gates
+    Jsonx.
+      [
+        ("experiment", Str "e9");
+        ("metric", Str "forwarding plane: splice vs copy relay, virtual-ns per cell");
+        ("cells", List (List.map cell cells));
+        ("constrained_buffer_stalls", Int stalls);
+      ]
 
 (* --- fleet: the cntrd control plane at 10k-session scale ------------------------- *)
 
@@ -1495,9 +1447,6 @@ let fleet_wire_shard () =
   }
 
 let fleet () =
-  section
-    (Printf.sprintf "Fleet: cntrd control plane, %d shards x %d sessions = %d"
-       fleet_shards fleet_target (fleet_shards * fleet_target));
   let rows = List.init fleet_shards fleet_shard in
   let sum f = List.fold_left (fun a r -> a + f r) 0 rows in
   let sessions = sum (fun r -> r.f_sessions)
@@ -1509,16 +1458,6 @@ let fleet () =
   Printf.printf
     "\ntotals: %d sessions (%d rpc calls), %d rejected, %d cancelled, %d recovered, %d still active\n%!"
     sessions rpc_calls rejected cancelled recovered active_end;
-  let fail msg =
-    Printf.eprintf "fleet: %s\n" msg;
-    exit 1
-  in
-  if sessions <> fleet_shards * fleet_target then
-    fail (Printf.sprintf "expected exactly %d sessions, got %d" (fleet_shards * fleet_target) sessions);
-  if rejected = 0 then fail "no admission rejections — quotas never bit";
-  if cancelled = 0 then fail "no cancellations — $/cancel never fired";
-  if recovered < 1 then fail "no recoveries — the ctrl fault site never crashed a server";
-  if active_end <> 0 then fail (Printf.sprintf "%d sessions leaked past the drain" active_end);
   let fw = fleet_wire_shard () in
   Printf.printf "\nwire shard: %d sessions over framed connections (%d conns, %d envelopes)\n"
     fw.fw_sessions fw.fw_conns fw.fw_batches;
@@ -1535,59 +1474,73 @@ let fleet () =
     fw.fw_frame_max;
   Printf.printf "  slow reader: %d stats answered (%d ok, %d refused -32005), %d events\n%!"
     (fw.fw_storm_ok + fw.fw_storm_refused) fw.fw_storm_ok fw.fw_storm_refused fw.fw_events;
-  if fw.fw_sessions < 1000 then
-    fail (Printf.sprintf "wire shard: %d sessions, need >= 1000 over framed connections" fw.fw_sessions);
-  if fw.fw_speedup <= 1.0 then
-    fail (Printf.sprintf "wire shard: pipelining did not beat one-at-a-time (x%.3f)" fw.fw_speedup);
-  if fw.fw_pipelined_max <= 1 then fail "wire shard: no pipelining observed on any connection";
-  if fw.fw_stalls = 0 then fail "wire shard: slow reader never hit the high watermark";
-  if fw.fw_overloaded = 0 then fail "wire shard: the in-flight cap never refused a request";
-  if fw.fw_backlog_peak > fleet_wire_high + fw.fw_frame_max then
-    fail
-      (Printf.sprintf "wire shard: unbounded backlog — peak %d > high %d + frame %d"
-         fw.fw_backlog_peak fleet_wire_high fw.fw_frame_max);
-  if fw.fw_storm_ok + fw.fw_storm_refused <> fleet_wire_storm then
-    fail
-      (Printf.sprintf "wire shard: storm replies lost or duplicated (%d + %d <> %d)"
-         fw.fw_storm_ok fw.fw_storm_refused fleet_wire_storm);
-  if !json_mode then begin
-    let buf = Buffer.create 2048 in
-    Buffer.add_string buf "{\n  \"experiment\": \"fleet\",\n  \"shards\": [\n";
-    List.iteri
-      (fun i r ->
-        let wait =
-          match r.f_wait with
-          | None -> "null"
-          | Some s ->
-              Printf.sprintf "{\"count\": %d, \"mean\": %.2f, \"p95\": %.2f, \"max\": %.2f}"
-                s.Repro_obs.Metrics.s_count s.Repro_obs.Metrics.s_mean
-                s.Repro_obs.Metrics.s_p95 s.Repro_obs.Metrics.s_max
-        in
-        Buffer.add_string buf
-          (Printf.sprintf
-             "    {\"shard\": %d, \"seed\": %d, \"sessions\": %d, \"execs\": %d, \"rejected\": %d, \"cancelled\": %d, \"recovered\": %d, \"rpc_calls\": %d, \"queue_wait_us\": %s}%s\n"
-             r.f_shard r.f_seed r.f_sessions r.f_execs r.f_rejected r.f_cancelled
-             r.f_recovered r.f_rpc_calls wait
-             (if i = List.length rows - 1 then "" else ",")))
-      rows;
-    Buffer.add_string buf
-      (Printf.sprintf
-         "  ],\n  \"wire\": {\"sessions\": %d, \"seq_sessions\": %d, \"seq_ns\": %d, \"pipe_sessions\": %d, \"pipe_ns\": %d, \"speedup\": %.3f, \"batch\": %d, \"conns\": %d, \"batches\": %d, \"pipelined_max\": %d, \"stalls\": %d, \"overloaded\": %d, \"backlog_peak\": %d, \"frame_max\": %d, \"wire_high\": %d, \"storm_ok\": %d, \"storm_refused\": %d, \"events\": %d, \"fwd_bytes_c2b\": %d, \"fwd_bytes_b2c\": %d},\n"
-         fw.fw_sessions fleet_wire_seq fw.fw_seq_ns fleet_wire_pipe fw.fw_pipe_ns
-         fw.fw_speedup fleet_wire_batch fw.fw_conns fw.fw_batches fw.fw_pipelined_max
-         fw.fw_stalls fw.fw_overloaded fw.fw_backlog_peak fw.fw_frame_max fleet_wire_high
-         fw.fw_storm_ok fw.fw_storm_refused fw.fw_events fw.fw_c2b fw.fw_b2c);
-    Buffer.add_string buf
-      (Printf.sprintf
-         "  \"totals\": {\"sessions\": %d, \"rejected\": %d, \"cancelled\": %d, \"recovered\": %d, \"rpc_calls\": %d, \"active_end\": %d}\n}"
-         sessions rejected cancelled recovered rpc_calls active_end);
-    write_json_file "BENCH_fleet.json" (Buffer.contents buf)
-  end
+  let gates =
+    [
+      ( Printf.sprintf "expected exactly %d sessions, got %d" (fleet_shards * fleet_target) sessions,
+        sessions = fleet_shards * fleet_target );
+      ("no admission rejections — quotas never bit", rejected <> 0);
+      ("no cancellations — $/cancel never fired", cancelled <> 0);
+      ("no recoveries — the ctrl fault site never crashed a server", recovered >= 1);
+      (Printf.sprintf "%d sessions leaked past the drain" active_end, active_end = 0);
+      ( Printf.sprintf "wire shard: %d sessions, need >= 1000 over framed connections" fw.fw_sessions,
+        fw.fw_sessions >= 1000 );
+      ( Printf.sprintf "wire shard: pipelining did not beat one-at-a-time (x%.3f)" fw.fw_speedup,
+        fw.fw_speedup > 1.0 );
+      ("wire shard: no pipelining observed on any connection", fw.fw_pipelined_max > 1);
+      ("wire shard: slow reader never hit the high watermark", fw.fw_stalls <> 0);
+      ("wire shard: the in-flight cap never refused a request", fw.fw_overloaded <> 0);
+      ( Printf.sprintf "wire shard: unbounded backlog — peak %d > high %d + frame %d"
+          fw.fw_backlog_peak fleet_wire_high fw.fw_frame_max,
+        fw.fw_backlog_peak <= fleet_wire_high + fw.fw_frame_max );
+      ( Printf.sprintf "wire shard: storm replies lost or duplicated (%d + %d <> %d)" fw.fw_storm_ok
+          fw.fw_storm_refused fleet_wire_storm,
+        fw.fw_storm_ok + fw.fw_storm_refused = fleet_wire_storm );
+    ]
+  in
+  let shard r =
+    let wait =
+      match r.f_wait with
+      | None -> Jsonx.Null
+      | Some s ->
+          let open Repro_obs.Metrics in
+          Jsonx.(
+            Obj
+              [ ("count", Int s.s_count); ("mean", Fixed (2, s.s_mean)); ("p95", Fixed (2, s.s_p95));
+                ("max", Fixed (2, s.s_max)) ])
+    in
+    Jsonx.(
+      Obj
+        [ ("shard", Int r.f_shard); ("seed", Int r.f_seed); ("sessions", Int r.f_sessions);
+          ("execs", Int r.f_execs); ("rejected", Int r.f_rejected); ("cancelled", Int r.f_cancelled);
+          ("recovered", Int r.f_recovered); ("rpc_calls", Int r.f_rpc_calls); ("queue_wait_us", wait) ])
+  in
+  table ~gates
+    Jsonx.
+      [
+        ("experiment", Str "fleet");
+        ("shards", List (List.map shard rows));
+        ( "wire",
+          Obj
+            [ ("sessions", Int fw.fw_sessions); ("seq_sessions", Int fleet_wire_seq);
+              ("seq_ns", Int fw.fw_seq_ns); ("pipe_sessions", Int fleet_wire_pipe);
+              ("pipe_ns", Int fw.fw_pipe_ns); ("speedup", Fixed (3, fw.fw_speedup));
+              ("batch", Int fleet_wire_batch); ("conns", Int fw.fw_conns);
+              ("batches", Int fw.fw_batches); ("pipelined_max", Int fw.fw_pipelined_max);
+              ("stalls", Int fw.fw_stalls); ("overloaded", Int fw.fw_overloaded);
+              ("backlog_peak", Int fw.fw_backlog_peak); ("frame_max", Int fw.fw_frame_max);
+              ("wire_high", Int fleet_wire_high); ("storm_ok", Int fw.fw_storm_ok);
+              ("storm_refused", Int fw.fw_storm_refused); ("events", Int fw.fw_events);
+              ("fwd_bytes_c2b", Int fw.fw_c2b); ("fwd_bytes_b2c", Int fw.fw_b2c) ] );
+        ( "totals",
+          Obj
+            [ ("sessions", Int sessions); ("rejected", Int rejected); ("cancelled", Int cancelled);
+              ("recovered", Int recovered); ("rpc_calls", Int rpc_calls);
+              ("active_end", Int active_end) ] );
+      ]
 
 (* --- bechamel micro-benchmarks -------------------------------------------------- *)
 
 let micro () =
-  section "Wall-clock micro-benchmarks (bechamel)";
   let open Bechamel in
   let open Toolkit in
   (* one attach end-to-end, repeated *)
@@ -1631,34 +1584,67 @@ let micro () =
 
 (* --- driver ---------------------------------------------------------------------- *)
 
-let all =
-  [ ("e1", e1); ("e2", e2); ("e2a", e2a); ("e3", e3); ("e3e", e3e); ("e4", e4); ("e5", e5);
-    ("e5r", e5r); ("e6", e6); ("e7", e7); ("e8", e8); ("e9", e9); ("fleet", fleet); ("loc", e7);
-    ("ablate", ablate); ("cache", cache_sweep); ("micro", micro) ]
+(* One row per experiment: name, section title, whether the no-argument run
+   includes it, and the run. *)
+let experiments =
+  [
+    ("e1", "E1 (§5.1) xfstests generic suite — completeness & correctness", true, text e1);
+    ("e2", "E2 (Figure 2) Phoronix suite: relative overhead of CntrFS (lower is better)", true, e2);
+    ("e2a", "E2a (ablation) data path: copy vs splice vs splice+passthrough", true, e2a);
+    ("e3", "E3 (Figure 3) Effectiveness of the optimizations", true, text e3);
+    ("e3e", "E3e (extension) Metadata fast path: the LOOKUP tax, off vs on", true, e3e);
+    ("e4", "E4 (Figure 4) Sequential read vs number of CntrFS threads", true, e4);
+    ("e5", "E5 (Figure 5, §5.3) Docker-Slim reduction of the Top-50 Docker Hub images", true, text e5);
+    ( "e5r",
+      Printf.sprintf
+        "E5R (§5.3 at scale) chunk-dedup store + parallel static slimming of %d images" e5r_n,
+      false, e5r );
+    ("e6", "E6 (§1 extension) Deployment time: fat vs slim image pull", true, text e6);
+    ("e7", "E7 (§4) Implementation inventory (paper: 3651 LoC of Rust total)", true, text e7);
+    ("e8", "E8 (extension) Robustness matrix: fault plan x workload", true, e8);
+    ("e9", "E9 (extension) Forwarding plane: splice vs copy relay (S3.2.4)", true, e9);
+    ( "fleet",
+      Printf.sprintf "Fleet: cntrd control plane, %d shards x %d sessions = %d" fleet_shards
+        fleet_target (fleet_shards * fleet_target),
+      false, fleet );
+    ("loc", "E7 (§4) Implementation inventory (paper: 3651 LoC of Rust total)", false, text e7);
+    ( "ablate", "Ablation matrix: per-optimization overhead on compilebench-read (lower is better)",
+      true, text ablate );
+    ("cache", "IOzone working-set vs page cache (§5.2.2: double buffering)", true, text cache_sweep);
+    ("micro", "Wall-clock micro-benchmarks (bechamel)", true, text micro);
+    ("smoke", "E2 (smoke) one workload per family -> BENCH_smoke.json", false, smoke);
+  ]
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  let smoke, args = List.partition (( = ) "--smoke") args in
-  let json, args = List.partition (( = ) "--json") args in
-  if json <> [] then json_mode := true;
-  if smoke <> [] then begin
-    (* `main.exe e2 --smoke` (the e2 is informative; --smoke selects) *)
-    Printf.printf "CNTR reproduction — evaluation harness (virtual-time simulation)\n";
-    e2_smoke ();
-    exit 0
-  end;
+  let json, names = List.partition (( = ) "--json") args in
+  let find name =
+    List.find_opt (fun (n, _, _, _) -> n = String.lowercase_ascii name) experiments
+  in
+  (match List.filter (fun name -> Option.is_none (find name)) names with
+  | [] -> ()
+  | unknown ->
+      Printf.eprintf "unknown experiment %s (known: %s)\n" (String.concat ", " unknown)
+        (String.concat ", " (List.map (fun (n, _, _, _) -> n) experiments));
+      exit 2);
   let to_run =
-    match args with
-    | [] -> [ e1; e2; e2a; e3; e3e; e4; e5; e6; e7; e8; e9; ablate; cache_sweep; micro ]
-    | names ->
-        List.filter_map
-          (fun n ->
-            match List.assoc_opt (String.lowercase_ascii n) all with
-            | Some f -> Some f
-            | None ->
-                Printf.eprintf "unknown experiment %s (known: e1-e9, e3e, loc, ablate, micro)\n" n;
-                None)
-          names
+    if names = [] then List.filter (fun (_, _, default, _) -> default) experiments
+    else List.filter_map find names
   in
   Printf.printf "CNTR reproduction — evaluation harness (virtual-time simulation)\n";
-  List.iter (fun f -> f ()) to_run
+  List.iter
+    (fun (name, title, _, run) ->
+      section title;
+      let report = run () in
+      let failed = List.filter (fun (_, holds) -> not holds) report.gates in
+      List.iter (fun (msg, _) -> Printf.eprintf "%s gate FAILED: %s\n%!" name msg) failed;
+      if failed <> [] then exit 1;
+      match report.json with
+      | Some doc when json <> [] ->
+          let path = Printf.sprintf "BENCH_%s.json" name in
+          Out_channel.with_open_bin path (fun oc ->
+              output_string oc doc;
+              output_char oc '\n');
+          Printf.printf "wrote %s\n%!" path
+      | _ -> ())
+    to_run

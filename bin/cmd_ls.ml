@@ -1,5 +1,5 @@
-(* `cntr ls-containers` (alias: `list`): the demo fleet, one row per
-   container, optionally restricted to one engine. *)
+(* `cntr ls-containers`: the demo fleet, one row per container,
+   optionally restricted to one engine. *)
 
 open Repro_runtime
 open Cmdliner
@@ -34,6 +34,3 @@ let run common =
 
 let term = Term.(const run $ Cmd_common.common_term)
 let cmd = Cmd.v (Cmd.info "ls-containers" ~doc:"List the demo fleet's containers.") term
-
-(* Back-compat spelling from earlier releases. *)
-let alias = Cmd.v (Cmd.info "list" ~doc:"Alias of ls-containers.") term

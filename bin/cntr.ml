@@ -2,7 +2,7 @@
 
      cntr attach <container> [--fat-container NAME] [--command CMD] [--engine E]
      cntr exec <container> <cmd> [--fat-container NAME]
-     cntr ls-containers [--engine E]        (alias: list)
+     cntr ls-containers [--engine E]
      cntr stats [CONTAINER] [--json] [--trace FILE]
      cntr daemon [--wire] [--json]
      cntr demo
@@ -22,6 +22,6 @@ let main =
   Cmd.group
     (Cmd.info "cntr" ~version:"1.0.0"
        ~doc:"Lightweight OS containers: attach fat tool images to slim application containers (simulated reproduction of USENIX ATC'18).")
-    [ Cmd_attach.cmd; Cmd_exec.cmd; Cmd_ls.cmd; Cmd_ls.alias; Cmd_stats.cmd; Cmd_daemon.cmd; Cmd_demo.cmd ]
+    [ Cmd_attach.cmd; Cmd_exec.cmd; Cmd_ls.cmd; Cmd_stats.cmd; Cmd_daemon.cmd; Cmd_demo.cmd ]
 
 let () = exit (Cmd.eval' main)

@@ -827,6 +827,3 @@ let handle t (ctx : Protocol.ctx) (req : Protocol.req) : Protocol.resp =
         Hashtbl.iter (fun _ h -> ignore (Kernel.close k p h.sh_fd)) t.fhs;
         Hashtbl.reset t.fhs;
         Ok Protocol.R_ok)
-
-(* View over the registry counter ("cntrfs.lookup.count"). *)
-let lookups_performed t = Metrics.value t.m_lookups

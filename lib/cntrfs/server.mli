@@ -57,11 +57,3 @@ val handle : t -> Protocol.ctx -> Protocol.req -> Protocol.resp
     backing store (charged like the original lookups); names that vanished
     while the server was down are skipped. *)
 val restore : t -> (int * string * int) list -> unit
-
-(** Server-side lookups performed so far (the open()+stat() tax).
-
-    Deprecated: thin wrapper over the kernel registry's
-    [cntrfs.lookup.count] counter; kept for one release — new code should
-    read the registry (which also exposes [cntrfs.lookup.backing_ops] and
-    the derived [cntrfs.lookup.amplification]). *)
-val lookups_performed : t -> int

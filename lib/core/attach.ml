@@ -390,7 +390,7 @@ let report session =
     (c "vfs.page_cache.fuse.hits")
     (c "vfs.page_cache.fuse.misses")
     (c "vfs.page_cache.fuse.evictions")
-    (Server.lookups_performed session.sn_server)
+    (c "cntrfs.lookup.count")
     (g "cntrfs.lookup.amplification")
     (g "fuse.queue.depth.max")
     (g "fuse.queue.depth.mean")

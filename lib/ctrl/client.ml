@@ -11,6 +11,7 @@
    envelope (one frame on the wire).  Every typed verb is built on
    [start_*]/[finish], so any of them can be pipelined or batched. *)
 
+open Repro_util
 open Repro_os
 module Config = Repro_cntr.Attach.Config
 

@@ -20,6 +20,8 @@
     A daemon refusing further pipelining on a connection answers
     {!Rpc.overloaded} (-32005) — back off, drain, resubmit. *)
 
+open Repro_util
+
 (** Re-exported so callers spell attach defaults through the client API
     ([Client.Config.default]) instead of reaching into [Attach]. *)
 module Config = Repro_cntr.Attach.Config

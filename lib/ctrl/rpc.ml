@@ -2,6 +2,8 @@
    envelope ("jsonrpc":"2.0", method a string, id an int/string) and lax on
    params, which each method validates itself. *)
 
+open Repro_util
+
 type id = I of int | S of string
 
 let id_json = function I n -> Jsonx.Int n | S s -> Jsonx.Str s

@@ -6,6 +6,8 @@
     format is the LSP-style base protocol — a [Content-Length: N\r\n\r\n]
     header followed by exactly [N] bytes of one JSON-RPC message. *)
 
+open Repro_util
+
 (** Request ids may be numbers or strings (JSON-RPC §4). *)
 type id = I of int | S of string
 

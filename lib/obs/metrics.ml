@@ -210,52 +210,36 @@ let counters_with_prefix t ~prefix =
 
 (* --- rendering ----------------------------------------------------------- *)
 
-(* Deterministic float formatting: fixed six decimals, non-finite values
-   clamped, so JSON output is byte-stable across runs. *)
-let json_float v =
-  let v = if Float.is_nan v || v = infinity || v = neg_infinity then 0. else v in
-  Printf.sprintf "%.6f" v
-
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_summary s =
-  Printf.sprintf
-    "{\"count\":%d,\"sum\":%s,\"min\":%s,\"max\":%s,\"mean\":%s,\"p50\":%s,\"p95\":%s,\"p99\":%s}"
-    s.s_count (json_float s.s_sum) (json_float s.s_min) (json_float s.s_max)
-    (json_float s.s_mean) (json_float s.s_p50) (json_float s.s_p95) (json_float s.s_p99)
+let json_escape = Repro_util.Jsonx.escape
 
 let to_json t =
+  let open Repro_util.Jsonx in
+  (* six decimals, non-finite values clamped to 0: byte-stable across runs *)
+  let num v = Fixed (6, if Float.is_finite v then v else 0.) in
   let snap = snapshot t in
-  let section pred render =
-    List.filter_map
-      (fun (name, v) ->
-        match pred v with
-        | Some x -> Some (Printf.sprintf "\"%s\":%s" (json_escape name) (render x))
-        | None -> None)
-      snap
-    |> String.concat ","
+  let section pick =
+    Obj (List.filter_map (fun (name, v) -> Option.map (fun x -> (name, x)) (pick v)) snap)
   in
-  let counters =
-    section (function V_counter n -> Some n | _ -> None) string_of_int
+  let summary s =
+    Obj
+      [
+        ("count", Int s.s_count);
+        ("sum", num s.s_sum);
+        ("min", num s.s_min);
+        ("max", num s.s_max);
+        ("mean", num s.s_mean);
+        ("p50", num s.s_p50);
+        ("p95", num s.s_p95);
+        ("p99", num s.s_p99);
+      ]
   in
-  let gauges = section (function V_gauge v -> Some v | _ -> None) json_float in
-  let histograms =
-    section (function V_histogram s -> Some s | _ -> None) json_summary
-  in
-  Printf.sprintf "{\"counters\":{%s},\"gauges\":{%s},\"histograms\":{%s}}" counters
-    gauges histograms
+  to_string
+    (Obj
+       [
+         ("counters", section (function V_counter n -> Some (Int n) | _ -> None));
+         ("gauges", section (function V_gauge v -> Some (num v) | _ -> None));
+         ("histograms", section (function V_histogram s -> Some (summary s) | _ -> None));
+       ])
 
 let pp ppf t =
   List.iter

@@ -91,5 +91,5 @@ val to_json : t -> string
 
 val pp : Format.formatter -> t -> unit
 
-(** JSON string escaping shared with {!Trace} renderers. *)
+(** {!Repro_util.Jsonx.escape}, the codec's string escaping. *)
 val json_escape : string -> string

@@ -64,14 +64,15 @@ let clear t =
 (* --- sinks --------------------------------------------------------------- *)
 
 let jsonl_of_span s =
-  let attrs =
-    s.sp_attrs
-    |> List.map (fun (k, v) ->
-           Printf.sprintf "\"%s\":\"%s\"" (Metrics.json_escape k) (Metrics.json_escape v))
-    |> String.concat ","
-  in
-  Printf.sprintf "{\"name\":\"%s\",\"begin_ns\":%Ld,\"end_ns\":%Ld,\"attrs\":{%s}}"
-    (Metrics.json_escape s.sp_name) s.sp_begin_ns s.sp_end_ns attrs
+  let open Repro_util.Jsonx in
+  to_string
+    (Obj
+       [
+         ("name", Str s.sp_name);
+         ("begin_ns", Int (Int64.to_int s.sp_begin_ns));
+         ("end_ns", Int (Int64.to_int s.sp_end_ns));
+         ("attrs", Obj (List.map (fun (k, v) -> (k, Str v)) s.sp_attrs));
+       ])
 
 (* JSON-lines export: one span object per line. *)
 let buffer_sink buf span =

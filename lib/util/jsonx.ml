@@ -1,13 +1,15 @@
-(* JSON values, a deterministic compact printer, and a strict parser.
-   Self-contained on purpose: the simulator depends on no external JSON
-   library, and the printer's byte-stability is part of the bench
-   contract. *)
+(* JSON values, a deterministic printer (compact, or pretty in the bench
+   tables' layout), and a strict parser.  Self-contained on purpose: the
+   simulator depends on no external JSON library, and every format
+   decision (escaping, number format, layout) lives here because the
+   printer's byte-stability is part of the bench contract. *)
 
 type t =
   | Null
   | Bool of bool
   | Int of int
   | Float of float
+  | Fixed of int * float
   | Str of string
   | List of t list
   | Obj of (string * t) list
@@ -18,6 +20,7 @@ let rec equal a b =
   | Bool x, Bool y -> x = y
   | Int x, Int y -> x = y
   | Float x, Float y -> x = y
+  | Fixed (d, x), Fixed (d', y) -> d = d' && x = y
   | Str x, Str y -> String.equal x y
   | List xs, List ys -> List.length xs = List.length ys && List.for_all2 equal xs ys
   | Obj xs, Obj ys ->
@@ -29,7 +32,7 @@ let rec equal a b =
 (* Printer                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let escape buf s =
+let escape_into buf s =
   String.iter
     (fun c ->
       match c with
@@ -42,6 +45,11 @@ let escape buf s =
       | c -> Buffer.add_char buf c)
     s
 
+let escape s =
+  let buf = Buffer.create (String.length s) in
+  escape_into buf s;
+  Buffer.contents buf
+
 let float_repr f =
   if not (Float.is_finite f) then "null"
   else
@@ -53,39 +61,73 @@ let float_repr f =
     in
     if String.exists (fun c -> c = '.' || c = 'e' || c = 'E' || c = 'n') s then s else s ^ ".0"
 
-let to_string v =
-  let buf = Buffer.create 256 in
+(* [f] on each element, [gap] between consecutive ones *)
+let iter_gap buf gap f xs =
+  List.iteri
+    (fun i x ->
+      if i > 0 then Buffer.add_string buf gap;
+      f x)
+    xs
+
+let write_key buf k colon =
+  Buffer.add_char buf '"';
+  escape_into buf k;
+  Buffer.add_string buf colon
+
+(* Everything on one line; [spaced] puts a space after each comma and
+   colon. *)
+let write_inline buf ~spaced v =
+  let comma = if spaced then ", " else "," and colon = if spaced then "\": " else "\":" in
   let rec go = function
     | Null -> Buffer.add_string buf "null"
-    | Bool true -> Buffer.add_string buf "true"
-    | Bool false -> Buffer.add_string buf "false"
+    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
     | Int n -> Buffer.add_string buf (string_of_int n)
     | Float f -> Buffer.add_string buf (float_repr f)
+    | Fixed (d, f) ->
+        Buffer.add_string buf (if Float.is_finite f then Printf.sprintf "%.*f" d f else "null")
     | Str s ->
         Buffer.add_char buf '"';
-        escape buf s;
+        escape_into buf s;
         Buffer.add_char buf '"'
     | List xs ->
         Buffer.add_char buf '[';
-        List.iteri
-          (fun i x ->
-            if i > 0 then Buffer.add_char buf ',';
-            go x)
-          xs;
+        iter_gap buf comma go xs;
         Buffer.add_char buf ']'
     | Obj fields ->
         Buffer.add_char buf '{';
-        List.iteri
-          (fun i (k, x) ->
-            if i > 0 then Buffer.add_char buf ',';
-            Buffer.add_char buf '"';
-            escape buf k;
-            Buffer.add_string buf "\":";
+        iter_gap buf comma
+          (fun (k, x) ->
+            write_key buf k colon;
             go x)
           fields;
         Buffer.add_char buf '}'
   in
-  go v;
+  go v
+
+let to_string v =
+  let buf = Buffer.create 256 in
+  write_inline buf ~spaced:false v;
+  Buffer.contents buf
+
+let to_string_pretty v =
+  let buf = Buffer.create 1024 in
+  let inline = write_inline buf ~spaced:true in
+  (match v with
+  | Obj (_ :: _ as fields) ->
+      Buffer.add_string buf "{\n  ";
+      iter_gap buf ",\n  "
+        (fun (k, x) ->
+          write_key buf k "\": ";
+          match x with
+          | List (_ :: _ as xs) ->
+              (* a top-level field's list: one element per line *)
+              Buffer.add_string buf "[\n    ";
+              iter_gap buf ",\n    " inline xs;
+              Buffer.add_string buf "\n  ]"
+          | x -> inline x)
+        fields;
+      Buffer.add_string buf "\n}"
+  | v -> inline v);
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)

@@ -81,6 +81,44 @@ let prop_json_roundtrip =
       | Ok v' -> Jsonx.equal v v'
       | Error msg -> QCheck.Test.fail_reportf "parse failed: %s" msg)
 
+let prop_json_pretty =
+  QCheck.Test.make ~name:"jsonx pretty and compact parse alike" ~count:500
+    (QCheck.make ~print:Jsonx.to_string_pretty gen_json)
+    (fun v ->
+      match (Jsonx.parse (Jsonx.to_string_pretty v), Jsonx.parse (Jsonx.to_string v)) with
+      | Ok a, Ok b -> Jsonx.equal a b
+      | Error msg, _ | _, Error msg -> QCheck.Test.fail_reportf "parse failed: %s" msg)
+
+let test_json_fixed_and_pretty () =
+  let show v = Jsonx.to_string v in
+  check_s "Fixed 4" "2.8903" (show (Jsonx.Fixed (4, 2.89034)));
+  check_s "Fixed 1" "13.3" (show (Jsonx.Fixed (1, 13.3)));
+  check_s "Fixed non-finite" "null" (show (Jsonx.Fixed (6, nan)));
+  let doc =
+    Jsonx.(
+      Obj
+        [
+          ("experiment", Str "x");
+          ( "rows",
+            List
+              [
+                Obj [ ("name", Str "a"); ("v", Fixed (2, 0.5)) ];
+                Obj [ ("name", Str "b"); ("v", List [ Int 1; Int 2 ]); ("w", Obj [ ("k", Null) ]) ];
+              ] );
+          ("total", Obj [ ("n", Int 2) ]);
+        ])
+  in
+  check_s "two-row pretty document"
+    {|{
+  "experiment": "x",
+  "rows": [
+    {"name": "a", "v": 0.50},
+    {"name": "b", "v": [1, 2], "w": {"k": null}}
+  ],
+  "total": {"n": 2}
+}|}
+    (Jsonx.to_string_pretty doc)
+
 let gen_request =
   QCheck.Gen.(
     map3
@@ -666,6 +704,8 @@ let () =
       ( "codec",
         [
           QCheck_alcotest.to_alcotest prop_json_roundtrip;
+          QCheck_alcotest.to_alcotest prop_json_pretty;
+          Alcotest.test_case "jsonx fixed and pretty layout" `Quick test_json_fixed_and_pretty;
           QCheck_alcotest.to_alcotest prop_request_roundtrip;
           QCheck_alcotest.to_alcotest prop_response_roundtrip;
           Alcotest.test_case "malformed input replies" `Quick test_malformed_error_replies;

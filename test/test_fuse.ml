@@ -420,12 +420,12 @@ let test_server_lookup_tax_counted () =
   for i = 0 to 9 do
     write_file w (Printf.sprintf "/back/s%d" i) "x"
   done;
-  let before = Server.lookups_performed w.session.Session.server in
+  let before = metric w "cntrfs.lookup.count" in
   for i = 0 to 9 do
     ignore (ok (Kernel.stat w.k w.init (Printf.sprintf "/mnt/s%d" i)))
   done;
   check_b "server-side open()+stat() per cold lookup" true
-    (Server.lookups_performed w.session.Session.server - before >= 10)
+    (metric w "cntrfs.lookup.count" - before >= 10)
 
 (* --- passthrough grants -------------------------------------------------------- *)
 

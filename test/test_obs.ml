@@ -80,11 +80,20 @@ let test_json_deterministic () =
     Metrics.add (Metrics.counter t "b.count") 2;
     Metrics.add (Metrics.counter t "a.count") 1;
     Metrics.set (Metrics.gauge t "g") 0.5;
+    Metrics.set (Metrics.gauge t "g.nan") nan;
+    Metrics.set (Metrics.gauge t "g.inf") infinity;
     Metrics.observe (Metrics.histogram t "h.latency_us") 7.;
     Metrics.to_json t
   in
   let j1 = build () and j2 = build () in
   check_s "byte identical" j1 j2;
+  (* six decimals everywhere; non-finite gauges clamp to 0 *)
+  check_s "exact bytes"
+    ({|{"counters":{"a.count":1,"b.count":2},"gauges":{"g":0.500000,"g.inf":0.000000,|}
+    ^ {|"g.nan":0.000000},"histograms":{"h.latency_us":{"count":1,"sum":7.000000,|}
+    ^ {|"min":7.000000,"max":7.000000,"mean":7.000000,"p50":7.000000,"p95":7.000000,|}
+    ^ {|"p99":7.000000}}}|})
+    j1;
   check_b "sorted sections" true
     (let a = String.index j1 'a' and b = String.index j1 'b' in
      a < b)
@@ -143,12 +152,9 @@ let test_trace_jsonl () =
     String.split_on_char '\n' (Buffer.contents buf) |> List.filter (( <> ) "")
   in
   check_i "one line per span" 2 (List.length lines);
-  let contains ~needle hay =
-    let n = String.length needle and h = String.length hay in
-    let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-    go 0
-  in
-  check_b "escaped quote" true (contains ~needle:{|q\"uote|} (List.hd lines))
+  (* key order, the escaped quote and integer timestamps, byte for byte *)
+  check_s "whole line" {|{"name":"q\"uote","begin_ns":1,"end_ns":2,"attrs":{"a":"b"}}|}
+    (List.hd lines)
 
 (* --- Workload-level properties ------------------------------------------- *)
 
