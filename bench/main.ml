@@ -4,7 +4,6 @@
      dune exec bench/main.exe              # the default set (see [experiments])
      dune exec bench/main.exe e2 e4        # selected experiments
      dune exec bench/main.exe e2 --json    # also write BENCH_e2.json
-     dune exec bench/main.exe micro        # bechamel wall-clock micro-benches
 
    E1  §5.1   xfstests: 94 generic tests, native vs CntrFS
    E2  Fig 2  Phoronix suite relative overheads (20 benchmarks)
@@ -32,11 +31,6 @@ let section title =
    fails exits 1 before anything is written. *)
 type report = { json : string option; gates : (string * bool) list }
 
-(* An experiment that only prints. *)
-let text run () =
-  run ();
-  { json = None; gates = [] }
-
 (* A table in the committed baselines' layout. *)
 let table ?(gates = []) fields = { json = Some (Jsonx.to_string_pretty (Jsonx.Obj fields)); gates }
 
@@ -46,6 +40,7 @@ let e1 () =
   let open Repro_xfstests in
   let native = Harness.run_suite (Harness.setup_native ()) Suite.all in
   let cntrfs = Harness.run_suite (Harness.setup_cntrfs ()) Suite.all in
+  let test_name = Printf.sprintf "generic/%03d" in
   Printf.printf "suite: %d tests (groups: auto, quick, aio, prealloc, ioctl, dangerous)\n"
     Suite.count;
   Printf.printf "native tmpfs   : %d/%d passed\n" native.Harness.s_passed native.Harness.s_total;
@@ -61,9 +56,21 @@ let e1 () =
         | 426 -> "inodes not exportable via name_to_handle_at (paper §5.1 #4)"
         | _ -> "UNEXPECTED"
       in
-      Printf.printf "  generic/%03d FAILED — %s\n    (%s)\n" id msg reason)
+      Printf.printf "  %s FAILED — %s\n    (%s)\n" (test_name id) msg reason)
     cntrfs.Harness.s_failed;
-  Printf.printf "%!"
+  Printf.printf "%!";
+  let backend s = Jsonx.(Obj [ ("total", Int s.Harness.s_total); ("passed", Int s.Harness.s_passed) ]) in
+  let failure (id, msg) = Jsonx.(Obj [ ("test", Str (test_name id)); ("message", Str msg) ]) in
+  table
+    Jsonx.
+      [
+        ("experiment", Str "e1");
+        ("metric", Str "xfstests generic tests passed, native tmpfs vs cntrfs on tmpfs");
+        ("native", backend native);
+        ("cntrfs", backend cntrfs);
+        ("native_failed", List (List.map failure native.Harness.s_failed));
+        ("cntrfs_failed", List (List.map failure cntrfs.Harness.s_failed));
+      ]
 
 (* --- E2: Figure 2 ------------------------------------------------------------ *)
 
@@ -202,13 +209,28 @@ let e2a () =
 (* --- E3: Figure 3 ------------------------------------------------------------ *)
 
 let e3 () =
+  let open Repro_workloads.Experiments in
+  let panels = figure3 () in
   List.iter
     (fun a ->
-      let open Repro_workloads.Experiments in
       Printf.printf "%s\n  %-28s before: %8.1f   after: %8.1f   native: %8.1f\n  improvement: %.2fx   (%s)\n\n%!"
         a.a_name a.a_metric a.a_before a.a_after a.a_native
         (a.a_after /. a.a_before) a.a_paper_note)
-    (Repro_workloads.Experiments.figure3 ())
+    panels;
+  let panel a =
+    Jsonx.(
+      Obj
+        [ ("name", Str a.a_name); ("metric", Str a.a_metric); ("before", Fixed (4, a.a_before));
+          ("after", Fixed (4, a.a_after)); ("native", Fixed (4, a.a_native));
+          ("improvement", Fixed (4, a.a_after /. a.a_before)) ])
+  in
+  table
+    Jsonx.
+      [
+        ("experiment", Str "e3");
+        ("metric", Str "each optimization off (before) vs on (after), native for reference");
+        ("panels", List (List.map panel panels));
+      ]
 
 (* --- E4: Figure 4 ------------------------------------------------------------ *)
 
@@ -301,7 +323,8 @@ let e5 () =
   ignore (World.docker world);
   let reductions = List.map (fun r -> r.Slimmer.r_reduction *. 100.) reports in
   let mean = Stats.mean reductions in
-  Printf.printf "images analyzed: %d\n" (List.length reports);
+  let analyzed = List.length reports in
+  Printf.printf "images analyzed: %d\n" analyzed;
   Printf.printf "mean size reduction: %.1f%% (paper: 66.6%%)\n" mean;
   let below10 = List.length (List.filter (fun r -> r < 10.) reductions) in
   Printf.printf "images below 10%% reduction: %d (paper: 6 — single Go binaries)\n" below10;
@@ -320,7 +343,28 @@ let e5 () =
           (Size.to_string r.Slimmer.r_slim_bytes)
           (100. *. r.Slimmer.r_reduction))
     reports;
-  Printf.printf "%!"
+  Printf.printf "%!";
+  let image r =
+    Jsonx.(
+      Obj
+        [ ("image", Str r.Slimmer.r_image); ("original_bytes", Int r.Slimmer.r_original_bytes);
+          ("slim_bytes", Int r.Slimmer.r_slim_bytes); ("reduction", Fixed (4, r.Slimmer.r_reduction));
+          ("original_files", Int r.Slimmer.r_original_files);
+          ("slim_files", Int r.Slimmer.r_slim_files) ])
+  in
+  table
+    ~gates:[ (Printf.sprintf "images analyzed: %d, want 50" analyzed, analyzed = 50) ]
+    Jsonx.
+      [
+        ("experiment", Str "e5");
+        ("metric", Str "Docker-Slim size reduction of the Top-50 images");
+        ( "reduction",
+          Obj
+            [ ("mean_pct", Fixed (4, mean)); ("below_10_pct", Int below10);
+              ("in_60_97_pct", Int in_band);
+              ("histogram", List (Array.to_list (Array.map (fun c -> Int c) counts))) ] );
+        ("images", List (List.map image reports));
+      ]
 
 (* --- E5R: registry-scale dedup + parallel slimming ----------------------------- *)
 
@@ -471,89 +515,108 @@ let e6 () =
   let reg = world.World.registry in
   let sample = [ "nginx:latest"; "mysql:latest"; "elasticsearch:latest" ] in
   Printf.printf "%-22s %10s %10s %10s %10s\n" "image" "fat size" "fat pull" "slim size" "slim pull";
-  List.iter
-    (fun ref_ ->
-      match Registry.find reg ref_ with
-      | None -> ()
-      | Some image -> (
-          match Slimmer.slim ~world image with
-          | Error _ -> ()
-          | Ok (_report, slim_image) ->
-              Registry.push reg slim_image;
-              Registry.drop_cache reg;
-              let t0 = Clock.now_ns world.World.clock in
-              ignore (Result.get_ok (Registry.pull reg ref_));
-              let fat_ns = Int64.sub (Clock.now_ns world.World.clock) t0 in
-              Registry.drop_cache reg;
-              let t1 = Clock.now_ns world.World.clock in
-              ignore (Result.get_ok (Registry.pull reg (Image.ref_ slim_image)));
-              let slim_ns = Int64.sub (Clock.now_ns world.World.clock) t1 in
-              Printf.printf "%-22s %10s %9.1fms %10s %9.1fms\n" ref_
-                (Size.to_string (Image.size image))
-                (Int64.to_float fat_ns /. 1e6)
-                (Size.to_string (Image.size slim_image))
-                (Int64.to_float slim_ns /. 1e6)))
-    sample;
+  let pull_ns ref_ =
+    Registry.drop_cache reg;
+    let t0 = Clock.now_ns world.World.clock in
+    ignore (Result.get_ok (Registry.pull reg ref_));
+    Int64.to_int (Int64.sub (Clock.now_ns world.World.clock) t0)
+  in
+  let row ref_ =
+    let image = Option.get (Registry.find reg ref_) in
+    let _report, slim_image = Errno.ok_exn (Slimmer.slim ~world image) in
+    Registry.push reg slim_image;
+    let fat_ns = pull_ns ref_ in
+    let slim_ns = pull_ns (Image.ref_ slim_image) in
+    Printf.printf "%-22s %10s %9.1fms %10s %9.1fms\n" ref_
+      (Size.to_string (Image.size image))
+      (float_of_int fat_ns /. 1e6)
+      (Size.to_string (Image.size slim_image))
+      (float_of_int slim_ns /. 1e6);
+    Jsonx.(
+      Obj
+        [ ("image", Str ref_); ("fat_bytes", Int (Image.size image)); ("fat_pull_ns", Int fat_ns);
+          ("slim_bytes", Int (Image.size slim_image)); ("slim_pull_ns", Int slim_ns) ])
+  in
+  let rows = List.map row sample in
   Printf.printf
-    "\nwith CNTR, the slim image is what gets deployed; the fat tools image\nis attached on demand and shared across applications (paper §1, §2.4)\n%!"
+    "\nwith CNTR, the slim image is what gets deployed; the fat tools image\nis attached on demand and shared across applications (paper §1, §2.4)\n%!";
+  table
+    Jsonx.
+      [
+        ("experiment", Str "e6");
+        ("metric", Str "image size and cold pull time, fat vs slim");
+        ("images", List rows);
+      ]
 
 (* --- E7: implementation inventory ---------------------------------------------- *)
 
 let e7 () =
-  let count_dir dir =
-    try
-      Sys.readdir dir |> Array.to_list
-      |> List.filter (fun f -> Filename.check_suffix f ".ml")
-      |> List.fold_left
-           (fun acc f ->
-             let ic = open_in (Filename.concat dir f) in
-             let rec lines n = match input_line ic with _ -> lines (n + 1) | exception End_of_file -> n in
-             let n = lines 0 in
-             close_in ic;
-             acc + n)
-           0
-    with Sys_error _ -> 0
+  let lines file = List.length (In_channel.with_open_text file In_channel.input_lines) in
+  let ml_lines dir =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".ml")
+    |> List.fold_left (fun acc f -> acc + lines (Filename.concat dir f)) 0
   in
-  let components =
-    [
-      ("container engines (paper: 1549 LoC)", "lib/runtime");
-      ("CntrFS server (paper: 1481 LoC)", "lib/cntrfs");
-      ("FUSE protocol/driver", "lib/fuse");
-      ("attach + pseudo TTY (221) + socket proxy (400)", "lib/core");
-      ("VFS substrate", "lib/vfs");
-      ("OS substrate (kernel/namespaces)", "lib/os");
-      ("images & registry", "lib/image");
-      ("Docker-Slim", "lib/slim");
-      ("workloads & experiments", "lib/workloads");
-      ("xfstests harness", "lib/xfstests");
-    ]
+  let note = function
+    | "runtime" -> "container engines (paper: 1549 LoC)"
+    | "cntrfs" -> "CntrFS server (paper: 1481 LoC)"
+    | _ -> ""
   in
-  List.iter
-    (fun (name, dir) ->
-      let n = count_dir dir in
-      if n > 0 then Printf.printf "  %-52s %5d LoC\n" name n
-      else Printf.printf "  %-52s (run from the repository root to count)\n" name)
-    components;
-  Printf.printf "%!"
+  (match Sys.readdir "lib" with
+  | exception Sys_error _ -> Printf.printf "  (run from the repository root to count)\n%!"
+  | entries ->
+      let dirs =
+        List.filter (fun d -> Sys.is_directory (Filename.concat "lib" d)) (Array.to_list entries)
+      in
+      let total =
+        List.fold_left
+          (fun acc d ->
+            let n = ml_lines (Filename.concat "lib" d) in
+            Printf.printf "  %-16s %-35s %5d LoC\n" ("lib/" ^ d) (note d) n;
+            acc + n)
+          0 (List.sort compare dirs)
+      in
+      Printf.printf "  %-52s %5d LoC\n%!" "total (paper: 3651 LoC of Rust)" total);
+  { json = None; gates = [] }
 
 (* --- ablation matrix ------------------------------------------------------------- *)
 
 let ablate () =
+  let open Repro_workloads.Experiments in
+  let rows = ablation_matrix () in
   List.iter
     (fun row ->
-      let open Repro_workloads.Experiments in
       Printf.printf "  %-44s %6.2fx  %s\n%!" row.mr_config row.mr_overhead
         (String.make (min 60 (int_of_float (row.mr_overhead *. 2.))) '#'))
-    (Repro_workloads.Experiments.ablation_matrix ())
+    rows;
+  let row r = Jsonx.(Obj [ ("config", Str r.mr_config); ("overhead", Fixed (4, r.mr_overhead)) ]) in
+  table
+    Jsonx.
+      [
+        ("experiment", Str "ablate");
+        ("metric", Str "compilebench-read relative overhead (cntrfs/native), one switch at a time");
+        ("configs", List (List.map row rows));
+      ]
 
 let cache_sweep () =
-  List.iter
-    (fun pt ->
-      let open Repro_workloads.Experiments in
-      Printf.printf "  %-44s %6.2fx overhead\n%!" pt.cp_label pt.cp_overhead)
-    (Repro_workloads.Experiments.iozone_cache_sweep ());
+  let open Repro_workloads.Experiments in
+  let points = iozone_cache_sweep () in
+  List.iter (fun p -> Printf.printf "  %-44s %6.2fx overhead\n%!" p.cp_label p.cp_overhead) points;
   Printf.printf
-    "the same file degrades through CntrFS one budget step earlier than\nnatively — the driver and the backing filesystem each cache a copy\n%!"
+    "the same file degrades through CntrFS one budget step earlier than\nnatively — the driver and the backing filesystem each cache a copy\n%!";
+  let point p =
+    Jsonx.(
+      Obj
+        [ ("label", Str p.cp_label); ("budget_mb", Int p.cp_budget_mb);
+          ("overhead", Fixed (4, p.cp_overhead)) ])
+  in
+  table
+    Jsonx.
+      [
+        ("experiment", Str "cache");
+        ("metric", Str "IOzone relative overhead (cntrfs/native) vs page-cache budget");
+        ("points", List (List.map point points));
+      ]
 
 (* --- e3e: metadata fast path (extension) ----------------------------------------- *)
 
@@ -1538,80 +1601,34 @@ let fleet () =
               ("active_end", Int active_end) ] );
       ]
 
-(* --- bechamel micro-benchmarks -------------------------------------------------- *)
-
-let micro () =
-  let open Bechamel in
-  let open Toolkit in
-  (* one attach end-to-end, repeated *)
-  let test_attach =
-    Test.make ~name:"cntr attach (full workflow)"
-      (Staged.stage (fun () ->
-           let world = Repro_cntr.Testbed.create () in
-           let _c =
-             Errno.ok_exn
-               (Repro_runtime.World.run_container world
-                  ~engine:(Repro_runtime.World.docker world) ~name:"b" ~image_ref:"redis:latest" ())
-           in
-           let s = Errno.ok_exn (Repro_cntr.Testbed.attach world "b") in
-           Repro_cntr.Attach.detach s))
-  in
-  let test_rt =
-    Test.make ~name:"FUSE round trip (simulated)"
-      (let setup = Repro_xfstests.Harness.setup_cntrfs () in
-       let k = setup.Repro_xfstests.Harness.su_kernel in
-       let p = setup.Repro_xfstests.Harness.su_root in
-       ignore (Errno.ok_exn (Repro_os.Kernel.mkdir k p "/mnt/micro" ~mode:0o755));
-       let i = ref 0 in
-       Staged.stage (fun () ->
-           incr i;
-           ignore (Repro_os.Kernel.stat k p (Printf.sprintf "/mnt/micro/f%d" !i))))
-  in
-  let benchmark test =
-    let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:(Some 10) () in
-    let instances = [ Instance.monotonic_clock ] in
-    let raw = Benchmark.all cfg instances test in
-    let results = Analyze.all (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]) Instance.monotonic_clock raw in
-    Hashtbl.iter
-      (fun name result ->
-        match Analyze.OLS.estimates result with
-        | Some [ est ] -> Printf.printf "  %-36s %12.0f ns/op\n%!" name est
-        | _ -> ())
-      results
-  in
-  benchmark test_rt;
-  benchmark test_attach
-
 (* --- driver ---------------------------------------------------------------------- *)
 
 (* One row per experiment: name, section title, whether the no-argument run
    includes it, and the run. *)
 let experiments =
   [
-    ("e1", "E1 (§5.1) xfstests generic suite — completeness & correctness", true, text e1);
+    ("e1", "E1 (§5.1) xfstests generic suite — completeness & correctness", true, e1);
     ("e2", "E2 (Figure 2) Phoronix suite: relative overhead of CntrFS (lower is better)", true, e2);
     ("e2a", "E2a (ablation) data path: copy vs splice vs splice+passthrough", true, e2a);
-    ("e3", "E3 (Figure 3) Effectiveness of the optimizations", true, text e3);
+    ("e3", "E3 (Figure 3) Effectiveness of the optimizations", true, e3);
     ("e3e", "E3e (extension) Metadata fast path: the LOOKUP tax, off vs on", true, e3e);
     ("e4", "E4 (Figure 4) Sequential read vs number of CntrFS threads", true, e4);
-    ("e5", "E5 (Figure 5, §5.3) Docker-Slim reduction of the Top-50 Docker Hub images", true, text e5);
+    ("e5", "E5 (Figure 5, §5.3) Docker-Slim reduction of the Top-50 Docker Hub images", true, e5);
     ( "e5r",
       Printf.sprintf
         "E5R (§5.3 at scale) chunk-dedup store + parallel static slimming of %d images" e5r_n,
       false, e5r );
-    ("e6", "E6 (§1 extension) Deployment time: fat vs slim image pull", true, text e6);
-    ("e7", "E7 (§4) Implementation inventory (paper: 3651 LoC of Rust total)", true, text e7);
+    ("e6", "E6 (§1 extension) Deployment time: fat vs slim image pull", true, e6);
+    ("e7", "E7 (§4) Implementation inventory (paper: 3651 LoC of Rust total)", true, e7);
     ("e8", "E8 (extension) Robustness matrix: fault plan x workload", true, e8);
     ("e9", "E9 (extension) Forwarding plane: splice vs copy relay (S3.2.4)", true, e9);
     ( "fleet",
       Printf.sprintf "Fleet: cntrd control plane, %d shards x %d sessions = %d" fleet_shards
         fleet_target (fleet_shards * fleet_target),
       false, fleet );
-    ("loc", "E7 (§4) Implementation inventory (paper: 3651 LoC of Rust total)", false, text e7);
     ( "ablate", "Ablation matrix: per-optimization overhead on compilebench-read (lower is better)",
-      true, text ablate );
-    ("cache", "IOzone working-set vs page cache (§5.2.2: double buffering)", true, text cache_sweep);
-    ("micro", "Wall-clock micro-benchmarks (bechamel)", true, text micro);
+      true, ablate );
+    ("cache", "IOzone working-set vs page cache (§5.2.2: double buffering)", true, cache_sweep);
     ("smoke", "E2 (smoke) one workload per family -> BENCH_smoke.json", false, smoke);
   ]
 

@@ -39,7 +39,6 @@ let create ~kernel ~server_proc ~root_path ?(opts = Opts.cntr_default) ?(threads
     Conn.create ~obs ?sched ~clock:kernel.Kernel.clock ~cost:kernel.Kernel.cost ()
   in
   conn.Conn.threads <- threads;
-  conn.Conn.max_background <- opts.Opts.max_background;
   let metrics = Repro_obs.Obs.metrics obs in
   Repro_obs.Metrics.set
     (Repro_obs.Metrics.gauge metrics "cntrfs.server.threads")

@@ -64,9 +64,6 @@ type session = {
     filesystem (created by step #3; invisible to the application itself). *)
 val tmp_mountpoint : string
 
-(** The application files bind-mounted over the tools filesystem. *)
-val config_files : string list
-
 (** [attach ~kernel ~engines ~budget ~config name] performs steps #1–#4
     against the container named (or id-prefixed) [name].  [config] defaults
     to {!Config.default}; a config with a [fault] plan or [retry] policy

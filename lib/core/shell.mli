@@ -7,12 +7,6 @@ open Repro_os
 (** Split a command line into tokens; double quotes group words. *)
 val tokenize : string -> string list
 
-(** Expand $VAR / ${VAR} against the process environment. *)
-val expand_vars : Proc.t -> string -> string
-
-(** Split tokens on "|" into pipeline stages. *)
-val split_pipeline : string list -> string list list
-
 type redirect = No_redirect | Truncate of string | Append of string
 
 (** Strip a trailing [> file] / [>> file] redirection from a token list. *)

@@ -4,12 +4,6 @@
 
 type t = Repro_runtime.World.t
 
-(** Tools baked into the debug image (gdb, strace, ps, ...). *)
-val debug_tools : string list
-
-(** The "cntr/debug-tools" fat image: an Alpine base plus the toolbox. *)
-val debug_image : unit -> Repro_image.Image.t
-
 (** Build a world with programs registered, /dev/fuse installed and the
     debug image published.  [memory_mb] bounds the shared page-cache
     budget; [disk] selects an SSD-backed host filesystem. *)

@@ -15,8 +15,6 @@ open Repro_util
 open Repro_os
 module Config = Repro_cntr.Attach.Config
 
-let default_attach = Config.default
-
 type wire_state = {
   ws_wire : Daemon.wire;
   mutable ws_fd : int;
@@ -240,8 +238,6 @@ let notifications t =
 (* --- typed verbs: start_* submits, finish awaits -------------------- *)
 
 type 'a call = { cl_id : ticket; cl_decode : Jsonx.t -> 'a }
-
-let call_id c = c.cl_id
 
 let start t ?params decode meth = { cl_id = submit t ?params meth; cl_decode = decode }
 

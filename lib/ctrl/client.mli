@@ -26,8 +26,6 @@ open Repro_util
     ([Client.Config.default]) instead of reaching into [Attach]. *)
 module Config = Repro_cntr.Attach.Config
 
-val default_attach : Config.t
-
 type t
 
 val in_process : Daemon.t -> t
@@ -79,9 +77,6 @@ val notifications : t -> Jsonx.t list
 (** A typed in-flight request: the ticket plus its reply decoder. *)
 type 'a call
 
-(** The raw ticket under a typed handle (for {!cancel} / {!poll}). *)
-val call_id : 'a call -> ticket
-
 (** Await a typed handle.  Decode errors on a malformed daemon reply
     raise [Invalid_argument]; RPC errors return [Error]. *)
 val finish : t -> 'a call -> ('a, Rpc.rerror) result
@@ -121,8 +116,5 @@ type row = { sr_session : int; sr_tenant : string; sr_container : string; sr_sta
 
 val start_list : t -> row list call
 val session_list : t -> (row list, Rpc.rerror) result
-
-(** Subscribe this client's transport to [stats.event] notifications. *)
-val start_subscribe : t -> unit call
 
 val subscribe : t -> (unit, Rpc.rerror) result

@@ -70,10 +70,6 @@ val encode_response : response -> string
 (** A [method]/[params] notification (no id). *)
 val notification : string -> Jsonx.t -> string
 
-(** Classify one parsed JSON document.  [Error e] means the document is not
-    a well-formed JSON-RPC message; reply with [e] and id [null]. *)
-val of_json : Jsonx.t -> (message, rerror) result
-
 (** Parse + classify raw text. *)
 val decode : string -> (message, rerror) result
 

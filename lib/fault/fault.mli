@@ -110,8 +110,6 @@ val disk_delay_ns : t -> op:string -> int
 (** Total actions fired so far. *)
 val injected : t -> int
 
-val action_label : action -> string
-
 (** {1 Plan files}
 
     Line-based format for [cntr attach --fault-plan FILE]; ['#'] comments.
@@ -130,5 +128,4 @@ val action_label : action -> string
     v} *)
 
 val parse : string -> (plan * retry option, string) result
-val of_file : string -> (plan * retry option, string) result
 val to_string : plan -> string

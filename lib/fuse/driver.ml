@@ -439,6 +439,13 @@ let fetch_pages t ctx ~server_fh ~ino ~first ~last =
 
 (* --- writeback ----------------------------------------------------------- *)
 
+(* An inode holding this many dirty pages (16 MiB) flushes at once. *)
+let writeback_limit_pages = 4096
+
+(* FUSE's own dirty expiry, 10x the native one: holding dirty data this long
+   is what absorbs rewrites (FIO/PGBench, §5.2.2). *)
+let wb_flush_interval_ns = 5_000_000L
+
 (* Install the flush callback: dirty runs become WRITE requests built from
    the stored page data.  Writeback happens under the kernel's credential,
    as in Linux. *)
@@ -1181,15 +1188,11 @@ let write t cred fh ~off data =
       in
       let* written = put 0 in
       update_local_attr ~new_size:(off + written);
-      if
-        t.opts.Opts.writeback_limit_pages > 0
-        && Page_cache.dirty_count t.pcache ino >= t.opts.Opts.writeback_limit_pages
-      then flush_dirty t ino
-      else if t.opts.Opts.wb_flush_interval_ns > 0 then begin
-        (* FUSE's own (long) dirty expiry, also in the background *)
+      if Page_cache.dirty_count t.pcache ino >= writeback_limit_pages then flush_dirty t ino
+      else begin
+        (* the dirty expiry flushes in the background *)
         let now = Clock.now_ns t.clock in
-        if Int64.sub now t.last_wb_flush_ns > Int64.of_int t.opts.Opts.wb_flush_interval_ns
-        then begin
+        if Int64.sub now t.last_wb_flush_ns > wb_flush_interval_ns then begin
           t.last_wb_flush_ns <- now;
           t.conn.Conn.background <- true;
           Page_cache.flush_all t.pcache;

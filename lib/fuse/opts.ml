@@ -15,11 +15,6 @@ type t = {
   max_write : int;          (* bytes per WRITE request *)
   max_read : int;           (* bytes per READ request *)
   read_batch : int;         (* concurrent READs batched by async_read *)
-  max_background : int;     (* one-way (FORGET/RELEASE) congestion threshold *)
-  writeback_limit_pages : int; (* driver dirty threshold before flushing *)
-  (* FUSE's writeback holds dirty data much longer than the native
-     dirty_expire — this is what absorbs rewrites (FIO/PGBench, §5.2.2) *)
-  wb_flush_interval_ns : int;
   (* --- the metadata fast path (extension; not in the paper) -------------
      All four knobs are off/zero in [cntr_default] so the paper's numbers
      stay byte-identical; [fastpath] turns them on. *)
@@ -46,9 +41,6 @@ let cntr_default = {
   max_write = 128 * 1024;
   max_read = 128 * 1024;
   read_batch = 8;
-  max_background = 12;
-  writeback_limit_pages = 4096; (* 16 MiB of dirty data *)
-  wb_flush_interval_ns = 5_000_000; (* 5 ms virtual: 10x the native expiry *)
   readdirplus = false;
   entry_timeout_ns = 0;
   attr_timeout_ns = 0;
@@ -72,9 +64,6 @@ let unoptimized = {
   max_write = 128 * 1024;
   max_read = 128 * 1024;
   read_batch = 1;
-  max_background = 12;
-  writeback_limit_pages = 0;
-  wb_flush_interval_ns = 0;
   readdirplus = false;
   entry_timeout_ns = 0;
   attr_timeout_ns = 0;

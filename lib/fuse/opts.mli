@@ -19,12 +19,6 @@ type t = {
   max_write : int;  (** bytes per WRITE request *)
   max_read : int;  (** bytes per READ request *)
   read_batch : int;  (** concurrent READs amortized by async_read *)
-  max_background : int;
-      (** congestion threshold for the one-way background class (FORGET,
-          RELEASE); submitters block at the limit, like fuse_conn's
-          max_background *)
-  writeback_limit_pages : int;  (** per-inode dirty threshold before flushing *)
-  wb_flush_interval_ns : int;  (** FUSE's (long) dirty expiry *)
   readdirplus : bool;
       (** READDIRPLUS: readdir replies carry (entry, attr, validity) tuples
           that prefill the dentry/attr caches in one round trip *)

@@ -14,8 +14,6 @@ type spec = {
 val specs : spec list
 
 (** Shared base layers (equal ids dedup in the registry). *)
-val debian_base : Layer.t
-
 val alpine_base : Layer.t
 val scratch_base : Layer.t
 

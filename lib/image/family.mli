@@ -21,9 +21,6 @@ type spec = {
 
 val specs : spec list
 
-(** Path of the family's shared runtime library. *)
-val runtime_lib : spec -> string
-
 (** Member [i] of a family with [members] total members; deterministic. *)
 val member : spec -> members:int -> int -> Image.t
 

@@ -38,9 +38,6 @@ val effective_paths : t -> string list
     partitioner walks without materializing the image. *)
 val effective_entries : t -> (string, Layer.entry) Hashtbl.t
 
-(** Per-path sizes after union. *)
-val effective_sizes : t -> (string, int) Hashtbl.t
-
 (** Bytes visible after union — the "image size" of Figure 5. *)
 val effective_size : t -> int
 

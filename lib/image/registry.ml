@@ -23,7 +23,6 @@ type t = {
   (* the pulling host's chunk store (the "layer cache" of old, now
      chunk-granular) *)
   host : Store.t;
-  mutable bytes_transferred : int;
 }
 
 let create ?metrics ~clock ?(bandwidth_mb_per_s = 125.0) ?(latency_ms_per_layer = 20) () = {
@@ -33,12 +32,10 @@ let create ?metrics ~clock ?(bandwidth_mb_per_s = 125.0) ?(latency_ms_per_layer 
   latency_ns_per_layer = latency_ms_per_layer * 1_000_000;
   store = Store.create ?metrics ~prefix:"store" ();
   host = Store.create ?metrics ~prefix:"store.host" ();
-  bytes_transferred = 0;
 }
 
 let store t = t.store
 let host_store t = t.host
-let bytes_transferred t = t.bytes_transferred
 
 let push t image =
   Hashtbl.replace t.images (Image.ref_ image) image;
@@ -92,7 +89,6 @@ let pull t ref_ =
             end
           end)
         image.Image.layers;
-      t.bytes_transferred <- t.bytes_transferred + !transferred;
       Ok (image, !transferred)
 
 let drop_cache t = Store.reset t.host

@@ -27,9 +27,6 @@ val store : t -> Repro_store.Store.t
 (** The pulling host's chunk store. *)
 val host_store : t -> Repro_store.Store.t
 
-(** Total bytes moved by all pulls so far. *)
-val bytes_transferred : t -> int
-
 (** Register the image and every layer's chunk manifest.  Layer ids are
     content addresses: a known id bumps refcounts without re-walking the
     entries. *)

@@ -70,9 +70,6 @@ type summary = {
     by {!Repro_util.Stats.percentile}. *)
 val summarize : histogram -> summary
 
-(** Look up an existing histogram without creating one. *)
-val find_histogram : t -> string -> histogram option
-
 (** [summarize] of an existing histogram; [None] when the name was never
     observed.  Readers (benches, the daemon's [session.stat]) use this so a
     probe never mutates the registry. *)

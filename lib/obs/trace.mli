@@ -40,10 +40,8 @@ val dropped : t -> int
 
 val clear : t -> unit
 
-(** One-line JSON rendering of a span (the JSON-lines export format). *)
-val jsonl_of_span : span -> string
-
-(** Append [jsonl_of_span] lines to a buffer. *)
+(** Append one JSON line per span to a buffer (the JSON-lines export
+    format). *)
 val buffer_sink : Buffer.t -> sink
 
 (** In-memory sink plus a reader of everything it has seen (unbounded,

@@ -19,7 +19,6 @@ type cap =
   | CAP_SYS_RESOURCE
   | CAP_AUDIT_WRITE
 
-val all_caps : cap list
 val to_string : cap -> string
 val of_string : string -> cap option
 

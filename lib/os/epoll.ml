@@ -74,5 +74,3 @@ let wait_edge t =
       if ev_in || ev_out then { ev_fd = fd; ev_in; ev_out } :: acc else acc)
     t.watched []
   |> List.sort (fun a b -> compare a.ev_fd b.ev_fd)
-
-let watched_count t = Hashtbl.length t.watched

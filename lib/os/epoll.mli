@@ -39,5 +39,3 @@ val wait : t -> event list
 
 (** Readiness transitions since the last [wait_edge], sorted by fd. *)
 val wait_edge : t -> event list
-
-val watched_count : t -> int

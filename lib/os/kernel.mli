@@ -57,7 +57,6 @@ val create : ?obs:Repro_obs.Obs.t -> clock:Clock.t -> cost:Cost.t -> root_fs:Fso
 
 val init_proc : t -> Proc.t
 val proc_by_pid : t -> int -> (Proc.t, Errno.t) result
-val all_procs : t -> Proc.t list
 
 (** Processes visible from a PID namespace (itself and its descendants). *)
 val procs_in_pidns : t -> Namespace.pid_ns -> Proc.t list
@@ -203,7 +202,6 @@ val mounts_of_ns : Mount.ns -> Mount.mount list
 
 val gethostname : t -> Proc.t -> string
 val sethostname : t -> Proc.t -> string -> (unit, Errno.t) result
-val cgroup_create : t -> string -> unit
 val cgroup_attach : t -> Proc.t -> cgroup:string -> unit
 val cgroup_procs : t -> string -> int list
 val set_rlimit_fsize : t -> Proc.t -> int option -> unit

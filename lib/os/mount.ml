@@ -137,5 +137,3 @@ let make_shared m =
   match m.m_prop with
   | Shared _ -> ()
   | Private | Slave _ -> m.m_prop <- Shared (next_peer_group ())
-
-let mount_count ns = Hashtbl.length ns.mounts

@@ -27,8 +27,6 @@ type ns = {
   mutable root : int;  (** root mount id *)
 }
 
-val next_mount_id : unit -> int
-val next_ns_id : unit -> int
 val next_peer_group : unit -> int
 
 (** A fresh namespace rooted at [fs] (or a sub-root of it). *)
@@ -62,4 +60,3 @@ val clone_ns : ns -> ns
 val make_rprivate : ns -> unit
 
 val make_shared : mount -> unit
-val mount_count : ns -> int

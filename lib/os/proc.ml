@@ -106,5 +106,3 @@ let alloc_fd t entry =
   fd
 
 let fd t n = Hashtbl.find_opt t.fds n
-
-let is_root t = t.cred.uid = 0

@@ -74,4 +74,3 @@ val getenv : t -> string -> string option
 val setenv : t -> string -> string -> unit
 val alloc_fd : t -> fd_entry -> int
 val fd : t -> int -> fd_entry option
-val is_root : t -> bool

@@ -9,10 +9,8 @@ open Repro_util
 type endpoint
 type listener
 
-val default_backlog : int
-
 (** [backlog] bounds connections awaiting accept (default
-    {!default_backlog}); beyond it, [connect] refuses. *)
+    128); beyond it, [connect] refuses. *)
 val listen : ?backlog:int -> path:string -> unit -> listener
 
 (** Connect: enqueues a server endpoint on the backlog, returns the client

@@ -109,7 +109,6 @@ let mode t = t.px_mode
 let proc t = t.px_proc
 let sched t = t.px_sched
 let connection_count fw = fw.fw_proxied
-let stream_closed cn = cn.cn_closed
 
 (* A fiber that dies takes the whole plane's credibility with it: remember
    the first exception and re-raise it at the next drain. *)

@@ -96,18 +96,12 @@ type stream
 val add_stream :
   t -> ?label:string -> a_rfd:int -> a_wfd:int -> b_rfd:int -> b_wfd:int -> unit -> stream
 
-val stream_closed : stream -> bool
-
 (** Drive the plane to quiescence: every pump and the reactor have parked
     with nothing left to do.  No turn budget — the scheduler's event queue
     draining {e is} the termination condition.  Re-raises the first
     exception a plane fiber died with.  No-op when called from inside a
     fiber (the plane is already being driven). *)
 val drain : t -> unit
-
-(** Stop accepting at this forwarder and close its listener; established
-    connections keep pumping. *)
-val close_forwarder : t -> forwarder -> unit
 
 (** Drain, then tear the plane down: abort remaining connections (counting
     accepted-but-undelivered bytes — source queue, staging, carry — under

@@ -59,12 +59,6 @@ let find t key =
   | Some _ -> Error Errno.ESRCH
   | None -> Error Errno.ENOENT
 
-(* Resolve a container name/id to the PID of its main process — the only
-   engine-specific operation CNTR needs. *)
-let resolve_pid t key =
-  let* c = find t key in
-  Ok (Container.pid c)
-
 let remove t key =
   match find t key with
   | Ok c ->

@@ -41,10 +41,6 @@ val list : t -> Container.t list
 (** Find a running container by name, full id, or id prefix (≥ 4 chars). *)
 val find : t -> string -> (Container.t, Repro_util.Errno.t) result
 
-(** Resolve a container to the PID of its main process — the only
-    engine-specific operation CNTR needs. *)
-val resolve_pid : t -> string -> (int, Repro_util.Errno.t) result
-
 (** Stop and deregister a container. *)
 val remove : t -> string -> (unit, Repro_util.Errno.t) result
 
@@ -53,7 +49,6 @@ val remove : t -> string -> (unit, Repro_util.Errno.t) result
 val docker : kernel:Kernel.t -> t
 val lxc : kernel:Kernel.t -> t
 val rkt : kernel:Kernel.t -> t
-val systemd_nspawn : kernel:Kernel.t -> t
 
 type engines = t list
 

@@ -15,9 +15,6 @@ type func = {
 
 type t
 
-(** The bootstrap program name baked into every function image. *)
-val bootstrap_prog : string
-
 (** Create a platform (registers the bootstrap program, creates the
     "lambda" engine). *)
 val create : kernel:Kernel.t -> t

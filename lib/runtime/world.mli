@@ -19,10 +19,6 @@ type t = {
   budget : Repro_vfs.Mem_budget.t;  (** shared page-cache budget *)
 }
 
-(** Host binaries installed under /usr/bin (their programs are registered
-    separately, e.g. by [Repro_cntr.Toolbox.register_all]). *)
-val host_tools : string list
-
 (** Build the machine.  [memory_mb] bounds the page-cache budget (default
     1024); [disk] selects an SSD-backed host filesystem (default RAM). *)
 val create : ?memory_mb:int -> ?disk:bool -> unit -> t

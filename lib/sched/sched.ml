@@ -375,10 +375,10 @@ let sleep_ns t ns =
 
 (* {1 Work-stealing pool state}
 
-   Per-worker local deques in the Manticore style: owners push/pop at the
-   front (LIFO for locally-spawned work via [push_local], FIFO drain of
-   submissions via [pop]), thieves take the *oldest* entry from a victim's
-   front (FIFO steal), so stolen work is the work that has waited longest.
+   Per-worker local deques in the Manticore style: submissions enter at the
+   back and owners drain them FIFO from the front via [pop]; thieves take
+   the *oldest* entry from a victim's front (FIFO steal), so stolen work is
+   the work that has waited longest.
 
    This module is pure bookkeeping — it owns no mutexes and charges no
    virtual time.  The client (the FUSE connection) wraps each queue in its
@@ -521,12 +521,6 @@ module Ws = struct
   (* Submissions enter at the back: the owner drains its queue oldest-first. *)
   let push p i x =
     Dq.push_back p.ws_queues.(i) x;
-    p.ws_queued <- p.ws_queued + 1
-
-  (* Locally-spawned work enters at the front (LIFO for the owner);
-     thieves still take from the oldest end. *)
-  let push_local p i x =
-    Dq.push_front p.ws_queues.(i) x;
     p.ws_queued <- p.ws_queued + 1
 
   let peek p i = Dq.peek_front p.ws_queues.(i)

@@ -19,9 +19,6 @@ exception Deadlock of string
 val create : clock:Repro_util.Clock.t -> t
 val clock : t -> Repro_util.Clock.t
 
-val current_id : unit -> int
-(** Fiber id of the caller; [0] at top level (outside any task). *)
-
 val in_task : unit -> bool
 
 val pending_events : t -> int
@@ -119,7 +116,6 @@ module Dq : sig
   val is_empty : 'a t -> bool
   val push_back : 'a t -> 'a -> unit
   val push_front : 'a t -> 'a -> unit
-  val peek_front : 'a t -> 'a option
   val pop_front : 'a t -> 'a option
   val pop_back : 'a t -> 'a option
 
@@ -177,9 +173,6 @@ module Ws : sig
 
   val push : 'a t -> int -> 'a -> unit
   (** Submission entry: back of worker [i]'s queue (owner drains FIFO). *)
-
-  val push_local : 'a t -> int -> 'a -> unit
-  (** Locally-spawned work: front of worker [i]'s queue (owner LIFO). *)
 
   val peek : 'a t -> int -> 'a option
 

@@ -16,9 +16,6 @@ type report = {
   p_kept_paths : string list;
 }
 
-(** Sidecar suffix appended to a kept path to find its dependency list. *)
-val deps_suffix : string
-
 (** The statically-declared keep set: entrypoint, followed sidecars,
     ancestors, identity files.  Keeps everything if the image has no
     entrypoint. *)

@@ -11,9 +11,6 @@ type params = {
   max_size : int;  (** forced cut at this size *)
 }
 
-(** 4 KiB / 13 bits (~8 KiB expected) / 64 KiB. *)
-val default_params : params
-
 (** A chunk descriptor: the digest of the chunk's bytes and its size.
     Payloads themselves are never stored — the simulated world keeps
     content as descriptors. *)

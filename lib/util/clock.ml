@@ -9,8 +9,6 @@ let create () = { now_ns = 0L }
 (* Current virtual time in nanoseconds since the world was created. *)
 let now_ns t = t.now_ns
 
-let now_s t = Int64.to_float t.now_ns /. 1e9
-
 (* Advance the clock by [ns] nanoseconds of simulated work. *)
 let consume t ns =
   if ns > 0L then t.now_ns <- Int64.add t.now_ns ns
@@ -28,10 +26,3 @@ let time t f =
   let start = t.now_ns in
   let v = f () in
   (v, Int64.sub t.now_ns start)
-
-let pp_duration ppf ns =
-  let ns = Int64.to_float ns in
-  if ns < 1e3 then Fmt.pf ppf "%.0fns" ns
-  else if ns < 1e6 then Fmt.pf ppf "%.2fus" (ns /. 1e3)
-  else if ns < 1e9 then Fmt.pf ppf "%.2fms" (ns /. 1e6)
-  else Fmt.pf ppf "%.3fs" (ns /. 1e9)

@@ -28,7 +28,6 @@ type t = {
   page_size : int;
   disk : disk;
 }
-val gp2 : disk
 val default : t
 val kib_of_bytes : int -> int
 val copy_cost : t -> int -> int

@@ -44,8 +44,6 @@ val parse : string -> (t, string) result
 val mem : t -> string -> t option
 
 val str : t -> string option
-val int_ : t -> int option
-val bool_ : t -> bool option
 val list_ : t -> t list option
 
 (** [field_str v k] = [mem v k |> str], and friends. *)

@@ -48,10 +48,6 @@ let shuffle t arr =
     arr.(j) <- tmp
   done
 
-(* Random lowercase identifier of length [len]. *)
-let ident t len =
-  String.init len (fun _ -> Char.chr (Char.code 'a' + int t 26))
-
 (* Fill with pseudo-random bytes (cheap, not cryptographic). *)
 let bytes t len =
   Bytes.init len (fun _ -> Char.chr (int t 256))

@@ -28,8 +28,5 @@ val choose : t -> 'a array -> 'a
 (** In-place Fisher-Yates shuffle. *)
 val shuffle : t -> 'a array -> unit
 
-(** Random lowercase identifier of the given length. *)
-val ident : t -> int -> string
-
 (** Pseudo-random bytes (cheap, not cryptographic). *)
 val bytes : t -> int -> bytes

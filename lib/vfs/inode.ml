@@ -85,8 +85,3 @@ let set_dir_parent t p =
   match t.payload with
   | Dir d -> d.parent <- p
   | _ -> invalid_arg "Inode.set_dir_parent: not a directory"
-
-let reg_data t =
-  match t.payload with
-  | Reg d -> Some d
-  | _ -> None

@@ -34,4 +34,3 @@ val is_dir : t -> bool
 val dir_entries : t -> (string, int) Hashtbl.t
 val dir_parent : t -> int
 val set_dir_parent : t -> int -> unit
-val reg_data : t -> Fdata.t option

@@ -706,9 +706,6 @@ let open_by_handle t handle_str =
       | _ -> Error Errno.EINVAL)
   | _ -> Error Errno.EINVAL
 
-(* Direct access to the inode table, for the fanotify recorder and tests. *)
-let find_inode t ino = Hashtbl.find_opt t.inodes ino
-
 let ops t : Fsops.t = {
   fs_name = t.name;
   fs_id = t.fs_id;

@@ -20,6 +20,3 @@ val ops : t -> Fsops.t
 
 val store : t -> Store.t
 val clock : t -> Clock.t
-
-(** Direct inode-table access for observers (fanotify, tests). *)
-val find_inode : t -> int -> Inode.t option

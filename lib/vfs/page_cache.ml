@@ -277,8 +277,6 @@ let invalidate_inode t ino =
       Mem_budget.release t.budget t.page_size)
     to_remove
 
-let page_count t = Hashtbl.length t.pages
-
 let dirty_total t = t.dirty_total
 
 (* Background writeback skips inodes with lots of dirty data: heavy

@@ -31,9 +31,6 @@ val stats : t -> stats
 
 val budget : t -> Mem_budget.t
 
-(** Group a page list into (start, count) contiguous runs. *)
-val runs_of_pages : int list -> (int * int) list
-
 (** Write all dirty pages of an inode out as contiguous runs. *)
 val flush_inode : t -> int -> unit
 
@@ -59,5 +56,3 @@ val discard_inode : t -> int -> unit
 
 (** Flush then drop an inode's pages (FUSE open without FOPEN_KEEP_CACHE). *)
 val invalidate_inode : t -> int -> unit
-
-val page_count : t -> int

@@ -20,12 +20,6 @@ val serialize : acl_entry list -> string
 
 val in_group : cred -> int -> bool
 
-(** POSIX 1003.1e access-check algorithm over parsed entries. *)
-val acl_check : cred -> uid:int -> gid:int -> acl_entry list -> int -> bool
-
-(** Classic mode-bit check (owner/group/other). *)
-val mode_check : cred -> uid:int -> gid:int -> mode:int -> int -> bool
-
 (** [check cred ~uid ~gid ~mode ?acl want]: does [cred] have the [want]
     bits ({!Types.r_ok}/[w_ok]/[x_ok])?  CAP_DAC_OVERRIDE bypasses; a
     parseable [acl] takes precedence over mode bits. *)

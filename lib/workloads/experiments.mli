@@ -11,14 +11,6 @@ type ablation = {
   a_paper_note : string;
 }
 
-val fig3a : unit -> ablation  (** read cache (FOPEN_KEEP_CACHE) *)
-
-val fig3b : unit -> ablation  (** writeback cache *)
-
-val fig3c : unit -> ablation  (** batching (FUSE_PARALLEL_DIROPS) *)
-
-val fig3d : unit -> ablation  (** splice read *)
-
 val figure3 : unit -> ablation list
 
 type e3e_row = {

@@ -4,37 +4,14 @@
 
 open Bench_env
 
-val aio_stress : workload
-val apachebench : workload
-
-(** Source-tree shape shared by the compilebench stages. *)
-val tree_dirs : int
-
-val tree_files_per_dir : int
-val tree_file_bytes : int
-
-(** Recursive readdir + read of every file under a directory (the
-    compilebench read stage); reused by the Figure 3(c) parallel walkers. *)
-val walk_tree : env -> string -> unit
-
 val compilebench_read : workload
-val compilebench_create : workload
-val compilebench_compile : workload
 
 (** [dbench clients paper_overhead]. *)
 val dbench : int -> float -> workload
 
-val fs_mark : workload
-val fio : workload
 val gzip : workload
-val iozone_write : workload
 val iozone_read : workload
 val postmark : workload
-val pgbench : workload
-val sqlite : workload
-val threaded_io_read : workload
-val threaded_io_write : workload
-val unpack_tarball : workload
 
 (** The 20 Figure-2 rows, in the paper's order. *)
 val figure2 : workload list

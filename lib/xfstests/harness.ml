@@ -166,8 +166,3 @@ let run_suite setup tests =
     s_passed = List.length rows - List.length failed;
     s_failed = failed;
   }
-
-let pp_summary ppf s =
-  Fmt.pf ppf "passed %d out of %d (%.2f%%)@." s.s_passed s.s_total
-    (100. *. float_of_int s.s_passed /. float_of_int s.s_total);
-  List.iter (fun (id, msg) -> Fmt.pf ppf "  generic/%03d FAILED: %s@." id msg) s.s_failed

@@ -65,6 +65,4 @@ val setup_native : unit -> setup
 (** The same directory served through the full FUSE stack. *)
 val setup_cntrfs : ?opts:Repro_fuse.Opts.t -> unit -> setup
 
-val run_one : setup -> test -> row
 val run_suite : setup -> test list -> summary
-val pp_summary : Format.formatter -> summary -> unit

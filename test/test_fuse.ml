@@ -263,6 +263,29 @@ let test_write_through_no_coalescing () =
   ok (Kernel.close w.k w.init fd);
   check_b "one WRITE per call" true (kind_count w "write" >= 16)
 
+(* The per-inode dirty limit: a write that leaves one inode holding 4096
+   dirty pages (16 MiB) flushes that inode at once and no other. *)
+let test_dirty_limit_flushes_one_inode () =
+  let w = boot () in
+  let open_w path =
+    ok (Kernel.open_ w.k w.init path [ Types.O_CREAT; Types.O_WRONLY ] ~mode:0o644)
+  in
+  let backing path = ok (Kernel.read_whole w.k w.init path) in
+  let small = open_w "/mnt/small" in
+  (* should the first write fire the 5 ms dirty expiry, the second lands
+     inside its window and stays dirty *)
+  ignore (ok (Kernel.pwrite w.k w.init small ~off:0 "old"));
+  ignore (ok (Kernel.pwrite w.k w.init small ~off:0 "new"));
+  let big = open_w "/mnt/big" in
+  let data = String.make ((4096 + 1) * Cost.default.Cost.page_size) 'b' in
+  ignore (ok (Kernel.pwrite w.k w.init big ~off:0 data));
+  check_b "the big file reached the backing store before close" true
+    (String.equal data (backing "/back/big"));
+  check_b "the small file's page is still dirty" false (String.equal "new" (backing "/back/small"));
+  ok (Kernel.close w.k w.init big);
+  ok (Kernel.close w.k w.init small);
+  check_s "close flushes the small file" "new" (backing "/back/small")
+
 (* --- connection counter accounting (regression) ------------------------------- *)
 (* fuse.round_trips / os.context_switches must report what was *charged*:
    a group of n requests crosses /dev/fuse once (one round trip), the
@@ -696,6 +719,8 @@ let () =
           Alcotest.test_case "entry cache disabled" `Quick test_entry_cache_disabled;
           Alcotest.test_case "write coalescing" `Quick test_write_coalescing;
           Alcotest.test_case "write-through" `Quick test_write_through_no_coalescing;
+          Alcotest.test_case "dirty limit flushes one inode" `Quick
+            test_dirty_limit_flushes_one_inode;
           Alcotest.test_case "server lookup tax" `Quick test_server_lookup_tax_counted;
         ] );
     ]
