@@ -140,7 +140,7 @@ let smoke () =
 (* --- E2a: zero-copy data-path ablation --------------------------------------- *)
 
 (* Streaming-heavy rows of Figure 2 re-run under three data-path configs
-   sharing one cost model (lib/os Datapath): copy (both splice knobs off —
+   sharing the Cost splice and copy prices: copy (both splice knobs off —
    every payload pays the memcpy), splice (the default: bulk READ replies
    move by page remapping, priced setup + per-page), and splice+passthrough
    (granted opens bypass the FUSE round trip onto the backing file).
@@ -689,9 +689,8 @@ let e8_scenario ~name ~recover ?opts ?(hold = false) ?(expect_pt = false) ?fault
   let open Repro_fuse in
   let open Repro_cntrfs in
   let clock = Clock.create () in
-  let cost = Cost.default in
-  let rootfs = Nativefs.create ~name:"rootfs" ~clock ~cost Store.Ram () in
-  let k = Kernel.create ~clock ~cost ~root_fs:(Nativefs.ops rootfs) () in
+  let rootfs = Nativefs.create ~name:"rootfs" ~clock Store.Ram () in
+  let k = Kernel.create ~clock ~root_fs:(Nativefs.ops rootfs) () in
   let init = Kernel.init_proc k in
   Errno.ok_exn (Kernel.mkdir k init "/back" ~mode:0o777);
   Errno.ok_exn (Kernel.mkdir k init "/mnt" ~mode:0o755);
@@ -974,9 +973,8 @@ let e9_boot () =
   let open Repro_vfs in
   let open Repro_os in
   let clock = Clock.create () in
-  let cost = Cost.default in
-  let rootfs = Nativefs.create ~name:"root" ~clock ~cost Store.Ram () in
-  let k = Kernel.create ~clock ~cost ~root_fs:(Nativefs.ops rootfs) () in
+  let rootfs = Nativefs.create ~name:"root" ~clock Store.Ram () in
+  let k = Kernel.create ~clock ~root_fs:(Nativefs.ops rootfs) () in
   let init = Kernel.init_proc k in
   List.iter (fun d -> Errno.ok_exn (Kernel.mkdir k init d ~mode:0o755)) [ "/run"; "/tmp" ];
   (k, init)

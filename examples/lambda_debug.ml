@@ -34,7 +34,7 @@ let () =
       ignore (ok (Kernel.write k proc fd ("resized " ^ payload ^ "\n")));
       ok (Kernel.close k proc fd);
       if payload = "corrupt.png" then 1 else 0);
-  let fn = Lambda.deploy platform ~name:"resize-image" ~handler:"resize-image" () in
+  let fn = Lambda.deploy platform ~name:"resize-image" ~handler:"resize-image" in
   Printf.printf "image %s: %s, %d files (no shell, no coreutils)\n"
     (Repro_image.Image.ref_ fn.Lambda.fn_image)
     (Size.to_string (Repro_image.Image.effective_size fn.Lambda.fn_image))

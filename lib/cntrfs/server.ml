@@ -489,7 +489,7 @@ let handle_lookup t ctx ~parent ~name =
       Metrics.incr t.m_lookups;
       Metrics.incr t.m_hc_hits;
       hc_touch t slot;
-      Clock.consume_int t.kernel.Kernel.clock t.kernel.Kernel.cost.Cost.dentry_ns;
+      Clock.consume_int t.kernel.Kernel.clock Cost.dentry_ns;
       let ino = slot.hc_ino in
       let e = Hashtbl.find t.inos ino in
       e.e_nlookup <- e.e_nlookup + 1;
@@ -500,7 +500,7 @@ let handle_lookup t ctx ~parent ~name =
          per lookup (§5.2.2, Compilebench). *)
       Metrics.incr t.m_lookups;
       Metrics.add t.m_backing_ops 2;
-      Clock.consume_int t.kernel.Kernel.clock t.kernel.Kernel.cost.Cost.backing_lookup_ns;
+      Clock.consume_int t.kernel.Kernel.clock Cost.backing_lookup_ns;
       let* st = with_fsuid t ctx (fun () -> Kernel.lstat t.kernel t.proc path) in
       let ino = intern t ~path ~st in
       hc_insert t ~path ~st ~ino;

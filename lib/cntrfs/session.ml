@@ -35,9 +35,7 @@ type t = {
 let create ~kernel ~server_proc ~root_path ?(opts = Opts.cntr_default) ?(threads = 4) ?sched
     ?fault ?retry ~budget () =
   let obs = kernel.Kernel.obs in
-  let conn =
-    Conn.create ~obs ?sched ~clock:kernel.Kernel.clock ~cost:kernel.Kernel.cost ()
-  in
+  let conn = Conn.create ~obs ?sched ~clock:kernel.Kernel.clock () in
   conn.Conn.threads <- threads;
   let metrics = Repro_obs.Obs.metrics obs in
   Repro_obs.Metrics.set

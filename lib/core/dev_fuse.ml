@@ -18,9 +18,7 @@ let install kernel =
       dev_open =
         Some
           (fun k _proc ->
-            let conn =
-              Conn.create ~obs:k.Kernel.obs ~clock:k.Kernel.clock ~cost:k.Kernel.cost ()
-            in
+            let conn = Conn.create ~obs:k.Kernel.obs ~clock:k.Kernel.clock () in
             Proc.Custom
               {
                 Proc.c_name = "fuse";

@@ -47,8 +47,8 @@ let debug_image () =
 type t = World.t
 
 (* Build the world and install everything CNTR needs. *)
-let create ?memory_mb ?disk () =
-  let world = World.create ?memory_mb ?disk () in
+let create () =
+  let world = World.create () in
   Toolbox.register_all world.World.kernel;
   Dev_fuse.install world.World.kernel;
   Registry.push world.World.registry (debug_image ());

@@ -5,9 +5,8 @@
 type t = Repro_runtime.World.t
 
 (** Build a world with programs registered, /dev/fuse installed and the
-    debug image published.  [memory_mb] bounds the shared page-cache
-    budget; [disk] selects an SSD-backed host filesystem. *)
-val create : ?memory_mb:int -> ?disk:bool -> unit -> t
+    debug image published. *)
+val create : unit -> t
 
 (** [attach world name] — {!Attach.attach} wired to the world's kernel,
     engines and memory budget.  [config] defaults to

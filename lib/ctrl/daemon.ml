@@ -1064,48 +1064,11 @@ let response t tk =
   in
   go ()
 
-let handle_text t ?sink text =
-  let err e = Some (Rpc.encode_response { Rpc.p_id = None; p_result = Error e }) in
-  match Rpc.decode_incoming text with
-  | Error e -> err e
-  | Ok (Rpc.Single (Error e)) -> err e
-  | Ok (Rpc.Single (Ok (Rpc.Response _))) -> None
-  | Ok (Rpc.Single (Ok (Rpc.Request req))) -> (
-      match submit t ?sink req with
-      | None ->
-          pump t;
-          None
-      | Some tk -> Some (Rpc.encode_response (response t tk)))
-  | Ok (Rpc.Batch elems) -> (
-      (* per-element validation: a malformed element answers in place,
-         well-formed neighbours still dispatch; notifications are elided
-         from the reply array (JSON-RPC 2.0 §6) *)
-      let slots =
-        List.filter_map
-          (function
-            | Error e -> Some (`Now { Rpc.p_id = None; p_result = Error e })
-            | Ok (Rpc.Response _) -> None
-            | Ok (Rpc.Request req) -> (
-                match submit t ?sink req with
-                | Some tk -> Some (`Wait tk)
-                | None -> None))
-          elems
-      in
-      match slots with
-      | [] ->
-          pump t;
-          None
-      | slots ->
-          let rs =
-            List.map (function `Now r -> r | `Wait tk -> response t tk) slots
-          in
-          Some (Rpc.encode_responses rs))
-
 (* ------------------------------------------------------------------ *)
 (* Wire serving                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let wire_serve t ?mode ~path () =
+let wire_serve t ~path () =
   ignore (wire_metrics t);
   let kernel = k t in
   let init = Kernel.init_proc kernel in
@@ -1115,7 +1078,7 @@ let wire_serve t ?mode ~path () =
   cproc.Proc.comm <- "cntr-cli";
   let pproc = Kernel.fork kernel init in
   pproc.Proc.comm <- "cntrd-rpc";
-  let plane = Proxy.create ?mode ~kernel ~proc:pproc () in
+  let plane = Proxy.create ~kernel ~proc:pproc () in
   (* best-effort parent dir (e.g. /run) so callers don't need setup *)
   (match String.rindex_opt path '/' with
   | Some i when i > 0 ->

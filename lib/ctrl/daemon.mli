@@ -114,15 +114,6 @@ exception Stalled of string
 (** [pump] until the reply exists. *)
 val response : t -> ticket -> Rpc.response
 
-(** Decode raw text, dispatch, pump to completion; the encoded reply
-    ([None] for notifications).  Malformed input yields an error reply
-    with a [null] id, exactly like the wire path.  A batch envelope
-    (top-level array) dispatches every element and answers with one
-    order-preserving reply array — per-element errors in place,
-    notifications elided, no reply at all when every element was a
-    notification. *)
-val handle_text : t -> ?sink:(Jsonx.t -> unit) -> string -> string option
-
 (** {1 Wire transport}
 
     Each accepted connection is pipelined: any number of id-carrying
@@ -153,8 +144,7 @@ type wire
     forwarding plane under the ["rpc"] label
     ([proxy.fwd.rpc.bytes.{c2b,b2c}]).  {!pump} services accepted
     connections round-robin. *)
-val wire_serve :
-  t -> ?mode:Repro_proxy.Proxy.mode -> path:string -> unit -> (wire, Errno.t) result
+val wire_serve : t -> path:string -> unit -> (wire, Errno.t) result
 
 val wire_path : wire -> string
 

@@ -76,7 +76,6 @@ type worker = {
 
 type t = {
   clock : Clock.t;
-  cost : Cost.t;
   obs : Repro_obs.Obs.t;
   sched : Sched.t;
   mutable handler : (Protocol.ctx -> Protocol.req -> Protocol.resp) option;
@@ -133,7 +132,7 @@ type t = {
   by_kind : (string, kind_metrics) Hashtbl.t;
 }
 
-let create ?obs ?sched ~clock ~cost () =
+let create ?obs ?sched ~clock () =
   let obs = match obs with Some o -> o | None -> Repro_obs.Obs.create () in
   let sched = match sched with Some s -> s | None -> Sched.create ~clock in
   let m = Repro_obs.Obs.metrics obs in
@@ -144,7 +143,6 @@ let create ?obs ?sched ~clock ~cost () =
       if n = 0 then 0. else float_of_int (Metrics.value qdepth_sum) /. float_of_int n);
   {
     clock;
-    cost;
     obs;
     sched;
     handler = None;
@@ -242,9 +240,9 @@ let splice_note t bytes =
   (match t.m_splice_bytes with Some c -> Metrics.add c bytes | None -> ())
 
 (* Transfer one payload leg between kernel and server.  Both regimes
-   charge through the shared Datapath model: splice pays setup + per-page
-   remap (the same price Kernel.splice and the proxy pay for a page),
-   copy pays the per-KiB double-buffer baseline. *)
+   charge the shared Cost prices: splice pays setup + per-page remap (the
+   same price Kernel.splice and the proxy pay for a page), copy pays the
+   per-KiB double-buffer baseline. *)
 let transfer t km ~splice ~to_server bytes =
   if to_server then begin
     Metrics.add t.m_bytes_to bytes;
@@ -255,13 +253,13 @@ let transfer t km ~splice ~to_server bytes =
     Metrics.add km.km_from bytes
   end;
   if splice then begin
-    Clock.consume_int t.clock (Repro_os.Datapath.splice_ns t.cost bytes);
+    Clock.consume_int t.clock (Cost.splice_cost bytes);
     Metrics.add t.m_spliced bytes;
     splice_note t bytes
   end
   else begin
     Metrics.add t.m_copied bytes;
-    Clock.consume_int t.clock (Repro_os.Datapath.copy_ns t.cost bytes)
+    Clock.consume_int t.clock (Cost.copy_cost bytes)
   end
 
 (* Resolve an item's reply with ENOTCONN (if anyone still waits for it) and
@@ -318,7 +316,7 @@ let process t w item =
       | Some (Fault.Delay ns) -> Clock.consume_int t.clock ns
       | _ -> ());
       (* the read(2) on /dev/fuse that returns this request to the server *)
-      Clock.consume_int t.clock t.cost.Cost.syscall_ns;
+      Clock.consume_int t.clock Cost.syscall_ns;
       transfer t item.it_km ~splice:item.it_splice ~to_server:true
         (Protocol.req_payload_bytes item.it_req);
       let handler = Option.get t.handler in
@@ -362,7 +360,7 @@ let process t w item =
 
 let rec worker_loop t w =
   Sched.lock t.sched w.w_lock;
-  Clock.consume_int t.clock t.cost.Cost.queue_lock_ns;
+  Clock.consume_int t.clock Cost.queue_lock_ns;
   worker_serve t w
 
 (* Holds the worker's own shard lock on entry. *)
@@ -392,10 +390,10 @@ and worker_serve t w =
       (* busy again from the head's submit time through its wake: let
          placement treat this worker as absorbing until then *)
       Sched.Ws.set_avail t.pool w.w_id
-        (Int64.add item.it_submit_ns (Int64.of_int t.cost.Cost.context_switch_ns));
+        (Int64.add item.it_submit_ns (Int64.of_int Cost.context_switch_ns));
       Sched.unlock t.sched w.w_lock;
       Sched.sleep_ns t.sched dt;
-      Clock.consume_int t.clock t.cost.Cost.context_switch_ns;
+      Clock.consume_int t.clock Cost.context_switch_ns;
       Metrics.incr t.m_ctx_switches;
       worker_loop t w
   | None ->
@@ -417,7 +415,7 @@ and worker_idle t w =
          effects, so a submission either lands before the check (served
          now) or after the park (its targeted wakeup finds us). *)
       Sched.lock t.sched w.w_lock;
-      Clock.consume_int t.clock t.cost.Cost.queue_lock_ns;
+      Clock.consume_int t.clock Cost.queue_lock_ns;
       if Sched.Ws.depth t.pool w.w_id > 0 then worker_serve t w
       else if ready_elsewhere t w then begin
         (* A ready request sits behind a busy peer (its submitter targeted
@@ -448,12 +446,12 @@ and worker_idle t w =
           | None -> false
         in
         if not overlap then begin
-          Clock.consume_int t.clock t.cost.Cost.context_switch_ns;
+          Clock.consume_int t.clock Cost.context_switch_ns;
           Metrics.incr t.m_ctx_switches
         end;
         Sched.Ws.clear_parked t.pool w.w_id;
         Sched.lock t.sched w.w_lock;
-        Clock.consume_int t.clock t.cost.Cost.queue_lock_ns;
+        Clock.consume_int t.clock Cost.queue_lock_ns;
         (* woken but the deque is already empty again: a thief got
            there first — the wake was spurious *)
         if Sched.Ws.depth t.pool w.w_id = 0 then Metrics.incr t.m_spurious;
@@ -499,7 +497,7 @@ and try_steal t w =
           Metrics.incr t.m_steal_fails;
           None
       | v :: rest -> (
-          Clock.consume_int t.clock t.cost.Cost.queue_lock_ns;
+          Clock.consume_int t.clock Cost.queue_lock_ns;
           let got =
             match Sched.Ws.peek t.pool v with
             | Some item
@@ -578,12 +576,12 @@ let enqueue t items =
            one context switch; a served item costs about its two /dev/fuse
            crossings plus dispatch *)
         Sched.Ws.submit_target t.pool ~now:(Clock.now_ns t.clock)
-          ~wake_ns:t.cost.Cost.context_switch_ns
-          ~item_ns:(t.cost.Cost.context_switch_ns + (2 * t.cost.Cost.syscall_ns))
+          ~wake_ns:Cost.context_switch_ns
+          ~item_ns:(Cost.context_switch_ns + (2 * Cost.syscall_ns))
       in
       let w = t.workers.(wid) in
       Sched.lock t.sched w.w_lock;
-      Clock.consume_int t.clock t.cost.Cost.queue_lock_ns;
+      Clock.consume_int t.clock Cost.queue_lock_ns;
       Sched.Ws.push t.pool wid item;
       t.inflight <- t.inflight + 1;
       let d = Sched.Ws.depth t.pool wid in
@@ -594,8 +592,7 @@ let enqueue t items =
       (* The single targeted try_to_wake_up is the handoff itself — its
          cost is the wakee's context switch, charged when the worker
          resumes (the same convention the old wake-walk used for the first
-         waiter).  The herd's per-extra-waiter [wakeup_ns] tax is gone
-         because the herd is gone. *)
+         waiter). *)
       item.it_submit_ns <- Clock.now_ns t.clock;
       ignore (Sched.signal t.sched w.w_cond);
       Sched.unlock t.sched w.w_lock)
@@ -682,11 +679,18 @@ let inject_crash t = crash t
 
 let incr_opt = function Some c -> Metrics.incr c | None -> ()
 
-(* One round trip under supervision: the reply ivar races a deadline timer
-   fiber (losing resolves it to ETIMEDOUT), and timed-out / transient
-   replies to idempotent opcodes are retried with exponential backoff.
-   Late replies from the worker find the ivar filled and are discarded. *)
-let supervised_call t ~splice ctx req =
+(* One round trip.  The submitter pays the queue append and the wake; the
+   worker pays dispatch, transfer and service on its own timeline; resuming
+   the submitter costs one context switch.  (The wake-side switch is charged
+   by the worker when it actually parks — pipelined workers skip it.)
+
+   Under supervision the reply ivar races a deadline timer fiber (losing
+   resolves it to ETIMEDOUT), and timed-out / transient replies to
+   idempotent opcodes are retried with exponential backoff.  Late replies
+   from the worker find the ivar filled and are discarded.  Unarmed
+   ([Fault.no_retry]) there is no timer and no retry: one plain round
+   trip. *)
+let round_trip t ~splice ctx req =
   let retry = t.retry in
   let idem = Protocol.idempotent req in
   let rec attempt n backoff =
@@ -707,7 +711,8 @@ let supervised_call t ~splice ctx req =
                  Sched.fill t.sched reply (Protocol.R_err Errno.ETIMEDOUT)
                end));
       let resp = Sched.read t.sched reply in
-      Clock.consume_int t.clock t.cost.Cost.context_switch_ns;
+      (* switch back onto the submitter's CPU *)
+      Clock.consume_int t.clock Cost.context_switch_ns;
       Metrics.incr t.m_ctx_switches;
       let end_ns = Clock.now_ns t.clock in
       Metrics.observe_ns it.it_km.km_latency (Int64.to_int (Int64.sub end_ns begin_ns));
@@ -726,37 +731,14 @@ let supervised_call t ~splice ctx req =
   in
   attempt 0 (max retry.Fault.backoff_ns 1)
 
-(* Issue one request and wait for the reply: one round trip.  The submitter
-   pays the queue append and the herd wake; the worker pays dispatch,
-   transfer and service on its own timeline; resuming the submitter costs
-   one context switch.  (The wake-side switch is charged by the worker when
-   it actually parks — pipelined workers skip it.) *)
+(* Send one request and wait for the reply. *)
 let call t ?(splice = false) ctx req =
   match t.handler with
   | None -> Protocol.R_err Errno.ENOTCONN
   | Some _ ->
       if not t.serving then Protocol.R_err Errno.ENOTCONN
       else if t.background then call_background t ~splice ctx req
-      else if supervised t then supervised_call t ~splice ctx req
-      else begin
-        ensure_workers t;
-        let begin_ns = Clock.now_ns t.clock in
-        let reply = Sched.ivar () in
-        let it = item t ~reply ~splice ctx req in
-        Metrics.incr t.m_round_trips;
-        enqueue t [ it ];
-        let resp = Sched.read t.sched reply in
-        (* switch back onto the submitter's CPU *)
-        Clock.consume_int t.clock t.cost.Cost.context_switch_ns;
-        Metrics.incr t.m_ctx_switches;
-        let end_ns = Clock.now_ns t.clock in
-        Metrics.observe_ns it.it_km.km_latency (Int64.to_int (Int64.sub end_ns begin_ns));
-        Repro_obs.Trace.record
-          (Repro_obs.Obs.tracer t.obs)
-          ~name:("fuse.req." ^ it.it_kind)
-          ~begin_ns ~end_ns ();
-        resp
-      end
+      else round_trip t ~splice ctx req
 
 (* Issue several requests as one submission (async reads, READDIRPLUS
    prefetch): one round trip, one queue append, one herd wake, one resume —
@@ -774,7 +756,7 @@ let call_group t ?(splice = false) ctx reqs =
           else if supervised t then
             (* under supervision each member needs its own deadline/retry
                bracket, so the batch degrades to sequential round trips *)
-            List.map (supervised_call t ~splice ctx) reqs
+            List.map (round_trip t ~splice ctx) reqs
           else begin
             ensure_workers t;
             let begin_ns = Clock.now_ns t.clock in
@@ -788,7 +770,7 @@ let call_group t ?(splice = false) ctx reqs =
             Metrics.incr t.m_round_trips;
             enqueue t (List.map fst items);
             let resps = List.map (fun (_, reply) -> Sched.read t.sched reply) items in
-            Clock.consume_int t.clock t.cost.Cost.context_switch_ns;
+            Clock.consume_int t.clock Cost.context_switch_ns;
             Metrics.incr t.m_ctx_switches;
             let end_ns = Clock.now_ns t.clock in
             List.iter
@@ -807,12 +789,12 @@ let call_group t ?(splice = false) ctx reqs =
    submitter does not wait for service, but the background class is bounded
    by [max_background] — at the threshold the submitter blocks until the
    pool drains (congestion backpressure). *)
-let post t ?(splice = false) ctx req =
+let post t ctx req =
   match t.handler with
   | None -> ()
   | Some _ ->
       if not t.serving then ()
-      else if t.background then ignore (call_background t ~splice ctx req)
+      else if t.background then ignore (call_background t ~splice:false ctx req)
       else begin
         ensure_workers t;
         let rec throttle () =
@@ -828,7 +810,7 @@ let post t ?(splice = false) ctx req =
         in
         throttle ();
         t.bg_inflight <- t.bg_inflight + 1;
-        let it = item t ~splice ctx req in
+        let it = item t ~splice:false ctx req in
         Metrics.incr t.m_round_trips;
         enqueue t [ it ]
       end

@@ -48,7 +48,6 @@ type worker
 
 type t = {
   clock : Clock.t;
-  cost : Cost.t;
   obs : Repro_obs.Obs.t;
   sched : Repro_sched.Sched.t;
   mutable handler : (Protocol.ctx -> Protocol.req -> Protocol.resp) option;
@@ -107,7 +106,6 @@ val create :
   ?obs:Repro_obs.Obs.t ->
   ?sched:Repro_sched.Sched.t ->
   clock:Clock.t ->
-  cost:Cost.t ->
   unit ->
   t
 
@@ -159,7 +157,7 @@ val call_group :
 (** One-way message (FORGET, RELEASE): queued without waiting for service.
     Counts toward [max_background]; at the threshold the submitter blocks
     until the background class drains. *)
-val post : t -> ?splice:bool -> Protocol.ctx -> Protocol.req -> unit
+val post : t -> Protocol.ctx -> Protocol.req -> unit
 
 (** Block until every queued and in-service request has completed. *)
 val quiesce : t -> unit

@@ -40,7 +40,6 @@ type t = {
   conn : Conn.t;
   opts : Opts.t;
   clock : Clock.t;
-  cost : Cost.t;
   fs_id : int;
   (* page cache: presence/LRU/dirty in [pcache], bytes in [pdata], one
      store per inode.  A cached page is always whole in its store: an
@@ -91,18 +90,16 @@ type t = {
 
 let ( let* ) = Result.bind
 
-let page_size t = t.cost.Cost.page_size
-
 let ctx_of (cred : Types.cred) =
   { Protocol.c_uid = cred.Types.uid; c_gid = cred.Types.gid; c_pid = 0 }
 
 (* One request round trip.  Splice write mode costs an extra context switch
-   on *every* request (the header must be examined in a pipe first); the
-   price comes from the shared Datapath model. *)
+   on *every* request: the header must be examined in a pipe first
+   (§3.2.4). *)
 let rt t ?(splice = false) ctx req =
   if t.opts.Opts.splice_write then begin
     Repro_obs.Metrics.incr t.conn.Conn.m_ctx_switches;
-    Clock.consume_int t.clock (Repro_os.Datapath.splice_write_switch_ns t.cost)
+    Clock.consume_int t.clock Cost.context_switch_ns
   end;
   Protocol.err_of_resp (Conn.call t.conn ~splice ctx req)
 
@@ -130,7 +127,7 @@ let dirop_lock t m =
   Repro_sched.Sched.lock t.sched m;
   if Int64.compare (Clock.now_ns t.clock) t0 > 0 then begin
     Repro_obs.Metrics.incr t.conn.Conn.m_ctx_switches;
-    Clock.consume_int t.clock t.cost.Cost.context_switch_ns
+    Clock.consume_int t.clock Cost.context_switch_ns
   end
 
 let with_dirlock t m f =
@@ -338,7 +335,7 @@ let uncached t ~ino ~first ~pages =
    An insert can evict a later page of the range or yield to a task that
    caches one, so membership is tested again before each insert. *)
 let install t ~ino ~first ~fresh data =
-  let ps = page_size t in
+  let ps = Cost.page_size in
   let stop = first + Array.length fresh in
   let cached page = Page_cache.mem t.pcache ~ino ~page in
   let insert page =
@@ -369,7 +366,7 @@ let install t ~ino ~first ~fresh data =
 (* Copy [data.[pos .. pos + len - 1]], just written at [off] behind the
    cache's back, into the pages of it that are cached. *)
 let patch_cached t ino ~off data ~pos ~len =
-  let ps = page_size t in
+  let ps = Cost.page_size in
   if len > 0 then
     for page = off / ps to (off + len - 1) / ps do
       if Page_cache.mem t.pcache ~ino ~page then begin
@@ -383,7 +380,7 @@ let patch_cached t ino ~off data ~pos ~len =
    [read_batch] at a time as one queued group — one round trip, and a
    multi-threaded server serves the members in parallel. *)
 let fetch_pages t ctx ~server_fh ~ino ~first ~last =
-  let ps = page_size t in
+  let ps = Cost.page_size in
   let pages_per_req = max 1 (t.opts.Opts.max_read / ps) in
   let rec chunks page acc =
     if page > last then List.rev acc
@@ -407,7 +404,7 @@ let fetch_pages t ctx ~server_fh ~ino ~first ~last =
         if t.opts.Opts.splice_write then begin
           Repro_obs.Metrics.add t.conn.Conn.m_ctx_switches (List.length group);
           Clock.consume_int t.clock
-            (List.length group * Repro_os.Datapath.splice_write_switch_ns t.cost)
+            (List.length group * Cost.context_switch_ns)
         end;
         let reqs =
           List.map
@@ -451,7 +448,7 @@ let wb_flush_interval_ns = 5_000_000L
    as in Linux. *)
 let install_flush_hook t =
   Page_cache.set_on_flush t.pcache (fun ~ino ~page ~pages ->
-      let ps = page_size t in
+      let ps = Cost.page_size in
       let size = size_of t ino in
       let server_fh =
         match Hashtbl.find_opt t.wb_fhs ino with
@@ -525,18 +522,15 @@ let pt_live t h =
 (* --- construction --------------------------------------------------------- *)
 
 let create ~conn ~opts ~budget =
-  let clock = conn.Conn.clock and cost = conn.Conn.cost in
+  let clock = conn.Conn.clock in
   let metrics = Repro_obs.Obs.metrics (Conn.obs conn) in
   let t =
     {
       conn;
       opts;
       clock;
-      cost;
       fs_id = Fsops.next_fs_id ();
-      pcache =
-        Page_cache.create ~metrics ~name:"fuse" ~budget
-          ~page_size:cost.Cost.page_size ();
+      pcache = Page_cache.create ~metrics ~name:"fuse" ~budget ();
       pdata = Hashtbl.create 64;
       unlinked = Hashtbl.create 8;
       sizes = Hashtbl.create 64;
@@ -584,14 +578,14 @@ let lookup t cred parent name =
   match cached_entry t parent name with
   | Some ino ->
       Repro_obs.Metrics.incr t.m_dentry_hits;
-      Clock.consume_int t.clock t.cost.Cost.dentry_ns;
+      Clock.consume_int t.clock Cost.dentry_ns;
       let* st = getattr t ino in
       Ok (ino, st)
   | None ->
       if neg_valid t parent name then begin
         (* a cached ENOENT: answered like a dentry hit, no round trip *)
         Repro_obs.Metrics.incr t.m_neg_hits;
-        Clock.consume_int t.clock t.cost.Cost.dentry_ns;
+        Clock.consume_int t.clock Cost.dentry_ns;
         Error Errno.ENOENT
       end
       else begin
@@ -939,7 +933,7 @@ let pt_read t h g ~off ~len =
     match g.Protocol.g_read ~off ~len with
     | Ok data ->
         pt_incr t (fun c -> c.ptm_reads);
-        Clock.consume_int t.clock (Repro_os.Datapath.copy_ns t.cost (String.length data));
+        Clock.consume_int t.clock (Cost.copy_cost (String.length data));
         Ok data
     | Error e -> Error e
 
@@ -950,13 +944,13 @@ let pt_read t h g ~off ~len =
    cached are never clobbered (they may hold dirty data newer than the
    backing copy — same rule as [fetch_pages]). *)
 let pt_fetch_pages t g ~ino ~first ~last =
-  let ps = page_size t in
+  let ps = Cost.page_size in
   let fresh = uncached t ~ino ~first ~pages:(last - first + 1) in
   match g.Protocol.g_read ~off:(first * ps) ~len:(Array.length fresh * ps) with
   | Error e -> Error e
   | Ok data ->
       pt_incr t (fun c -> c.ptm_reads);
-      Clock.consume_int t.clock (Cost.mem_cost t.cost (String.length data));
+      Clock.consume_int t.clock (Cost.mem_cost (String.length data));
       install t ~ino ~first ~fresh data;
       Ok ()
 
@@ -998,12 +992,12 @@ let read t fh ~off ~len =
         | _ -> Error Errno.EIO
     in
     let* () = fetch 0 in
-    Clock.consume_int t.clock (Cost.copy_cost t.cost len);
+    Clock.consume_int t.clock (Cost.copy_cost len);
     Ok (Buffer.contents buf)
   end
   else begin
     let len = min len (size - off) in
-    let ps = page_size t in
+    let ps = Cost.page_size in
     let first = off / ps and last = (off + len - 1) / ps in
     let last_file_page = (size - 1) / ps in
     (* classify pages, fetch misses in contiguous runs; the kernel's
@@ -1036,14 +1030,14 @@ let read t fh ~off ~len =
         if Page_cache.mem t.pcache ~ino ~page then begin
           flush_run (page - 1);
           ignore (Page_cache.touch t.pcache ~ino ~page ~dirty:false);
-          Clock.consume_int t.clock (Cost.mem_cost t.cost ps)
+          Clock.consume_int t.clock (Cost.mem_cost ps)
         end
         else if !miss_run_start < 0 then miss_run_start := page
     done;
     flush_run last;
     let* () = !result in
     (* copy out to userspace *)
-    Clock.consume_int t.clock (Cost.copy_cost t.cost len);
+    Clock.consume_int t.clock (Cost.copy_cost len);
     Ok (Fdata.read (store t ino) ~off ~len)
   end
   end
@@ -1057,7 +1051,7 @@ let write t cred fh ~off data =
     let len = String.length data in
     let off = if h.dh_append then size_of t ino else off in
     (* copy in from userspace *)
-    Clock.consume_int t.clock (Cost.copy_cost t.cost len);
+    Clock.consume_int t.clock (Cost.copy_cost len);
     let granted = pt_live t h in
     (* The kernel must check security.capability on every write; FUSE
        cannot cache the xattr, so each write() costs a GETXATTR round trip
@@ -1136,7 +1130,7 @@ let write t cred fh ~off data =
         | Error e -> Error e)
     | None ->
     if writeback_mode then begin
-      let ps = page_size t in
+      let ps = Cost.page_size in
       let size = size_of t ino in
       let first = off / ps and last = (off + len - 1) / ps in
       (* read-modify-write: boundary pages that partially overlap existing

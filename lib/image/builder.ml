@@ -105,7 +105,7 @@ let build_container kernel image =
   let* rootfs = Image.materialize image ~kernel ~proc:init in
   let proc = Kernel.fork kernel init in
   proc.Proc.comm <- "buildkit";
-  let ns = Mount.create_ns ~fs:(Nativefs.ops rootfs) () in
+  let ns = Mount.create_ns ~fs:(Nativefs.ops rootfs) in
   Kernel.register_mnt_ns kernel ns;
   let root_vnode =
     { Proc.v_mount = Mount.root_mount ns; v_ino = (Nativefs.ops rootfs).Fsops.root }

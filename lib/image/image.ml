@@ -103,12 +103,11 @@ let rec mkdir_p kernel proc path =
    bottom-up with whiteouts.  Returns the rootfs.  [proc] supplies the
    kernel context doing the work (the engine daemon). *)
 let materialize t ~kernel ~proc =
-  let clock = kernel.Kernel.clock and cost = kernel.Kernel.cost in
-  let rootfs = Nativefs.create ~name:(ref_ t ^ "/rootfs") ~clock ~cost Store.Ram () in
+  let rootfs = Nativefs.create ~name:(ref_ t ^ "/rootfs") ~clock:kernel.Kernel.clock Store.Ram () in
   (* Work in a scratch process whose root is the new fs, so paths are
      simply image-absolute. *)
   let scratch = Kernel.fork kernel proc in
-  let ns = Mount.create_ns ~fs:(Nativefs.ops rootfs) () in
+  let ns = Mount.create_ns ~fs:(Nativefs.ops rootfs) in
   Kernel.register_mnt_ns kernel ns;
   let root_vnode = { Proc.v_mount = Mount.root_mount ns; v_ino = (Nativefs.ops rootfs).Fsops.root } in
   scratch.Proc.ns.Proc.mnt <- ns;

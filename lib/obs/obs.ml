@@ -5,8 +5,7 @@
 
 type t = { metrics : Metrics.t; tracer : Trace.t }
 
-let create ?trace_capacity () =
-  { metrics = Metrics.create (); tracer = Trace.create ?capacity:trace_capacity () }
+let create () = { metrics = Metrics.create (); tracer = Trace.create () }
 
 let metrics t = t.metrics
 let tracer t = t.tracer

@@ -5,7 +5,7 @@
 
 type t = { metrics : Metrics.t; tracer : Trace.t }
 
-val create : ?trace_capacity:int -> unit -> t
+val create : unit -> t
 val metrics : t -> Metrics.t
 val tracer : t -> Trace.t
 

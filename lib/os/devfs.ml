@@ -11,8 +11,7 @@ let fuse_minor = 229
 (* Create a devtmpfs instance and register the standard device behaviors
    with the kernel. *)
 let create ~kernel =
-  let clock = kernel.Kernel.clock and cost = kernel.Kernel.cost in
-  let fs = Nativefs.create ~name:"devtmpfs" ~clock ~cost Store.Ram () in
+  let fs = Nativefs.create ~name:"devtmpfs" ~clock:kernel.Kernel.clock Store.Ram () in
   let ops = Nativefs.ops fs in
   let root = ops.Fsops.root in
   let cred = Types.root_cred in

@@ -20,7 +20,6 @@ and cgroup = { mutable cg_procs : int list }
 
 and t = {
   clock : Clock.t;
-  cost : Cost.t;
   obs : Repro_obs.Obs.t;
   (* Hot handle for the per-syscall counter; rare ops (fork, exec,
      namespace changes) look their counters up by name at call time. *)
@@ -46,7 +45,7 @@ let ( let* ) = Result.bind
 
 let charge t =
   Repro_obs.Metrics.incr t.k_syscalls;
-  Clock.consume_int t.clock t.cost.Cost.syscall_ns
+  Clock.consume_int t.clock Cost.syscall_ns
 
 let set_fault t hook = t.k_fault <- hook
 
@@ -72,12 +71,11 @@ let register_mnt_ns t ns = Hashtbl.replace t.namespaces ns.Mount.ns_id ns
 
 (* Create a kernel whose init process (pid 1) runs as root on [root_fs].
    The host root mount is shared, as systemd sets it up. *)
-let create ?obs ~clock ~cost ~root_fs () =
+let create ?obs ~clock ~root_fs () =
   let obs = match obs with Some o -> o | None -> Repro_obs.Obs.create () in
   let t =
     {
       clock;
-      cost;
       obs;
       k_syscalls = Repro_obs.Metrics.counter (Repro_obs.Obs.metrics obs) "os.syscall.count";
       procs = Hashtbl.create 64;
@@ -93,7 +91,7 @@ let create ?obs ~clock ~cost ~root_fs () =
       k_fault = None;
     }
   in
-  let mnt_ns = Mount.create_ns ~fs:root_fs () in
+  let mnt_ns = Mount.create_ns ~fs:root_fs in
   Mount.make_shared (Mount.root_mount mnt_ns);
   register_mnt_ns t mnt_ns;
   let root_vnode = { Proc.v_mount = Mount.root_mount mnt_ns; v_ino = root_fs.Fsops.root } in
@@ -875,7 +873,7 @@ let propagate_mount t ~parent ~mp_ino ~fs ~root_ino ~ro =
             ns.Mount.mounts)
         t.namespaces
 
-let mount_at t proc ~fs ?root_ino target =
+let mount_at t proc ~fs target =
   charge t;
   let* () = require_admin proc in
   let* v = resolve_cwd t proc target in
@@ -884,7 +882,7 @@ let mount_at t proc ~fs ?root_ino target =
   else begin
     let ns = proc.Proc.ns.Proc.mnt in
     let parent = v.Proc.v_mount in
-    let root_ino = Option.value root_ino ~default:fs.Fsops.root in
+    let root_ino = fs.Fsops.root in
     let m =
       Mount.add ns ~parent:parent.Mount.m_id ~mp_ino:v.Proc.v_ino ~fs ~root_ino
         ~prop:Mount.Private ~ro:false
@@ -988,18 +986,17 @@ let pipe t proc =
   (rfd, wfd)
 
 (* splice(2): move bytes between two fds without copying through
-   userspace.  Costs come from the shared Datapath model: the fixed setup
-   per call, plus a per-page remap for the bytes moved — no per-KiB copy,
-   which is the point of splice.
+   userspace.  Costs are the Cost splice prices: the fixed setup per call,
+   plus a per-page remap for the bytes moved — no per-KiB copy, which is
+   the point of splice.
 
-   The pull from the source is clamped (Datapath.clamp) to what the
-   destination can accept right now, so a partial sink can never strand
-   bytes read out of the source: either the whole chunk moves, or it
-   stays queued at the source.  A full destination is EAGAIN before
-   anything is consumed. *)
+   The pull from the source is clamped to what the destination can accept
+   right now, so a partial sink can never strand bytes read out of the
+   source: either the whole chunk moves, or it stays queued at the source.
+   A full destination is EAGAIN before anything is consumed. *)
 let splice t proc ~fd_in ~fd_out ~len =
   charge t;
-  Clock.consume_int t.clock (Datapath.setup_ns t.cost);
+  Clock.consume_int t.clock Cost.splice_setup_ns;
   let* inp = fd_entry proc fd_in in
   let* out = fd_entry proc fd_out in
   let* cap =
@@ -1010,7 +1007,7 @@ let splice t proc ~fd_in ~fd_out ~len =
     | Proc.File _ | Proc.Custom _ -> Ok max_int
     | _ -> Error Errno.EINVAL
   in
-  let len = Datapath.clamp ~room:cap len in
+  let len = max 0 (min len cap) in
   if len = 0 then Error Errno.EAGAIN
   else
     let* data =
@@ -1035,7 +1032,7 @@ let splice t proc ~fd_in ~fd_out ~len =
         | Proc.Custom c -> c.Proc.c_write data
         | _ -> Error Errno.EINVAL
       in
-      Clock.consume_int t.clock (Datapath.page_ns t.cost n);
+      Clock.consume_int t.clock (Cost.splice_page_ns * Cost.pages_of_bytes n);
       Ok n
 
 (* shutdown(fd, SHUT_WR): half-close the send direction; the peer drains

@@ -27,7 +27,6 @@ and cgroup = { mutable cg_procs : int list }
 
 and t = {
   clock : Clock.t;
-  cost : Cost.t;
   obs : Repro_obs.Obs.t;
       (** the kernel's observability handle — shared with the FUSE/CntrFS
           layers so [os.*], [fuse.*] and [vfs.*] counters land together *)
@@ -53,7 +52,7 @@ and t = {
     fork/exec and namespace transitions are counted on [obs] (a private
     handle when omitted) under [os.syscall.count], [os.proc.forks],
     [os.proc.execs], [os.ns.unshare] and [os.ns.setns]. *)
-val create : ?obs:Repro_obs.Obs.t -> clock:Clock.t -> cost:Cost.t -> root_fs:Fsops.t -> unit -> t
+val create : ?obs:Repro_obs.Obs.t -> clock:Clock.t -> root_fs:Fsops.t -> unit -> t
 
 val init_proc : t -> Proc.t
 val proc_by_pid : t -> int -> (Proc.t, Errno.t) result
@@ -182,10 +181,9 @@ val setns : t -> Proc.t -> target_pid:int -> Namespace.kind list -> (unit, Errno
 
 (** {1 Mounts} *)
 
-(** Mount [fs] (optionally a sub-root of it) over the directory [target];
-    propagates to shared peers. *)
-val mount_at :
-  t -> Proc.t -> fs:Fsops.t -> ?root_ino:Types.ino -> string -> (Mount.mount, Errno.t) result
+(** Mount [fs]'s root over the directory [target]; propagates to shared
+    peers. *)
+val mount_at : t -> Proc.t -> fs:Fsops.t -> string -> (Mount.mount, Errno.t) result
 
 (** Bind mount: graft the subtree (or single file) at [src] onto [dst]. *)
 val bind_mount : t -> Proc.t -> src:string -> dst:string -> (Mount.mount, Errno.t) result

@@ -39,19 +39,18 @@ let next_peer_group =
   let c = ref 0 in
   fun () -> incr c; !c
 
-(* A fresh namespace rooted at [fs]'s root. *)
-let create_ns ~fs ?root_ino ?(prop = Private) () =
+(* A fresh namespace with one private mount of [fs]'s root. *)
+let create_ns ~fs =
   let ns_id = next_ns_id () in
-  let root_ino = Option.value root_ino ~default:fs.Fsops.root in
   let m =
     {
       m_id = next_mount_id ();
       m_ns = ns_id;
       m_fs = fs;
-      m_root = root_ino;
+      m_root = fs.Fsops.root;
       m_parent = None;
       m_mp = None;
-      m_prop = prop;
+      m_prop = Private;
       m_ro = false;
     }
   in

@@ -29,8 +29,8 @@ type ns = {
 
 val next_peer_group : unit -> int
 
-(** A fresh namespace rooted at [fs] (or a sub-root of it). *)
-val create_ns : fs:Fsops.t -> ?root_ino:Types.ino -> ?prop:propagation -> unit -> ns
+(** A fresh namespace with one private mount of [fs]'s root. *)
+val create_ns : fs:Fsops.t -> ns
 
 val find : ns -> int -> mount option
 val root_mount : ns -> mount

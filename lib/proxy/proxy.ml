@@ -25,13 +25,6 @@ module Fault = Repro_fault.Fault
 
 type mode = Splice | Copy
 
-(* How much one pump pass asks the kernel to move per call, and how many
-   in-flight bytes a pump stages by default: both come from the shared
-   Datapath model, so the proxy's notion of a transfer unit is the same
-   one the FUSE plane splices by. *)
-let chunk = Datapath.chunk
-let default_buffer = Datapath.default_buffer
-
 (* One direction of a connection: src fd -> staging pipe -> dst fd. *)
 type dir = {
   d_label : string;
@@ -316,7 +309,10 @@ let splice_pass t cn d =
       && Pipe.room d.d_buf > 0
       && fd_readable t d.d_src
     then
-      match Kernel.splice t.px_kernel t.px_proc ~fd_in:d.d_src ~fd_out:d.d_buf_w ~len:chunk with
+      match
+        Kernel.splice t.px_kernel t.px_proc ~fd_in:d.d_src ~fd_out:d.d_buf_w
+          ~len:Pipe.default_capacity
+      with
       | Ok 0 -> src_finished ()
       | Ok _ ->
           Metrics.incr t.m_splice;
@@ -332,7 +328,10 @@ let splice_pass t cn d =
       (not d.d_done) && (not cn.cn_closed)
       && (Pipe.available d.d_buf > 0 || d.d_buf_closed)
     then
-      match Kernel.splice t.px_kernel t.px_proc ~fd_in:d.d_buf_r ~fd_out:d.d_dst ~len:chunk with
+      match
+        Kernel.splice t.px_kernel t.px_proc ~fd_in:d.d_buf_r ~fd_out:d.d_dst
+          ~len:Pipe.default_capacity
+      with
       | Ok 0 ->
           (* staging EOF: src side finished and fully drained *)
           progress := true;
@@ -364,14 +363,14 @@ let splice_pass t cn d =
    its remainder in d_carry — bytes read out of the source are never
    dropped; the carry also serves as this mode's in-flight bound. *)
 let copy_pass t cn d =
-  let clock = t.px_kernel.Kernel.clock and cost = t.px_kernel.Kernel.cost in
+  let clock = t.px_kernel.Kernel.clock in
   let progress = ref false in
   let rec step () =
     if cn.cn_closed || d.d_done then ()
     else if String.length d.d_carry > 0 then begin
       match Kernel.write t.px_kernel t.px_proc d.d_dst d.d_carry with
       | Ok n when n > 0 ->
-          Clock.consume_int clock (Datapath.copy_ns cost n);
+          Clock.consume_int clock (Cost.copy_cost n);
           Metrics.add d.d_bytes n;
           (match d.d_extra with Some c -> Metrics.add c n | None -> ());
           d.d_carry <- String.sub d.d_carry n (String.length d.d_carry - n);
@@ -391,13 +390,13 @@ let copy_pass t cn d =
          splice pass; readable covers EOF and RST, so both still surface) *)
       ()
     else begin
-      match Kernel.read t.px_kernel t.px_proc d.d_src ~len:(min chunk t.px_buffer) with
+      match Kernel.read t.px_kernel t.px_proc d.d_src ~len:(min Pipe.default_capacity t.px_buffer) with
       | Ok "" ->
           d.d_src_eof <- true;
           progress := true;
           step ()
       | Ok s ->
-          Clock.consume_int clock (Datapath.copy_ns cost (String.length s));
+          Clock.consume_int clock (Cost.copy_cost (String.length s));
           d.d_carry <- s;
           progress := true;
           step ()
@@ -666,10 +665,8 @@ let close t =
     raise_error t
   end
 
-let create ?(mode = Splice) ?(buffer = default_buffer) ?sched ?fault ~kernel ~proc () =
-  let sched =
-    match sched with Some s -> s | None -> Sched.create ~clock:kernel.Kernel.clock
-  in
+let create ?(mode = Splice) ?(buffer = Pipe.default_capacity) ?fault ~kernel ~proc () =
+  let sched = Sched.create ~clock:kernel.Kernel.clock in
   let metrics = Repro_obs.Obs.metrics kernel.Kernel.obs in
   let epfd = Kernel.epoll_create kernel proc in
   let t =

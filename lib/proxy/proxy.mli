@@ -41,15 +41,13 @@ type mode = Splice | Copy
 type t
 
 (** [create ~kernel ~proc ()] builds a plane whose fds live in [proc] and
-    spawns its reactor.  [sched] defaults to a fresh scheduler on the
-    kernel's clock, keeping event ordering independent of other
-    subsystems' schedulers; [buffer] bounds in-flight bytes per direction
-    (default 64 KiB); [fault] attaches an armed plan consulted at the
-    [proxy] site. *)
+    spawns its reactor on a fresh scheduler over the kernel's clock,
+    keeping event ordering independent of other subsystems' schedulers;
+    [buffer] bounds in-flight bytes per direction (default 64 KiB);
+    [fault] attaches an armed plan consulted at the [proxy] site. *)
 val create :
   ?mode:mode ->
   ?buffer:int ->
-  ?sched:Repro_sched.Sched.t ->
   ?fault:Repro_fault.Fault.t ->
   kernel:Kernel.t ->
   proc:Proc.t ->

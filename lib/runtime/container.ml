@@ -50,7 +50,7 @@ let create ~kernel ~image ?(wrap_rootfs = fun ops -> ops) settings =
   in
   (* fresh mount namespace rooted at the image rootfs (private mounts, as
      container runtimes configure them — §2.3) *)
-  let ns = Mount.create_ns ~fs:rootfs_ops () in
+  let ns = Mount.create_ns ~fs:rootfs_ops in
   Kernel.register_mnt_ns kernel ns;
   let root_vnode = { Proc.v_mount = Mount.root_mount ns; v_ino = rootfs_ops.Fsops.root } in
   main.Proc.ns.Proc.mnt <- ns;

@@ -49,9 +49,9 @@ let create ~kernel =
 
 let engine t = t.l_engine
 
-(* The micro-image: scratch base + runtime layer + the handler.  [size] is
-   the deployed code bundle size. *)
-let function_image ~name ~handler ~size =
+(* The micro-image: scratch base + runtime layer + the handler, a 256 KiB
+   code bundle. *)
+let function_image ~name ~handler =
   Image.v ~name:("lambda/" ^ name)
     ~config:
       {
@@ -78,17 +78,17 @@ let function_image ~name ~handler ~size =
             {
               path = "/var/task/handler";
               mode = 0o755;
-              content = Content.Binary { prog = handler; size };
+              content = Content.Binary { prog = handler; size = Size.kib 256 };
             };
         ];
     ]
 
-let deploy t ~name ~handler ?(size = Size.kib 256) () =
+let deploy t ~name ~handler =
   let fn =
     {
       fn_name = name;
       fn_handler = handler;
-      fn_image = function_image ~name ~handler ~size;
+      fn_image = function_image ~name ~handler;
       fn_instances = [];
       fn_invocations = 0;
     }

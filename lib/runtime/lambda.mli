@@ -23,9 +23,9 @@ val create : kernel:Kernel.t -> t
     {!Repro_cntr.Attach.attach} to make instances attachable. *)
 val engine : t -> Engine.t
 
-(** Deploy a function whose handler is the registered program [handler];
-    [size] is the deployed code-bundle size (default 256 KiB). *)
-val deploy : t -> name:string -> handler:string -> ?size:int -> unit -> func
+(** Deploy a function whose handler is the registered program [handler],
+    shipped as a 256 KiB code bundle. *)
+val deploy : t -> name:string -> handler:string -> func
 
 val find : t -> string -> func option
 

@@ -9,7 +9,6 @@ open Repro_image
 
 type t = {
   clock : Clock.t;
-  cost : Cost.t;
   obs : Repro_obs.Obs.t;
   kernel : Kernel.t;
   init : Proc.t;
@@ -59,28 +58,17 @@ let install_host_binaries kernel init =
     host_tools;
   write_file kernel init "/bin/sh" ~mode:0o755 (Binfmt.make ~prog:"sh" ~size:(Size.kib 24) ())
 
-(* [memory_mb] bounds the page-cache budget shared by the native cache and
-   any FUSE driver caches (the paper's testbed had 16 GB; benchmarks scale
-   it down). *)
-let create ?(memory_mb = 1024) ?(disk = false) () =
+(* The 1 GiB page-cache budget is shared by every FUSE driver cache (the
+   paper's testbed had 16 GB; the simulation scales it down). *)
+let create () =
   let clock = Clock.create () in
-  let cost = Cost.default in
   (* One observability handle for the whole machine: every layer below
      (kernel, page caches, FUSE connections) registers its metrics here. *)
   let obs = Repro_obs.Obs.create () in
   let metrics = Repro_obs.Obs.metrics obs in
-  let budget = Mem_budget.create ~limit_bytes:(memory_mb * 1024 * 1024) in
-  let store =
-    if disk then
-      let cache =
-        Page_cache.create ~metrics ~name:"host-ext4" ~budget
-          ~page_size:cost.Cost.page_size ()
-      in
-      Store.Ssd { cache; flush_pages = 64 }
-    else Store.Ram
-  in
-  let rootfs = Nativefs.create ~metrics ~name:"host-root" ~clock ~cost store () in
-  let kernel = Kernel.create ~obs ~clock ~cost ~root_fs:(Nativefs.ops rootfs) () in
+  let budget = Mem_budget.create ~limit_bytes:(Size.gib 1) in
+  let rootfs = Nativefs.create ~metrics ~name:"host-root" ~clock Store.Ram () in
+  let kernel = Kernel.create ~obs ~clock ~root_fs:(Nativefs.ops rootfs) () in
   let init = Kernel.init_proc kernel in
   populate_host kernel init;
   install_host_binaries kernel init;
@@ -92,7 +80,7 @@ let create ?(memory_mb = 1024) ?(disk = false) () =
   let registry = Registry.create ~metrics ~clock () in
   Catalog.publish registry;
   let engines = Engine.all ~kernel in
-  { clock; cost; obs; kernel; init; rootfs; registry; engines; budget }
+  { clock; obs; kernel; init; rootfs; registry; engines; budget }
 
 let docker t = List.nth t.engines 0
 

@@ -7,7 +7,6 @@ open Repro_os
 
 type t = {
   clock : Clock.t;
-  cost : Cost.t;
   obs : Repro_obs.Obs.t;
       (** the machine-wide observability handle: every layer's metrics
           ([os.*], [fuse.*], [cntrfs.*], [vfs.*]) land in this registry *)
@@ -19,9 +18,9 @@ type t = {
   budget : Repro_vfs.Mem_budget.t;  (** shared page-cache budget *)
 }
 
-(** Build the machine.  [memory_mb] bounds the page-cache budget (default
-    1024); [disk] selects an SSD-backed host filesystem (default RAM). *)
-val create : ?memory_mb:int -> ?disk:bool -> unit -> t
+(** Build the machine: a RAM-backed (tmpfs) host root and a 1 GiB shared
+    page-cache budget. *)
+val create : unit -> t
 
 (** The Docker engine. *)
 val docker : t -> Engine.t

@@ -1,77 +1,44 @@
 (* Cost model: the virtual-time price of the primitive operations the
-   simulation performs.  The constants below are the knobs the paper's
+   simulation performs.  The constants below are the prices the paper's
    performance analysis names (syscall entry, FUSE context switches, copy
    vs. splice, page-cache hit vs. disk access).  Absolute values are loosely
    calibrated to the paper's EC2 m4.xlarge + EBS GP2 testbed; only the
    *ratios* matter for reproducing Figures 2-4. *)
 
-type disk = {
-  read_latency_ns : int;   (* fixed per read I/O (queueing + device) *)
-  write_latency_ns : int;  (* fixed per write I/O *)
-  read_ns_per_kib : int;   (* streaming read cost *)
-  write_ns_per_kib : int;  (* streaming write cost *)
-}
-
-type t = {
-  syscall_ns : int;          (* kernel entry/exit *)
-  context_switch_ns : int;   (* one process switch (FUSE round trip = 2) *)
-  copy_ns_per_kib : int;     (* user<->kernel buffer copy *)
-  mem_ns_per_kib : int;      (* page-cache / tmpfs copy *)
-  splice_setup_ns : int;     (* per splice(2) call: pipe page remapping *)
-  splice_page_ns : int;      (* per page moved by splice: remap, no copy *)
-  dentry_ns : int;           (* in-kernel dcache lookup step *)
-  backing_lookup_ns : int;   (* CntrFS server-side open()+stat() per lookup *)
-  queue_lock_ns : int;       (* fuse_conn pending-queue spinlock critical section *)
-  wakeup_ns : int;           (* waking one extra thread off the /dev/fuse waitq *)
-  cpu_ns_per_kib : int;      (* generic compute (gzip, SQL parsing) unit *)
-  journal_ns : int;          (* amortized jbd2 cost per metadata mutation *)
-  write_path_ns : int;       (* ext4 per-write block reservation + journal handle *)
-  page_size : int;           (* bytes per page-cache page *)
-  disk : disk;
-}
+let syscall_ns = 400           (* kernel entry/exit *)
+let context_switch_ns = 2_500  (* one process switch (FUSE round trip = 2) *)
+let copy_ns_per_kib = 60       (* user<->kernel buffer copy *)
+let mem_ns_per_kib = 25        (* page-cache / tmpfs copy *)
+let splice_setup_ns = 350      (* per splice(2) call: pipe page remapping *)
+let splice_page_ns = 80        (* per page moved by splice: remap, no copy *)
+let dentry_ns = 150            (* in-kernel dcache lookup step *)
+let backing_lookup_ns = 2_600  (* CntrFS server-side open()+stat() per lookup *)
+let queue_lock_ns = 30         (* fuse_conn pending-queue spinlock critical section *)
+let journal_ns = 3_000         (* amortized jbd2 cost per metadata mutation *)
+let write_path_ns = 2_500      (* ext4 per-write block reservation + journal handle *)
+let page_size = 4096           (* bytes per page-cache page *)
 
 (* EBS GP2 (SSD over a dedicated network link): sub-millisecond latency,
    ~160 MiB/s streaming.  1 KiB at 160 MiB/s is ~6 us. *)
-let gp2 = {
-  read_latency_ns = 120_000;
-  write_latency_ns = 30_000;
-  read_ns_per_kib = 6_000;
-  write_ns_per_kib = 6_000;
-}
-
-let default = {
-  syscall_ns = 400;
-  context_switch_ns = 2_500;
-  copy_ns_per_kib = 60;
-  mem_ns_per_kib = 25;
-  splice_setup_ns = 350;
-  splice_page_ns = 80;
-  dentry_ns = 150;
-  backing_lookup_ns = 2_600;
-  queue_lock_ns = 30;
-  wakeup_ns = 110;
-  cpu_ns_per_kib = 2_000;
-  journal_ns = 3_000;
-  write_path_ns = 2_500;
-  page_size = 4096;
-  disk = gp2;
-}
+let disk_read_latency_ns = 120_000  (* fixed per read I/O (queueing + device) *)
+let disk_write_latency_ns = 30_000  (* fixed per write I/O *)
+let disk_read_ns_per_kib = 6_000    (* streaming read cost *)
+let disk_write_ns_per_kib = 6_000   (* streaming write cost *)
 
 (* Round [bytes] up to whole KiB for per-KiB pricing. *)
 let kib_of_bytes bytes = (bytes + 1023) / 1024
 
-let copy_cost t bytes = t.copy_ns_per_kib * kib_of_bytes bytes
-
 (* Round [bytes] up to whole pages for splice pricing. *)
-let pages_of_bytes t bytes = (bytes + t.page_size - 1) / t.page_size
+let pages_of_bytes bytes = (bytes + page_size - 1) / page_size
+
+let copy_cost bytes = copy_ns_per_kib * kib_of_bytes bytes
+let mem_cost bytes = mem_ns_per_kib * kib_of_bytes bytes
 
 (* One splice(2) call moving [bytes]: fixed pipe setup plus a per-page
    remap.  Per page this undercuts the double copy of a userspace relay
-   (80 ns vs. 2 x 240 ns at the default constants), but the fixed setup
-   means tiny chatter messages still favor plain read/write — the
-   trade-off bench e9 measures. *)
-let splice_cost t bytes =
-  t.splice_setup_ns + (t.splice_page_ns * pages_of_bytes t bytes)
-let mem_cost t bytes = t.mem_ns_per_kib * kib_of_bytes bytes
-let disk_read_cost t bytes = t.disk.read_latency_ns + (t.disk.read_ns_per_kib * kib_of_bytes bytes)
-let disk_write_cost t bytes = t.disk.write_latency_ns + (t.disk.write_ns_per_kib * kib_of_bytes bytes)
+   (80 ns vs. 2 x 240 ns), but the fixed setup means tiny chatter messages
+   still favor plain read/write — the trade-off bench e9 measures. *)
+let splice_cost bytes = splice_setup_ns + (splice_page_ns * pages_of_bytes bytes)
+
+let disk_read_cost bytes = disk_read_latency_ns + (disk_read_ns_per_kib * kib_of_bytes bytes)
+let disk_write_cost bytes = disk_write_latency_ns + (disk_write_ns_per_kib * kib_of_bytes bytes)

@@ -10,7 +10,6 @@
 
 let chunk_bits = 16 (* 64 KiB chunks *)
 let chunk_size = 1 lsl chunk_bits
-let page_size = 4096
 
 type chunk = { mutable bytes : Bytes.t; mutable lent : bool }
 
@@ -25,7 +24,9 @@ let size t = t.size
 
 let chunk_of_offset off = off lsr chunk_bits
 let offset_in_chunk off = off land (chunk_size - 1)
-let round_to_page n = (n + page_size - 1) land lnot (page_size - 1)
+let round_to_page n =
+  let ps = Repro_util.Cost.page_size in
+  (n + ps - 1) land lnot (ps - 1)
 
 (* [c]'s buffer, copied first if a read lent it out. *)
 let own c =

@@ -24,7 +24,6 @@ type handle = {
 type t = {
   name : string;
   clock : Clock.t;
-  cost : Cost.t;
   store : Store.t;
   inodes : (int, Inode.t) Hashtbl.t;
   handles : (int, handle) Hashtbl.t;
@@ -39,13 +38,12 @@ type t = {
 
 let acl_xattr = "system.posix_acl_access"
 
-let create ?metrics ?(name = "nativefs") ?(readonly = false) ~clock ~cost store_profile () =
-  let store = Store.create ?metrics ~clock ~cost store_profile in
+let create ?metrics ?(name = "nativefs") ?(readonly = false) ~clock store_profile () =
+  let store = Store.create ?metrics ~clock store_profile in
   let t =
     {
       name;
       clock;
-      cost;
       store;
       inodes = Hashtbl.create 1024;
       handles = Hashtbl.create 64;
@@ -70,7 +68,7 @@ let store t = t.store
 let clock t = t.clock
 
 let now t = Clock.now_ns t.clock
-let charge_meta t = Clock.consume_int t.clock t.cost.Cost.dentry_ns
+let charge_meta t = Clock.consume_int t.clock Cost.dentry_ns
 
 (* namespace mutations additionally pay the journal *)
 let charge_mutation t =
@@ -541,7 +539,7 @@ let read t fh ~off ~len =
         if h.h_direct then Store.read_direct t.store ~len:n ~async:h.h_async
         else Store.read t.store ~ino:h.h_ino ~off ~len:n ~file_size:(Fdata.size data) ();
         (* copy out to userspace *)
-        Clock.consume_int t.clock (Cost.copy_cost t.cost n);
+        Clock.consume_int t.clock (Cost.copy_cost n);
         inode.Inode.atime <- now t;
         Ok result
     | _ -> Error Errno.EINVAL
@@ -568,7 +566,7 @@ let write t cred fh ~off data =
         then inode.Inode.mode <- inode.Inode.mode land 0o1777;
         let n = Fdata.write fdata ~off data in
         (* copy in from userspace *)
-        Clock.consume_int t.clock (Cost.copy_cost t.cost n);
+        Clock.consume_int t.clock (Cost.copy_cost n);
         if h.h_direct then Store.write_direct t.store ~len:n ~async:h.h_async
         else begin
           (* ext4 write path: block reservation + journal handle per call *)

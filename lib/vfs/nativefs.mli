@@ -13,7 +13,7 @@ type t
     omitted. *)
 val create :
   ?metrics:Repro_obs.Metrics.t ->
-  ?name:string -> ?readonly:bool -> clock:Clock.t -> cost:Cost.t -> Store.profile -> unit -> t
+  ?name:string -> ?readonly:bool -> clock:Clock.t -> Store.profile -> unit -> t
 
 (** The uniform filesystem interface (mount this). *)
 val ops : t -> Fsops.t

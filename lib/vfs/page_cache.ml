@@ -25,7 +25,6 @@ module Metrics = Repro_obs.Metrics
 type t = {
   name : string;
   budget : Mem_budget.t;
-  page_size : int;
   mutable dirty_total : int;
   pages : (key, node) Hashtbl.t;
   mutable lru_head : node option; (* most recently used *)
@@ -65,7 +64,7 @@ let aggregate_hit_ratio metrics () =
   in
   ratio (suffixed ".hits") (suffixed ".misses")
 
-let create ?metrics ~name ~budget ~page_size () =
+let create ?metrics ~name ~budget () =
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
   let key suffix = Printf.sprintf "vfs.page_cache.%s.%s" name suffix in
   let m_hits = Metrics.counter metrics (key "hits") in
@@ -77,7 +76,6 @@ let create ?metrics ~name ~budget ~page_size () =
   {
     name;
     budget;
-    page_size;
     pages = Hashtbl.create 1024;
     dirty_total = 0;
     lru_head = None;
@@ -198,7 +196,7 @@ let evict_one t =
       end;
       unlink_node t n;
       Hashtbl.remove t.pages n.key;
-      Mem_budget.release t.budget t.page_size;
+      Mem_budget.release t.budget Repro_util.Cost.page_size;
       Metrics.incr t.m_evictions
 
 (* Touch a page for reading: returns [`Hit] if cached, otherwise inserts it
@@ -216,7 +214,7 @@ let touch t ~ino ~page ~dirty =
       let n = { key; dirty = false; prev = None; next = None } in
       Hashtbl.replace t.pages key n;
       push_front t n;
-      Mem_budget.reserve t.budget t.page_size;
+      Mem_budget.reserve t.budget Repro_util.Cost.page_size;
       let rec evict_until_fits () =
         if Mem_budget.over t.budget then
           match t.lru_tail with
@@ -258,7 +256,7 @@ let discard_inode t ino =
     (fun n ->
       unlink_node t n;
       Hashtbl.remove t.pages n.key;
-      Mem_budget.release t.budget t.page_size)
+      Mem_budget.release t.budget Repro_util.Cost.page_size)
     to_remove
 
 (* Drop all pages of [ino] (used when a FUSE open lacks FOPEN_KEEP_CACHE:
@@ -274,7 +272,7 @@ let invalidate_inode t ino =
     (fun n ->
       unlink_node t n;
       Hashtbl.remove t.pages n.key;
-      Mem_budget.release t.budget t.page_size)
+      Mem_budget.release t.budget Repro_util.Cost.page_size)
     to_remove
 
 let dirty_total t = t.dirty_total

@@ -21,7 +21,7 @@ type t
     created with the same name on one registry share counters. *)
 val create :
   ?metrics:Repro_obs.Metrics.t ->
-  name:string -> budget:Mem_budget.t -> page_size:int -> unit -> t
+  name:string -> budget:Mem_budget.t -> unit -> t
 
 (** Device-write callback for each flushed contiguous run. *)
 val set_on_flush : t -> (ino:int -> page:int -> pages:int -> unit) -> unit

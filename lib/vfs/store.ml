@@ -33,7 +33,6 @@ module Metrics = Repro_obs.Metrics
 
 type t = {
   clock : Clock.t;
-  cost : Cost.t;
   profile : profile;
   (* "vfs.disk.*" registry counters — only Ssd profiles ever increment
      them, so tmpfs-backed stores report zeros. *)
@@ -51,12 +50,11 @@ type t = {
   mutable fault_delay : (op:string -> int) option;
 }
 
-let create ?metrics ~clock ~cost profile =
+let create ?metrics ~clock profile =
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
   let t =
     {
       clock;
-      cost;
       profile;
       m_read_ios = Metrics.counter metrics "vfs.disk.read_ios";
       m_read_bytes = Metrics.counter metrics "vfs.disk.read_bytes";
@@ -72,11 +70,11 @@ let create ?metrics ~clock ~cost profile =
   | Ssd { cache; _ } ->
       (* Every flushed run is one device write I/O. *)
       Page_cache.set_on_flush cache (fun ~ino:_ ~page:_ ~pages ->
-          let bytes = pages * cost.Cost.page_size in
+          let bytes = pages * Cost.page_size in
           Metrics.incr t.m_write_ios;
           Metrics.add t.m_write_bytes bytes;
           if not t.in_background then
-            Clock.consume_int clock (Cost.disk_write_cost cost bytes)));
+            Clock.consume_int clock (Cost.disk_write_cost bytes)));
   t
 
 (* Snapshot view over the registry counters. *)
@@ -99,8 +97,8 @@ let fault_delay t op =
       let ns = hook ~op in
       if ns > 0 then Clock.consume_int t.clock ns
 
-let page_range t ~off ~len =
-  let ps = t.cost.Cost.page_size in
+let page_range ~off ~len =
+  let ps = Cost.page_size in
   let first = off / ps in
   let last = (off + max 0 (len - 1)) / ps in
   (first, last)
@@ -108,7 +106,7 @@ let page_range t ~off ~len =
 let charge_disk_read t bytes =
   Metrics.incr t.m_read_ios;
   Metrics.add t.m_read_bytes bytes;
-  Clock.consume_int t.clock (Cost.disk_read_cost t.cost bytes)
+  Clock.consume_int t.clock (Cost.disk_read_cost bytes)
 
 (* Charge the cost of reading [len] bytes at [off] of [ino]: page-cache
    hits cost memory copies; a miss triggers a readahead window (one I/O
@@ -118,16 +116,16 @@ let read t ~ino ~off ~len ?(file_size = max_int) () =
   if len <= 0 then ()
   else
     match t.profile with
-    | Ram -> Clock.consume_int t.clock (Cost.mem_cost t.cost len)
+    | Ram -> Clock.consume_int t.clock (Cost.mem_cost len)
     | Ssd { cache; _ } ->
-        let ps = t.cost.Cost.page_size in
-        let first, last = page_range t ~off ~len in
+        let ps = Cost.page_size in
+        let first, last = page_range ~off ~len in
         let last_file_page = max first ((max 1 file_size - 1) / ps) in
         let page = ref first in
         while !page <= last do
           match Page_cache.touch cache ~ino ~page:!page ~dirty:false with
           | `Hit ->
-              Clock.consume_int t.clock (Cost.mem_cost t.cost ps);
+              Clock.consume_int t.clock (Cost.mem_cost ps);
               incr page
           | `Miss ->
               (* one device I/O covering the readahead window *)
@@ -154,11 +152,11 @@ let read t ~ino ~off ~len ?(file_size = max_int) () =
 let write t ~ino ~off ~len ~sync =
   fault_delay t "write";
   if len > 0 then begin
-    Clock.consume_int t.clock (Cost.mem_cost t.cost len);
+    Clock.consume_int t.clock (Cost.mem_cost len);
     match t.profile with
     | Ram -> ()
     | Ssd { cache; flush_pages } ->
-        let first, last = page_range t ~off ~len in
+        let first, last = page_range ~off ~len in
         for page = first to last do
           ignore (Page_cache.touch cache ~ino ~page ~dirty:true)
         done;
@@ -173,7 +171,7 @@ let write t ~ino ~off ~len ~sync =
             int_of_float
               (global_dirty_fraction
               *. float_of_int (Mem_budget.limit (Page_cache.budget cache))
-              /. float_of_int t.cost.Cost.page_size)
+              /. float_of_int Cost.page_size)
           in
           if Page_cache.dirty_total cache >= max 16 limit then
             Page_cache.flush_all cache
@@ -197,25 +195,25 @@ let write t ~ino ~off ~len ~sync =
    only the streaming cost is charged. *)
 let write_direct t ~len ~async =
   match t.profile with
-  | Ram -> Clock.consume_int t.clock (Cost.mem_cost t.cost len)
+  | Ram -> Clock.consume_int t.clock (Cost.mem_cost len)
   | Ssd _ ->
       Metrics.incr t.m_write_ios;
       Metrics.add t.m_write_bytes len;
       let cost =
-        if async then t.cost.Cost.disk.Cost.write_ns_per_kib * Cost.kib_of_bytes len
-        else Cost.disk_write_cost t.cost len
+        if async then Cost.disk_write_ns_per_kib * Cost.kib_of_bytes len
+        else Cost.disk_write_cost len
       in
       Clock.consume_int t.clock cost
 
 let read_direct t ~len ~async =
   match t.profile with
-  | Ram -> Clock.consume_int t.clock (Cost.mem_cost t.cost len)
+  | Ram -> Clock.consume_int t.clock (Cost.mem_cost len)
   | Ssd _ ->
       Metrics.incr t.m_read_ios;
       Metrics.add t.m_read_bytes len;
       let cost =
-        if async then t.cost.Cost.disk.Cost.read_ns_per_kib * Cost.kib_of_bytes len
-        else Cost.disk_read_cost t.cost len
+        if async then Cost.disk_read_ns_per_kib * Cost.kib_of_bytes len
+        else Cost.disk_read_cost len
       in
       Clock.consume_int t.clock cost
 
@@ -226,7 +224,7 @@ let fsync t ~ino =
   | Ssd { cache; _ } ->
       (* device write barrier: an fsync costs at least one I/O round even
          when background writeback already cleaned the pages *)
-      Clock.consume_int t.clock t.cost.Cost.disk.Cost.write_latency_ns;
+      Clock.consume_int t.clock Cost.disk_write_latency_ns;
       Page_cache.flush_inode cache ino
 
 let invalidate t ~ino =
@@ -246,11 +244,11 @@ let discard t ~ino =
 let charge_write_path t =
   match t.profile with
   | Ram -> ()
-  | Ssd _ -> Clock.consume_int t.clock t.cost.Cost.write_path_ns
+  | Ssd _ -> Clock.consume_int t.clock Cost.write_path_ns
 
 (* Amortized metadata-journal cost (ext4 jbd2): charged per namespace
    mutation on disk-backed filesystems. *)
 let charge_journal t =
   match t.profile with
   | Ram -> ()
-  | Ssd _ -> Clock.consume_int t.clock t.cost.Cost.journal_ns
+  | Ssd _ -> Clock.consume_int t.clock Cost.journal_ns

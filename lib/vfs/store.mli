@@ -25,7 +25,7 @@ type t
 (** Device I/O lands in [metrics] (a private registry when omitted) under
     [vfs.disk.read_ios|read_bytes|write_ios|write_bytes]; only [Ssd]
     profiles ever increment them. *)
-val create : ?metrics:Repro_obs.Metrics.t -> clock:Clock.t -> cost:Cost.t -> profile -> t
+val create : ?metrics:Repro_obs.Metrics.t -> clock:Clock.t -> profile -> t
 
 (** Fresh snapshot of the registry counters. *)
 val stats : t -> stats

@@ -65,10 +65,10 @@ let root_cred = {
 }
 
 (* An unprivileged credential with no capabilities. *)
-let user_cred ~uid ~gid ?(groups = []) () = {
+let user_cred ~uid ~gid = {
   uid;
   gid;
-  groups = gid :: groups;
+  groups = [ gid ];
   cap_dac_override = false;
   cap_fowner = false;
   cap_chown = false;

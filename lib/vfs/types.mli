@@ -38,7 +38,7 @@ type cred = {
   rlimit_fsize : int option;
 }
 val root_cred : cred
-val user_cred : uid:int -> gid:int -> ?groups:int list -> unit -> cred
+val user_cred : uid:int -> gid:int -> cred
 type open_flag =
     O_RDONLY
   | O_WRONLY

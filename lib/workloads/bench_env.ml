@@ -43,21 +43,18 @@ let ok = Errno.ok_exn
 
 let make_env ?obs ~backend ~budget_mb ?(threads = 4) () =
   let clock = Clock.create () in
-  let cost = Cost.default in
   let obs = match obs with Some o -> o | None -> Repro_obs.Obs.create () in
   let metrics = Repro_obs.Obs.metrics obs in
   let budget = Mem_budget.create ~limit_bytes:(budget_mb * 1024 * 1024) in
-  let rootfs = Nativefs.create ~name:"host-root" ~clock ~cost Store.Ram () in
+  let rootfs = Nativefs.create ~name:"host-root" ~clock Store.Ram () in
   let sched = Repro_sched.Sched.create ~clock in
-  let kernel = Kernel.create ~obs ~clock ~cost ~root_fs:(Nativefs.ops rootfs) () in
+  let kernel = Kernel.create ~obs ~clock ~root_fs:(Nativefs.ops rootfs) () in
   let init = Kernel.init_proc kernel in
   List.iter (fun d -> ok (Kernel.mkdir kernel init d ~mode:0o755)) [ "/data"; "/cntr" ];
   (* the ext4-on-EBS data volume *)
-  let cache =
-    Page_cache.create ~metrics ~name:"ext4" ~budget ~page_size:cost.Cost.page_size ()
-  in
+  let cache = Page_cache.create ~metrics ~name:"ext4" ~budget () in
   let data_fs =
-    Nativefs.create ~metrics ~name:"ext4-data" ~clock ~cost
+    Nativefs.create ~metrics ~name:"ext4-data" ~clock
       (Store.Ssd { cache; flush_pages = 64 }) ()
   in
   ignore (ok (Kernel.mount_at kernel init ~fs:(Nativefs.ops data_fs) "/data"));

@@ -90,9 +90,8 @@ let ok = Errno.ok_exn
    test, plus the probe binary used by the exec test. *)
 let make_world () =
   let clock = Clock.create () in
-  let cost = Cost.default in
-  let rootfs = Nativefs.create ~name:"tmpfs" ~clock ~cost Store.Ram () in
-  let k = Kernel.create ~clock ~cost ~root_fs:(Nativefs.ops rootfs) () in
+  let rootfs = Nativefs.create ~name:"tmpfs" ~clock Store.Ram () in
+  let k = Kernel.create ~clock ~root_fs:(Nativefs.ops rootfs) () in
   let init = Kernel.init_proc k in
   List.iter (fun d -> ok (Kernel.mkdir k init d ~mode:0o755)) [ "/back"; "/mnt" ];
   ok (Kernel.chmod k init "/back" 0o777);

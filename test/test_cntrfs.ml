@@ -30,9 +30,8 @@ type world = {
 
 let boot ?(opts = Opts.cntr_default) ?(budget_bytes = 1024 * 1024 * 1024) () =
   let clock = Clock.create () in
-  let cost = Cost.default in
-  let rootfs = Nativefs.create ~name:"rootfs" ~clock ~cost Store.Ram () in
-  let k = Kernel.create ~clock ~cost ~root_fs:(Nativefs.ops rootfs) () in
+  let rootfs = Nativefs.create ~name:"rootfs" ~clock Store.Ram () in
+  let k = Kernel.create ~clock ~root_fs:(Nativefs.ops rootfs) () in
   let init = Kernel.init_proc k in
   List.iter
     (fun d -> ok (Kernel.mkdir k init d ~mode:0o755))

@@ -39,6 +39,68 @@ let boot () =
     [ ("web", "nginx:latest"); ("cache", "redis:latest"); ("db", "postgres:latest") ];
   world
 
+(* A raw client socket on a fresh daemon's wire endpoint: Content-Length
+   frames go in and reply frames come out, with no client reply table in
+   between to mask a missing or duplicate reply. *)
+type raw = {
+  r_daemon : Daemon.t;
+  r_kernel : Kernel.t;
+  r_proc : Repro_os.Proc.t;
+  r_fd : int;
+  r_reader : Rpc.reader;
+}
+
+let raw_connect ?config () =
+  let d = Daemon.create ?config (boot ()) in
+  let w = ok (Daemon.wire_serve d ~path:"/run/cntrd.sock" ()) in
+  let kernel = Daemon.kernel d and proc = Daemon.wire_client_proc w in
+  let fd = ok (Kernel.socket_connect kernel proc (Daemon.wire_path w)) in
+  Daemon.pump d;
+  { r_daemon = d; r_kernel = kernel; r_proc = proc; r_fd = fd; r_reader = Rpc.reader () }
+
+(* Write one frame carrying [payload], pumping while the socket is full. *)
+let raw_send r payload =
+  let rec write_all s =
+    if String.length s > 0 then
+      match Kernel.write r.r_kernel r.r_proc r.r_fd s with
+      | Ok k when k > 0 -> write_all (String.sub s k (String.length s - k))
+      | _ ->
+          Daemon.pump r.r_daemon;
+          write_all s
+  in
+  write_all (Rpc.frame payload)
+
+(* Pump and read until [until ()] holds or 64 reads in a row come back
+   empty, handing each reply frame's payload to [on_frame] in order. *)
+let raw_drain r ~until on_frame =
+  let rec frames () =
+    match Rpc.next r.r_reader with
+    | `Frame p ->
+        on_frame p;
+        frames ()
+    | `Garbage _ -> Alcotest.fail "garbage framing from the daemon"
+    | `More -> ()
+  in
+  let rec go idle =
+    if idle <= 64 && not (until ()) then begin
+      Daemon.pump r.r_daemon;
+      match Kernel.read r.r_kernel r.r_proc r.r_fd ~len:65536 with
+      | Ok s when String.length s > 0 ->
+          Rpc.feed r.r_reader s;
+          frames ();
+          go 0
+      | _ -> go (idle + 1)
+    end
+  in
+  go 0
+
+(* Send one frame; every reply frame it draws, in order. *)
+let raw_exchange r payload =
+  raw_send r payload;
+  let replies = ref [] in
+  raw_drain r ~until:(fun () -> false) (fun p -> replies := p :: !replies);
+  List.rev !replies
+
 let counter world name =
   Metrics.counter_value (Repro_obs.Obs.metrics world.World.kernel.Repro_os.Kernel.obs) name
 
@@ -176,16 +238,18 @@ let prop_response_roundtrip =
       | Error e -> QCheck.Test.fail_reportf "decode failed: %s" e.Rpc.e_message)
 
 let test_malformed_error_replies () =
-  let world = boot () in
-  let d = Daemon.create world in
+  let r = raw_connect () in
+  let reply text =
+    match raw_exchange r text with
+    | [ reply ] -> reply
+    | replies -> Alcotest.failf "%d reply frames for %S" (List.length replies) text
+  in
   let expect_code text code =
-    match Daemon.handle_text d text with
-    | None -> Alcotest.failf "no reply for %S" text
-    | Some reply -> (
-        match Rpc.decode reply with
-        | Ok (Rpc.Response { p_id = None; p_result = Error e }) ->
-            check_i ("code for " ^ text) code e.Rpc.e_code
-        | _ -> Alcotest.failf "unexpected reply %s" reply)
+    let reply = reply text in
+    match Rpc.decode reply with
+    | Ok (Rpc.Response { p_id = None; p_result = Error e }) ->
+        check_i ("code for " ^ text) code e.Rpc.e_code
+    | _ -> Alcotest.failf "unexpected reply %s" reply
   in
   expect_code "{not json" Rpc.parse_error;
   expect_code "[]" Rpc.invalid_request;
@@ -197,19 +261,16 @@ let test_malformed_error_replies () =
   expect_code "{\"jsonrpc\":\"2.0\",\"id\":1,\"method\":7}" Rpc.invalid_request;
   expect_code "{\"jsonrpc\":\"2.0\",\"id\":1}" Rpc.invalid_request;
   (* unknown method is a real (id-carrying) error *)
-  match Daemon.handle_text d "{\"jsonrpc\":\"2.0\",\"id\":9,\"method\":\"nope\"}" with
-  | Some reply -> (
-      match Rpc.decode reply with
-      | Ok (Rpc.Response { p_id = Some (Rpc.I 9); p_result = Error e }) ->
-          check_i "method_not_found" Rpc.method_not_found e.Rpc.e_code
-      | _ -> Alcotest.failf "unexpected reply %s" reply)
-  | None -> Alcotest.fail "no reply"
+  let reply = reply "{\"jsonrpc\":\"2.0\",\"id\":9,\"method\":\"nope\"}" in
+  match Rpc.decode reply with
+  | Ok (Rpc.Response { p_id = Some (Rpc.I 9); p_result = Error e }) ->
+      check_i "method_not_found" Rpc.method_not_found e.Rpc.e_code
+  | _ -> Alcotest.failf "unexpected reply %s" reply
 
 (* --- batch envelopes (JSON-RPC 2.0 §6) -------------------------------------- *)
 
-let test_batch_handle_text () =
-  let world = boot () in
-  let d = Daemon.create world in
+let test_batch_raw_frames () =
+  let r = raw_connect () in
   (* mixed batch: call, notification, malformed element, call — one
      order-preserving reply array; the notification is elided, the
      malformed element answers in place with a null id *)
@@ -219,9 +280,10 @@ let test_batch_handle_text () =
     ^ "7,"
     ^ "{\"jsonrpc\":\"2.0\",\"id\":2,\"method\":\"session.list\"}]"
   in
-  (match Daemon.handle_text d text with
-  | None -> Alcotest.fail "expected a reply array"
-  | Some reply -> (
+  (match raw_exchange r text with
+  | [] -> Alcotest.fail "expected a reply array"
+  | _ :: _ :: _ -> Alcotest.fail "expected one reply frame"
+  | [ reply ] -> (
       match Rpc.decode_incoming reply with
       | Ok (Rpc.Batch [ a; b; c ]) ->
           (match a with
@@ -239,13 +301,14 @@ let test_batch_handle_text () =
       | _ -> Alcotest.failf "expected a 3-element reply array, got %s" reply));
   (* an all-notification batch gets no reply frame at all *)
   check_b "all-notification batch elided" true
-    (Daemon.handle_text d
+    (raw_exchange r
        "[{\"jsonrpc\":\"2.0\",\"method\":\"$/cancel\",\"params\":{\"id\":1}}]"
-    = None);
+    = []);
   (* all-malformed batch: every element answers, order preserved *)
-  match Daemon.handle_text d "[1,2,3]" with
-  | None -> Alcotest.fail "expected per-element errors"
-  | Some reply -> (
+  match raw_exchange r "[1,2,3]" with
+  | [] -> Alcotest.fail "expected per-element errors"
+  | _ :: _ :: _ -> Alcotest.fail "expected one reply frame"
+  | [ reply ] -> (
       match Rpc.decode_incoming reply with
       | Ok (Rpc.Batch elems) ->
           check_i "three error slots" 3 (List.length elems);
@@ -612,28 +675,14 @@ let prop_wire_overload_exactly_once =
   QCheck.Test.make ~name:"wire overload: every id answered exactly once" ~count:15
     QCheck.(pair (int_range 1 6) (int_range 1 40))
     (fun (cap, n) ->
-      let world = boot () in
-      let config = { Daemon.default_config with Daemon.c_wire_inflight = cap } in
-      let d = Daemon.create ~config world in
-      let w = Result.get_ok (Daemon.wire_serve d ~path:"/run/cntrd.sock" ()) in
-      let kernel = Daemon.kernel d in
-      let proc = Daemon.wire_client_proc w in
-      let fd = Result.get_ok (Kernel.socket_connect kernel proc (Daemon.wire_path w)) in
-      Daemon.pump d;
-      (* queue the whole burst before the daemon sees any of it *)
-      let rec write_all s =
-        if String.length s > 0 then
-          match Kernel.write kernel proc fd s with
-          | Ok k when k > 0 -> write_all (String.sub s k (String.length s - k))
-          | _ ->
-              Daemon.pump d;
-              write_all s
+      let r =
+        raw_connect ~config:{ Daemon.default_config with Daemon.c_wire_inflight = cap } ()
       in
+      (* queue the whole burst before the daemon sees any of it *)
       for i = 1 to n do
-        write_all
-          (Rpc.frame
-             (Rpc.encode_request
-                { Rpc.r_id = Some (Rpc.I i); r_method = "daemon.info"; r_params = Jsonx.Null }))
+        raw_send r
+          (Rpc.encode_request
+             { Rpc.r_id = Some (Rpc.I i); r_method = "daemon.info"; r_params = Jsonx.Null })
       done;
       let seen = Hashtbl.create 64 in
       (* id -> (results, refusals) *)
@@ -649,31 +698,12 @@ let prop_wire_overload_exactly_once =
             | Error e -> QCheck.Test.fail_reportf "unexpected error %d" e.Rpc.e_code)
         | _ -> QCheck.Test.fail_reportf "unexpected frame from the daemon"
       in
-      let reader = Rpc.reader () in
       let answered () = Hashtbl.fold (fun _ (a, b) acc -> acc + a + b) seen 0 in
-      let rec drain idle =
-        if idle <= 64 && answered () < n then begin
-          Daemon.pump d;
-          match Kernel.read kernel proc fd ~len:65536 with
-          | Ok s when String.length s > 0 ->
-              Rpc.feed reader s;
-              let rec frames () =
-                match Rpc.next reader with
-                | `Frame p ->
-                    (match Rpc.decode_incoming p with
-                    | Ok (Rpc.Single m) -> record m
-                    | Ok (Rpc.Batch ms) -> List.iter record ms
-                    | Error _ -> QCheck.Test.fail_reportf "undecodable reply frame");
-                    frames ()
-                | `Garbage _ -> QCheck.Test.fail_reportf "garbage framing from the daemon"
-                | `More -> ()
-              in
-              frames ();
-              drain 0
-          | _ -> drain (idle + 1)
-        end
-      in
-      drain 0;
+      raw_drain r ~until:(fun () -> answered () >= n) (fun p ->
+          match Rpc.decode_incoming p with
+          | Ok (Rpc.Single m) -> record m
+          | Ok (Rpc.Batch ms) -> List.iter record ms
+          | Error _ -> QCheck.Test.fail_reportf "undecodable reply frame");
       let refused = Hashtbl.fold (fun _ (_, b) acc -> acc + b) seen 0 in
       if n > cap && refused = 0 then
         QCheck.Test.fail_reportf "burst of %d over cap %d was never refused" n cap;
@@ -737,8 +767,8 @@ let () =
         ] );
       ( "wire",
         [
-          Alcotest.test_case "batch envelopes via handle_text" `Quick
-            test_batch_handle_text;
+          Alcotest.test_case "batch envelopes over raw frames" `Quick
+            test_batch_raw_frames;
           Alcotest.test_case "batched verbs over the wire" `Quick
             test_wire_batch_roundtrip;
           Alcotest.test_case "out-of-order pipelined replies" `Quick

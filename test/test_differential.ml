@@ -24,9 +24,8 @@ let sys k proc base = { k; proc; base; kept = Hashtbl.create 8 }
    holds every trace's files, so nothing is ever evicted. *)
 let boot_pair_full ?(threads = 4) ?(budget = 32 * 1024 * 1024) ~opts () =
   let clock = Clock.create () in
-  let cost = Cost.default in
-  let rootfs = Nativefs.create ~name:"rootfs" ~clock ~cost Store.Ram () in
-  let k = Kernel.create ~clock ~cost ~root_fs:(Nativefs.ops rootfs) () in
+  let rootfs = Nativefs.create ~name:"rootfs" ~clock Store.Ram () in
+  let k = Kernel.create ~clock ~root_fs:(Nativefs.ops rootfs) () in
   let init = Kernel.init_proc k in
   List.iter (fun d -> ok (Kernel.mkdir k init d ~mode:0o777)) [ "/back"; "/native" ];
   ok (Kernel.mkdir k init "/mnt" ~mode:0o755);
@@ -426,9 +425,8 @@ let search () =
             List.iter (fun op -> ignore (execute fuse_sys op); ignore (execute native_sys op)) ops;
             (* replay with a request logger *)
             (let clock = Clock.create () in
-             let cost = Cost.default in
-             let rootfs = Nativefs.create ~name:"rootfs" ~clock ~cost Store.Ram () in
-             let k = Kernel.create ~clock ~cost ~root_fs:(Nativefs.ops rootfs) () in
+             let rootfs = Nativefs.create ~name:"rootfs" ~clock Store.Ram () in
+             let k = Kernel.create ~clock ~root_fs:(Nativefs.ops rootfs) () in
              let init = Kernel.init_proc k in
              List.iter (fun d -> ok (Kernel.mkdir k init d ~mode:0o777)) [ "/back" ];
              ok (Kernel.mkdir k init "/mnt" ~mode:0o755);

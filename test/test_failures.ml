@@ -90,7 +90,7 @@ let test_hang_server_bounded_by_deadline () =
 
 let test_uninitialized_conn_refuses () =
   let clock = Clock.create () in
-  let conn = Conn.create ~clock ~cost:Cost.default () in
+  let conn = Conn.create ~clock () in
   (* no handler installed at all *)
   (match Conn.call conn Protocol.root_ctx Protocol.Statfs with
   | Protocol.R_err Errno.ENOTCONN -> ()
@@ -164,12 +164,12 @@ let test_detach_with_open_fds () =
 let test_umount_busy_with_submounts () =
   let world = Testbed.create () in
   let k = world.World.kernel and init = world.World.init in
-  let clock = world.World.clock and cost = world.World.cost in
+  let clock = world.World.clock in
   ok (Kernel.mkdir k init "/m1" ~mode:0o755);
-  let fs1 = Nativefs.create ~name:"fs1" ~clock ~cost Store.Ram () in
+  let fs1 = Nativefs.create ~name:"fs1" ~clock Store.Ram () in
   ignore (ok (Kernel.mount_at k init ~fs:(Nativefs.ops fs1) "/m1"));
   ok (Kernel.mkdir k init "/m1/sub" ~mode:0o755);
-  let fs2 = Nativefs.create ~name:"fs2" ~clock ~cost Store.Ram () in
+  let fs2 = Nativefs.create ~name:"fs2" ~clock Store.Ram () in
   ignore (ok (Kernel.mount_at k init ~fs:(Nativefs.ops fs2) "/m1/sub"));
   check_err Errno.EBUSY (Kernel.umount k init "/m1");
   ok (Kernel.umount k init "/m1/sub");
@@ -187,7 +187,7 @@ let test_unprivileged_cannot_mount_or_unshare () =
   let user = Kernel.fork k world.World.init in
   user.Proc.cred.Proc.uid <- 1000;
   user.Proc.cred.Proc.caps <- Caps.Set.empty;
-  let fs = Nativefs.create ~name:"x" ~clock:world.World.clock ~cost:world.World.cost Store.Ram () in
+  let fs = Nativefs.create ~name:"x" ~clock:world.World.clock Store.Ram () in
   check_err Errno.EPERM (Kernel.mount_at k user ~fs:(Nativefs.ops fs) "/tmp");
   check_err Errno.EPERM (Kernel.unshare k user [ Namespace.Mnt ]);
   check_err Errno.EPERM (Kernel.chroot k user "/tmp");

@@ -33,9 +33,8 @@ let payload name n =
 
 let boot ?opts ?fault ?retry ?(budget = 32 * 1024 * 1024) () =
   let clock = Clock.create () in
-  let cost = Cost.default in
-  let rootfs = Nativefs.create ~name:"rootfs" ~clock ~cost Store.Ram () in
-  let k = Kernel.create ~clock ~cost ~root_fs:(Nativefs.ops rootfs) () in
+  let rootfs = Nativefs.create ~name:"rootfs" ~clock Store.Ram () in
+  let k = Kernel.create ~clock ~root_fs:(Nativefs.ops rootfs) () in
   let init = Kernel.init_proc k in
   ok (Kernel.mkdir k init "/back" ~mode:0o777);
   ok (Kernel.mkdir k init "/mnt" ~mode:0o755);

@@ -21,9 +21,8 @@ type world = {
 
 let boot ?(opts = Opts.cntr_default) () =
   let clock = Clock.create () in
-  let cost = Cost.default in
-  let rootfs = Nativefs.create ~name:"rootfs" ~clock ~cost Store.Ram () in
-  let k = Kernel.create ~clock ~cost ~root_fs:(Nativefs.ops rootfs) () in
+  let rootfs = Nativefs.create ~name:"rootfs" ~clock Store.Ram () in
+  let k = Kernel.create ~clock ~root_fs:(Nativefs.ops rootfs) () in
   let init = Kernel.init_proc k in
   ok (Kernel.mkdir k init "/back" ~mode:0o777);
   ok (Kernel.mkdir k init "/mnt" ~mode:0o755);
@@ -61,7 +60,7 @@ let test_not_serving_before_handshake () =
   (* a fresh connection without start_serving refuses requests, like a FUSE
      fd before the mount signal (§3.2.2) *)
   let clock = Clock.create () in
-  let conn = Conn.create ~clock ~cost:Cost.default () in
+  let conn = Conn.create ~clock () in
   Conn.set_handler conn (fun _ _ -> Protocol.R_ok);
   (match Conn.call conn Protocol.root_ctx Protocol.Statfs with
   | Protocol.R_err Errno.ENOTCONN -> ()
@@ -76,8 +75,7 @@ let test_batching_amortizes_context_switches () =
      worker pipelines through the queue without re-parking, so the group
      costs far fewer context switches than 8 separate round trips *)
   let clock = Clock.create () in
-  let cost = Cost.default in
-  let conn = Conn.create ~clock ~cost () in
+  let conn = Conn.create ~clock () in
   Conn.set_handler conn (fun _ _ -> Protocol.R_ok);
   conn.Conn.threads <- 1;
   Conn.start_serving conn;
@@ -91,11 +89,11 @@ let test_batching_amortizes_context_switches () =
   let grouped = Int64.to_int (Int64.sub (Clock.now_ns clock) t1) in
   check_b "grouped submission cheaper" true (grouped < singles);
   check_b "saves most of the context switches" true
-    (singles - grouped > cost.Cost.context_switch_ns)
+    (singles - grouped > Cost.context_switch_ns)
 
 let test_background_mode_free () =
   let clock = Clock.create () in
-  let conn = Conn.create ~clock ~cost:Cost.default () in
+  let conn = Conn.create ~clock () in
   Conn.set_handler conn (fun _ _ -> Protocol.R_ok);
   Conn.start_serving conn;
   conn.Conn.background <- true;
@@ -125,15 +123,14 @@ let test_no_splice_when_disabled () =
 (* A bare kernel (no CntrFS session) for exercising Kernel.splice itself. *)
 let kboot () =
   let clock = Clock.create () in
-  let cost = Cost.default in
-  let rootfs = Nativefs.create ~name:"rootfs" ~clock ~cost Store.Ram () in
-  let k = Kernel.create ~clock ~cost ~root_fs:(Nativefs.ops rootfs) () in
-  (k, Kernel.init_proc k, clock, cost)
+  let rootfs = Nativefs.create ~name:"rootfs" ~clock Store.Ram () in
+  let k = Kernel.create ~clock ~root_fs:(Nativefs.ops rootfs) () in
+  (k, Kernel.init_proc k, clock)
 
 let test_splice_eagain_consumes_nothing () =
   (* a full destination is EAGAIN before anything is pulled out of the
      source — the clamp runs before the read, so no bytes are stranded *)
-  let k, init, _, _ = kboot () in
+  let k, init, _ = kboot () in
   let src_r, src_w = Kernel.pipe k init in
   let _dst_r, dst_w = Kernel.pipe k init in
   ignore (ok (Kernel.write k init src_w "precious"));
@@ -147,7 +144,7 @@ let test_splice_eagain_consumes_nothing () =
 let test_splice_clamps_to_sink_room () =
   (* len larger than the sink's free room moves exactly the room; the
      remainder stays queued at the source *)
-  let k, init, _, _ = kboot () in
+  let k, init, _ = kboot () in
   let src_r, src_w = Kernel.pipe k init in
   let _dst_r, dst_w = Kernel.pipe k init in
   ignore (ok (Kernel.write k init src_w (String.make 4096 's')));
@@ -158,13 +155,13 @@ let test_splice_clamps_to_sink_room () =
     (String.length (ok (Kernel.read k init src_r ~len:8192)))
 
 let test_splice_priced_per_page () =
-  (* splice pricing is the Datapath model: fixed setup plus a per-page
+  (* splice pricing is Cost's: fixed setup plus a per-page
      remap — growing the chunk by N pages costs exactly N more remaps *)
-  let k, init, clock, cost = kboot () in
+  let k, init, clock = kboot () in
   let measure pages =
     let src_r, src_w = Kernel.pipe k init in
     let dst_r, dst_w = Kernel.pipe k init in
-    let len = pages * cost.Cost.page_size in
+    let len = pages * Cost.page_size in
     ignore (ok (Kernel.write k init src_w (String.make len 'x')));
     let t0 = Clock.now_ns clock in
     check_i "full chunk moved" len
@@ -175,7 +172,7 @@ let test_splice_priced_per_page () =
   in
   let one = measure 1 in
   let nine = measure 9 in
-  check_i "eight more pages cost eight more remaps" (8 * cost.Cost.splice_page_ns)
+  check_i "eight more pages cost eight more remaps" (8 * Cost.splice_page_ns)
     (nine - one)
 
 let test_splice_read_cost_bearing () =
@@ -277,7 +274,7 @@ let test_dirty_limit_flushes_one_inode () =
   ignore (ok (Kernel.pwrite w.k w.init small ~off:0 "old"));
   ignore (ok (Kernel.pwrite w.k w.init small ~off:0 "new"));
   let big = open_w "/mnt/big" in
-  let data = String.make ((4096 + 1) * Cost.default.Cost.page_size) 'b' in
+  let data = String.make ((4096 + 1) * Cost.page_size) 'b' in
   ignore (ok (Kernel.pwrite w.k w.init big ~off:0 data));
   check_b "the big file reached the backing store before close" true
     (String.equal data (backing "/back/big"));
@@ -294,7 +291,7 @@ let test_dirty_limit_flushes_one_inode () =
 
 let test_batched_counters_amortized () =
   let clock = Clock.create () in
-  let conn = Conn.create ~clock ~cost:Cost.default () in
+  let conn = Conn.create ~clock () in
   Conn.set_handler conn (fun _ _ -> Protocol.R_ok);
   conn.Conn.threads <- 1;
   Conn.start_serving conn;
@@ -308,7 +305,7 @@ let test_batched_counters_amortized () =
 
 let test_unbatched_counters_exact () =
   let clock = Clock.create () in
-  let conn = Conn.create ~clock ~cost:Cost.default () in
+  let conn = Conn.create ~clock () in
   Conn.set_handler conn (fun _ _ -> Protocol.R_ok);
   (* one worker: no herd, so the accounting is exact — each call wakes the
      worker once and resumes the submitter once *)
@@ -530,7 +527,7 @@ let test_queue_fifo_ordering () =
   (* a single worker drains the pending queue in submission order — the
      queue is the kernel's FIFO fuse_conn list, not a priority structure *)
   let clock = Clock.create () in
-  let conn = Conn.create ~clock ~cost:Cost.default () in
+  let conn = Conn.create ~clock () in
   let served = ref [] in
   Conn.set_handler conn (fun _ req ->
       (match req with
@@ -550,7 +547,7 @@ let test_background_backpressure () =
      submitter blocks until workers drain below the threshold, so the
      in-flight count can touch but never exceed it *)
   let clock = Clock.create () in
-  let conn = Conn.create ~clock ~cost:Cost.default () in
+  let conn = Conn.create ~clock () in
   Conn.set_handler conn (fun _ _ -> Protocol.R_ok);
   conn.Conn.threads <- 2;
   conn.Conn.max_background <- 3;
@@ -570,7 +567,7 @@ let test_worker_fairness () =
      pipelines the queue dry while its peers starve (the yield between
      requests models re-entering read(2) on /dev/fuse) *)
   let clock = Clock.create () in
-  let conn = Conn.create ~clock ~cost:Cost.default () in
+  let conn = Conn.create ~clock () in
   Conn.set_handler conn (fun _ _ -> Protocol.R_ok);
   conn.Conn.threads <- 4;
   Conn.start_serving conn;
@@ -599,7 +596,7 @@ let test_sixteen_worker_determinism () =
      scheduling, so `cntr stats --json` is reproducible at any width. *)
   let run () =
     let clock = Clock.create () in
-    let conn = Conn.create ~clock ~cost:Cost.default () in
+    let conn = Conn.create ~clock () in
     Conn.set_handler conn (fun _ _ -> Protocol.R_ok);
     conn.Conn.threads <- 16;
     Conn.start_serving conn;
@@ -611,6 +608,33 @@ let test_sixteen_worker_determinism () =
     Repro_obs.Metrics.to_json (Repro_obs.Obs.metrics (Conn.obs conn))
   in
   Alcotest.(check string) "byte-identical stats at 16 workers" (run ()) (run ())
+
+let test_supervised_group () =
+  (* under supervision each member of a group keeps its own deadline and
+     retry bracket, so the group degrades to one round trip per member; a
+     member whose server hangs past the deadline times out and is retried
+     until it answers *)
+  let run ?fault () =
+    let clock = Clock.create () in
+    let conn = Conn.create ~clock () in
+    Conn.set_handler conn (fun _ _ -> Protocol.R_ok);
+    conn.Conn.threads <- 1;
+    Conn.start_serving conn;
+    Conn.supervise conn ~retry:Repro_fault.Fault.retry_default ();
+    Option.iter (Conn.inject conn) fault;
+    let resps =
+      Conn.call_group conn Protocol.root_ctx (List.init 8 (fun _ -> Protocol.Statfs))
+    in
+    check_b "every member answers R_ok" true
+      (List.for_all (function Protocol.R_ok -> true | _ -> false) resps);
+    Repro_obs.Metrics.counter_value (Repro_obs.Obs.metrics (Conn.obs conn))
+  in
+  let counter = run () in
+  check_i "8 members cost 8 round trips" 8 (counter "fuse.round_trips");
+  let counter = run ~fault:(Repro_fault.Fault.Hang 10_000_000) () in
+  check_i "round trips with one hang" 12 (counter "fuse.round_trips");
+  check_i "retries" 4 (counter "fuse.retries");
+  check_i "timeouts" 4 (counter "fuse.timeouts")
 
 let test_rename_storm_no_deadlock () =
   (* Serialized dirops shard the directory locks by inode hash, and rename
@@ -705,6 +729,7 @@ let () =
           Alcotest.test_case "congestion backpressure" `Quick test_background_backpressure;
           Alcotest.test_case "worker fairness" `Quick test_worker_fairness;
           Alcotest.test_case "16-worker determinism" `Quick test_sixteen_worker_determinism;
+          Alcotest.test_case "supervised group" `Quick test_supervised_group;
           Alcotest.test_case "rename storm is deadlock-free" `Quick
             test_rename_storm_no_deadlock;
         ] );

@@ -14,9 +14,8 @@ let ok = Errno.ok_exn
 
 let boot () =
   let clock = Clock.create () in
-  let cost = Cost.default in
-  let rootfs = Nativefs.create ~name:"root" ~clock ~cost Store.Ram () in
-  let k = Kernel.create ~clock ~cost ~root_fs:(Nativefs.ops rootfs) () in
+  let rootfs = Nativefs.create ~name:"root" ~clock Store.Ram () in
+  let k = Kernel.create ~clock ~root_fs:(Nativefs.ops rootfs) () in
   (k, Kernel.init_proc k)
 
 let file path content = Layer.File { path; mode = 0o644; content = Content.Literal content }
@@ -38,7 +37,7 @@ let test_union_whiteout () =
   (* materialize and read back: top layer wins *)
   let k, init = boot () in
   let rootfs = ok (Image.materialize image ~kernel:k ~proc:init) in
-  let ns = Mount.create_ns ~fs:(Nativefs.ops rootfs) () in
+  let ns = Mount.create_ns ~fs:(Nativefs.ops rootfs) in
   Kernel.register_mnt_ns k ns;
   let probe = Kernel.fork k init in
   let root_vnode = { Proc.v_mount = Mount.root_mount ns; v_ino = (Nativefs.ops rootfs).Fsops.root } in
@@ -225,7 +224,7 @@ let prop_materialize_matches_effective =
       match Image.materialize image ~kernel:k ~proc:init with
       | Error _ -> false
       | Ok rootfs ->
-          let ns = Mount.create_ns ~fs:(Nativefs.ops rootfs) () in
+          let ns = Mount.create_ns ~fs:(Nativefs.ops rootfs) in
           Kernel.register_mnt_ns k ns;
           let probe = Kernel.fork k init in
           let root_vnode =

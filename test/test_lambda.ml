@@ -33,7 +33,7 @@ let boot () =
 
 let test_deploy_and_invoke () =
   let _world, platform = boot () in
-  let _fn = Lambda.deploy platform ~name:"thumb" ~handler:"thumbnailer" () in
+  let _fn = Lambda.deploy platform ~name:"thumb" ~handler:"thumbnailer" in
   let code, cold, _inst = ok (Lambda.invoke platform "thumb" ~payload:"img1.png") in
   check_i "handler ok" 0 code;
   check_b "first invocation cold-starts" true cold;
@@ -50,7 +50,7 @@ let test_unknown_function () =
 
 let test_micro_image_is_minimal () =
   let _world, platform = boot () in
-  let fn = Lambda.deploy platform ~name:"thumb" ~handler:"thumbnailer" () in
+  let fn = Lambda.deploy platform ~name:"thumb" ~handler:"thumbnailer" in
   let paths = Repro_image.Image.effective_paths fn.Lambda.fn_image in
   check_b "no shell in the image" true (not (List.exists (fun p -> Repro_util.Pathx.basename p = "sh") paths));
   check_b "bootstrap present" true (List.mem "/var/runtime/bootstrap" paths);
@@ -59,7 +59,7 @@ let test_micro_image_is_minimal () =
 
 let test_cntr_attach_to_lambda () =
   let world, platform = boot () in
-  let _fn = Lambda.deploy platform ~name:"thumb" ~handler:"thumbnailer" () in
+  let _fn = Lambda.deploy platform ~name:"thumb" ~handler:"thumbnailer" in
   let _code, _cold, inst = ok (Lambda.invoke platform "thumb" ~payload:"img1.png") in
   (* the instance has no shell, no tools — CNTR brings them *)
   let engines = Lambda.engine platform :: world.World.engines in

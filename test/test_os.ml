@@ -20,9 +20,8 @@ let ok = Errno.ok_exn
 (* A small world: kernel with a RAM root fs and /dev, /proc mounted. *)
 let boot () =
   let clock = Clock.create () in
-  let cost = Cost.default in
-  let rootfs = Nativefs.create ~name:"rootfs" ~clock ~cost Store.Ram () in
-  let k = Kernel.create ~clock ~cost ~root_fs:(Nativefs.ops rootfs) () in
+  let rootfs = Nativefs.create ~name:"rootfs" ~clock Store.Ram () in
+  let k = Kernel.create ~clock ~root_fs:(Nativefs.ops rootfs) () in
   let init = Kernel.init_proc k in
   List.iter
     (fun d -> ok (Kernel.mkdir k init d ~mode:0o755))
@@ -133,7 +132,7 @@ let test_dotdot_walk () =
 
 let test_mount_and_cross () =
   let k, init = boot () in
-  let extra = Nativefs.create ~name:"extra" ~clock:k.Kernel.clock ~cost:k.Kernel.cost Store.Ram () in
+  let extra = Nativefs.create ~name:"extra" ~clock:k.Kernel.clock Store.Ram () in
   ok (Kernel.mkdir k init "/mnt" ~mode:0o755);
   ignore (ok (Kernel.mount_at k init ~fs:(Nativefs.ops extra) "/mnt"));
   write_file k init "/mnt/inside" "in-extra";
@@ -163,7 +162,7 @@ let test_bind_mount () =
 
 let test_umount () =
   let k, init = boot () in
-  let extra = Nativefs.create ~name:"extra" ~clock:k.Kernel.clock ~cost:k.Kernel.cost Store.Ram () in
+  let extra = Nativefs.create ~name:"extra" ~clock:k.Kernel.clock Store.Ram () in
   ok (Kernel.mkdir k init "/mnt" ~mode:0o755);
   ignore (ok (Kernel.mount_at k init ~fs:(Nativefs.ops extra) "/mnt"));
   write_file k init "/mnt/x" "1";
@@ -191,7 +190,7 @@ let test_mount_ns_isolation () =
   let child = Kernel.fork k init in
   ok (Kernel.unshare k child [ Namespace.Mnt ]);
   ok (Kernel.make_rprivate k child);
-  let extra = Nativefs.create ~name:"extra" ~clock:k.Kernel.clock ~cost:k.Kernel.cost Store.Ram () in
+  let extra = Nativefs.create ~name:"extra" ~clock:k.Kernel.clock Store.Ram () in
   ignore (ok (Kernel.mount_at k child ~fs:(Nativefs.ops extra) "/mnt"));
   write_file k child "/mnt/secret" "s";
   (* invisible from the parent namespace *)
@@ -205,7 +204,7 @@ let test_shared_propagation () =
   let child = Kernel.fork k init in
   ok (Kernel.unshare k child [ Namespace.Mnt ]);
   (* host mounts something: the shared peer group propagates it *)
-  let extra = Nativefs.create ~name:"extra" ~clock:k.Kernel.clock ~cost:k.Kernel.cost Store.Ram () in
+  let extra = Nativefs.create ~name:"extra" ~clock:k.Kernel.clock Store.Ram () in
   ignore (ok (Kernel.mount_at k init ~fs:(Nativefs.ops extra) "/mnt"));
   write_file k init "/mnt/x" "prop";
   check_s "propagated into clone" "prop" (read_file k child "/mnt/x")

@@ -10,9 +10,8 @@ let ok = Errno.ok_exn
 
 let boot () =
   let clock = Clock.create () in
-  let cost = Cost.default in
-  let rootfs = Nativefs.create ~name:"root" ~clock ~cost Store.Ram () in
-  let k = Kernel.create ~clock ~cost ~root_fs:(Nativefs.ops rootfs) () in
+  let rootfs = Nativefs.create ~name:"root" ~clock Store.Ram () in
+  let k = Kernel.create ~clock ~root_fs:(Nativefs.ops rootfs) () in
   (k, Kernel.init_proc k)
 
 (* --- walk vs normalize --------------------------------------------------------- *)
@@ -60,7 +59,7 @@ let prop_mount_stacking =
     (fun depth ->
       let k, init = boot () in
       ok (Kernel.mkdir k init "/mnt" ~mode:0o755);
-      let clock = k.Kernel.clock and cost = k.Kernel.cost in
+      let clock = k.Kernel.clock in
       let write_probe proc i =
         let fd = ok (Kernel.open_ k proc "/mnt/probe" [ Types.O_CREAT; Types.O_WRONLY; Types.O_TRUNC ] ~mode:0o644) in
         ignore (ok (Kernel.write k proc fd (string_of_int i)));
@@ -68,7 +67,7 @@ let prop_mount_stacking =
       in
       write_probe init (-1);
       for i = 0 to depth - 1 do
-        let fs = Nativefs.create ~name:(Printf.sprintf "layer%d" i) ~clock ~cost Store.Ram () in
+        let fs = Nativefs.create ~name:(Printf.sprintf "layer%d" i) ~clock Store.Ram () in
         ignore (ok (Kernel.mount_at k init ~fs:(Nativefs.ops fs) "/mnt"));
         write_probe init i
       done;

@@ -23,9 +23,8 @@ let ok = Errno.ok_exn
 
 let boot () =
   let clock = Clock.create () in
-  let cost = Cost.default in
-  let rootfs = Nativefs.create ~name:"root" ~clock ~cost Store.Ram () in
-  let k = Kernel.create ~clock ~cost ~root_fs:(Nativefs.ops rootfs) () in
+  let rootfs = Nativefs.create ~name:"root" ~clock Store.Ram () in
+  let k = Kernel.create ~clock ~root_fs:(Nativefs.ops rootfs) () in
   let init = Kernel.init_proc k in
   List.iter (fun d -> ok (Kernel.mkdir k init d ~mode:0o755)) [ "/run"; "/tmp" ];
   (k, init)

@@ -60,12 +60,11 @@ let test_clock () =
   check_b "no negative" true (Clock.now_ns c = 1542L)
 
 let test_cost () =
-  let c = Cost.default in
   check_i "kib round up" 1 (Cost.kib_of_bytes 1);
   check_i "kib exact" 4 (Cost.kib_of_bytes 4096);
   check_b "disk read has latency" true
-    (Cost.disk_read_cost c 4096 > c.Cost.disk.Cost.read_ns_per_kib * 4);
-  check_i "copy" (c.Cost.copy_ns_per_kib * 2) (Cost.copy_cost c 2048)
+    (Cost.disk_read_cost 4096 > Cost.disk_read_ns_per_kib * 4);
+  check_i "copy" (Cost.copy_ns_per_kib * 2) (Cost.copy_cost 2048)
 
 (* --- Rng ---------------------------------------------------------------- *)
 

@@ -156,7 +156,7 @@ let prop_fdata_model =
 
 let mk_cache ?(limit = 16 * 4096) () =
   let budget = Mem_budget.create ~limit_bytes:limit in
-  (Page_cache.create ~name:"test" ~budget ~page_size:4096 (), budget)
+  (Page_cache.create ~name:"test" ~budget (), budget)
 
 let test_cache_hit_miss () =
   let c, _ = mk_cache () in
@@ -233,7 +233,7 @@ let prop_cache_flush_accounting =
 
 let mkfs () =
   let clock = Clock.create () in
-  let fs = Nativefs.create ~clock ~cost:Cost.default Store.Ram () in
+  let fs = Nativefs.create ~clock Store.Ram () in
   let ops = Nativefs.ops fs in
   (* world-writable root so unprivileged fixtures can create files *)
   ignore
@@ -243,8 +243,8 @@ let mkfs () =
   ops
 
 let root_cred = Types.root_cred
-let alice = Types.user_cred ~uid:1000 ~gid:1000 ()
-let bob = Types.user_cred ~uid:1001 ~gid:1001 ()
+let alice = Types.user_cred ~uid:1000 ~gid:1000
+let bob = Types.user_cred ~uid:1001 ~gid:1001
 
 let test_fs_create_read_write () =
   let ops = mkfs () in
@@ -469,7 +469,7 @@ let test_fs_handles_exportable () =
 
 let test_fs_readonly () =
   let clock = Clock.create () in
-  let fs = Nativefs.create ~name:"ro" ~readonly:true ~clock ~cost:Cost.default Store.Ram () in
+  let fs = Nativefs.create ~name:"ro" ~readonly:true ~clock Store.Ram () in
   let ops = Nativefs.ops fs in
   check_err Errno.EROFS (ops.Fsops.mkdir root_cred ops.Fsops.root "d" ~mode:0o755);
   check_err Errno.EROFS (ops.Fsops.create root_cred ops.Fsops.root "f" ~mode:0o644 [ Types.O_WRONLY ])
@@ -479,9 +479,9 @@ let test_fs_readonly () =
 let mk_ssd_fs ?(limit = 64 * 4096) ?(flush_pages = 16) () =
   let clock = Clock.create () in
   let budget = Mem_budget.create ~limit_bytes:limit in
-  let cache = Page_cache.create ~name:"ext4" ~budget ~page_size:4096 () in
+  let cache = Page_cache.create ~name:"ext4" ~budget () in
   let fs =
-    Nativefs.create ~name:"ext4" ~clock ~cost:Cost.default
+    Nativefs.create ~name:"ext4" ~clock
       (Store.Ssd { cache; flush_pages })
       ()
   in
