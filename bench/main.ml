@@ -706,8 +706,8 @@ let e8_scenario ~name ~recover ?opts ?(hold = false) ?(expect_pt = false) ?fault
   let server = Kernel.fork k init in
   let budget = Mem_budget.create ~limit_bytes:(32 * 1024 * 1024) in
   let session =
-    Session.create ~kernel:k ~server_proc:server ~root_path:"/back" ?opts ?fault ?retry
-      ~budget ()
+    Session.create ~kernel:k ~conn:(Conn.create ~obs:k.Kernel.obs ~clock ()) ~server_proc:server
+      ~root_path:"/back" ?opts ?fault ?retry ~budget ()
   in
   (match Session.fault session with
   | Some f ->

@@ -12,6 +12,7 @@ open Repro_os
 open Repro_runtime
 open Repro_cntr
 module Proxy = Repro_proxy.Proxy
+module Session = Repro_cntrfs.Session
 
 let ok = Errno.ok_exn
 
@@ -73,7 +74,7 @@ let () =
   let _fwd =
     ok
       (Proxy.forward plane ~front_proc:session.Attach.sn_shell_proc
-         ~back_proc:session.Attach.sn_server_proc ~backend_path:"/var/run/dbus.sock"
+         ~back_proc:session.Attach.sn_cntrfs.Session.server_proc ~backend_path:"/var/run/dbus.sock"
          "/var/run/cntr-dbus.sock")
   in
   let cfd = ok (Kernel.socket_connect k session.Attach.sn_shell_proc "/var/run/cntr-dbus.sock") in

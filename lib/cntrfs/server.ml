@@ -59,9 +59,8 @@ type t = {
      inode, mirroring the sharding of the FUSE dirop locks.  The guarded
      segments are pure table manipulation (no effects, no virtual-time
      consumption), so the holds are zero-width on the virtual timeline —
-     the locking is semantically real but timing-free.  [sched = None]
-     (standalone servers in unit tests) skips the brackets. *)
-  sched : Repro_sched.Sched.t option;
+     the locking is semantically real but timing-free. *)
+  sched : Repro_sched.Sched.t;
   ino_locks : Repro_sched.Sched.mutex array;
   hc_locks : Repro_sched.Sched.mutex array;
   inos : (int, entry) Hashtbl.t; (* driver ino -> entry *)
@@ -101,8 +100,8 @@ let shard_count = 64
 (* Golden-ratio multiplicative hash, same spread as the dirop shards. *)
 let shard key = key * 0x9E3779B9 land (shard_count - 1)
 
-let create ?sched ~kernel ~proc ~root_path ?(handle_cache = 0) ?(valid_ns = (0, 0))
-    ?(passthrough = 0) () =
+let create ~sched ~kernel ~proc ~root_path ~opts =
+  let passthrough = opts.Opts.passthrough in
   let metrics = Repro_obs.Obs.metrics kernel.Kernel.obs in
   let m_lookups = Metrics.counter metrics "cntrfs.lookup.count" in
   let m_backing_ops = Metrics.counter metrics "cntrfs.lookup.backing_ops" in
@@ -130,7 +129,7 @@ let create ?sched ~kernel ~proc ~root_path ?(handle_cache = 0) ?(valid_ns = (0, 
       fhs = Hashtbl.create 32;
       next_ino = 2;
       next_fh = 1;
-      hc_cap = max 0 handle_cache;
+      hc_cap = max 0 opts.Opts.handle_cache;
       hc = Hashtbl.create 256;
       hc_paths = Hashtbl.create 256;
       hc_tick = 0;
@@ -141,8 +140,8 @@ let create ?sched ~kernel ~proc ~root_path ?(handle_cache = 0) ?(valid_ns = (0, 
         (if passthrough > 0 then
            Some (Metrics.counter metrics "fuse.passthrough.revocations")
          else None);
-      rdp_entry_valid_ns = fst valid_ns;
-      rdp_attr_valid_ns = snd valid_ns;
+      rdp_entry_valid_ns = opts.Opts.entry_timeout_ns;
+      rdp_attr_valid_ns = opts.Opts.attr_timeout_ns;
       m_lookups;
       m_backing_ops;
       m_read_bytes = Metrics.counter metrics "cntrfs.read.bytes";
@@ -159,10 +158,7 @@ let create ?sched ~kernel ~proc ~root_path ?(handle_cache = 0) ?(valid_ns = (0, 
 let ( let* ) = Result.bind
 
 (* Run a table segment under one shard of a lock table. *)
-let locked t locks i f =
-  match t.sched with
-  | None -> f ()
-  | Some s -> Repro_sched.Sched.with_lock s locks.(i) f
+let locked t locks i f = Repro_sched.Sched.with_lock t.sched locks.(i) f
 
 let with_ino t bino f = locked t t.ino_locks (shard bino) f
 let with_hc t bino f = locked t t.hc_locks (shard bino) f

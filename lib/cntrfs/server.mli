@@ -16,37 +16,34 @@ open Repro_fuse
 
 type t
 
-(** [create ~kernel ~proc ~root_path ()] serves [root_path] (resolved in
-    [proc]'s namespace — "/" of the fat container after setns).
+(** [create ~sched ~kernel ~proc ~root_path ~opts] serves [root_path]
+    (resolved in [proc]'s namespace — "/" of the fat container after
+    setns).  {!Repro_cntrfs.Session.create} is its one caller.
 
-    [handle_cache] bounds the LRU handle cache keyed by backing (dev, ino):
-    a hit re-serves a known-valid LOOKUP without the open()+stat() pair
-    (counters [cntrfs.handle_cache.hits|misses|evictions], derived
-    [cntrfs.handle_cache.hit_ratio]).  0 (the default, the paper's
-    behaviour) disables it.  [valid_ns] = (entry, attr) validity windows
-    stamped into READDIRPLUS replies.
+    Three fields of [opts] shape the server.  [handle_cache] bounds the LRU
+    handle cache keyed by backing (dev, ino): a hit re-serves a
+    known-valid LOOKUP without the open()+stat() pair (counters
+    [cntrfs.handle_cache.hits|misses|evictions], derived
+    [cntrfs.handle_cache.hit_ratio]); 0, the paper's behaviour, disables
+    it.  [entry_timeout_ns] and [attr_timeout_ns] are the validity windows
+    stamped into READDIRPLUS replies.  [passthrough] caps the LRU of
+    passthrough grants the server keeps live at once (0 = the plane is off
+    and OPEN never grants).  A granted OPEN replies [R_open_pt] with a
+    capability onto the backing file; grants are revoked on LRU overflow
+    and on any server-side mutation of the inode, and die uncounted with
+    their handle on RELEASE/DESTROY.
 
-    [sched] arms the shard-locked table discipline: the inode map and the
-    handle cache are guarded by fixed-size lock tables hash-sharded on the
-    backing inode (same sharding as the FUSE dirop locks).  The guarded
-    segments consume no virtual time, so the holds are zero-width —
-    semantically real, timing-free.  Omitting [sched] (standalone servers
-    in unit tests) skips the brackets. *)
+    The inode map and the handle cache are guarded by fixed-size lock
+    tables on [sched], hash-sharded on the backing inode (same sharding as
+    the FUSE dirop locks).  The guarded segments consume no virtual time,
+    so the holds are zero-width — semantically real, timing-free. *)
 val create :
-  ?sched:Repro_sched.Sched.t ->
+  sched:Repro_sched.Sched.t ->
   kernel:Kernel.t ->
   proc:Proc.t ->
   root_path:string ->
-  ?handle_cache:int ->
-  ?valid_ns:int * int ->
-  ?passthrough:int ->
-  unit ->
+  opts:Opts.t ->
   t
-(** [?passthrough] caps the LRU of passthrough grants the server will keep
-    live at once (0 = the plane is off and OPEN never grants).  A granted
-    OPEN replies [R_open_pt] with a capability onto the backing file;
-    grants are revoked on LRU overflow and on any server-side mutation of
-    the inode, and die uncounted with their handle on RELEASE/DESTROY. *)
 
 (** The request handler to install with {!Conn.set_handler}. *)
 val handle : t -> Protocol.ctx -> Protocol.req -> Protocol.resp

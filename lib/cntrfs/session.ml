@@ -1,6 +1,8 @@
-(* Wiring: connection + driver + server = a mounted CntrFS.  Used directly
-   by the xfstests harness and the benchmarks; the full CNTR attach flow
-   (lib/core) builds the same session inside a nested namespace. *)
+(* Wiring: connection + driver + server = a mountable CntrFS, and the one
+   place that wires it.  `cntr attach` (lib/core) builds its session over
+   the /dev/fuse connection it opened in step #1 and mounts it inside the
+   nested namespace; the xfstests harness, the benchmarks and the tests
+   pass a fresh [Conn.create]. *)
 
 open Repro_vfs
 open Repro_os
@@ -17,44 +19,33 @@ type t = {
   mutable server_proc : Proc.t;
   fs : Fsops.t;
   fault : Fault.t option;
-  mutable m_recoveries : Repro_obs.Metrics.counter option;
+  backing_hook : (op:string -> Proc.t -> Repro_util.Errno.t option) option;
 }
 
-(* Create a CntrFS session: the server process [server_proc] serves
-   [root_path] out of its own mount namespace.  The returned [fs] can be
-   mounted anywhere with [Kernel.mount_at].  [sched] is the discrete-event
-   scheduler the server's worker fibers run on; benchmarks pass the
-   workload's so client tasks and workers interleave, and it defaults to a
-   private one over the kernel's clock.
+(* Create a CntrFS session over [conn]: the server process [server_proc]
+   serves [root_path] out of its own mount namespace, and the returned
+   [fs] can be mounted anywhere with [Kernel.mount_at].  The server's
+   worker fibers run on the connection's scheduler; benchmarks build the
+   connection on the workload's so client tasks and workers interleave.
 
-   [fault] arms a fault plan over the session: the connection consults it
-   while serving, and the kernel's backing syscalls consult it for the
-   server's process (tracked across recovery).  [retry] arms per-request
-   deadlines + idempotent retry.  Neither given = the plane stays off and
-   the session is byte-identical to an unarmed one. *)
-let create ~kernel ~server_proc ~root_path ?(opts = Opts.cntr_default) ?(threads = 4) ?sched
+   [fault] arms a fault plan over the whole session from this point on:
+   the connection consults it while serving, and the kernel's backing
+   syscalls consult it for the server's process (tracked across
+   recovery).  [retry] arms per-request deadlines + idempotent retry.
+   Neither given = the plane stays off and the session is byte-identical
+   to an unarmed one. *)
+let create ~kernel ~conn ~server_proc ~root_path ?(opts = Opts.cntr_default) ?(threads = 4)
     ?fault ?retry ~budget () =
-  let obs = kernel.Kernel.obs in
-  let conn = Conn.create ~obs ?sched ~clock:kernel.Kernel.clock () in
   conn.Conn.threads <- threads;
-  let metrics = Repro_obs.Obs.metrics obs in
-  Repro_obs.Metrics.set
-    (Repro_obs.Metrics.gauge metrics "cntrfs.server.threads")
-    (float_of_int threads);
-  let server =
-    Server.create ~sched:(Conn.sched conn) ~kernel ~proc:server_proc ~root_path
-      ~handle_cache:opts.Opts.handle_cache
-      ~valid_ns:(opts.Opts.entry_timeout_ns, opts.Opts.attr_timeout_ns)
-      ~passthrough:opts.Opts.passthrough ()
-  in
+  let server = Server.create ~sched:(Conn.sched conn) ~kernel ~proc:server_proc ~root_path ~opts in
   Conn.set_handler conn (Server.handle server);
   let driver = Driver.create ~conn ~opts ~budget in
-  let plane = Option.map (Fault.arm ~obs ~clock:kernel.Kernel.clock) fault in
+  let plane = Option.map (Fault.arm ~obs:kernel.Kernel.obs ~clock:kernel.Kernel.clock) fault in
   (match plane, retry with
   | None, None -> ()
   | _ -> Conn.supervise conn ?fault:plane ?retry ());
   Conn.start_serving conn;
-  let t =
+  let rec t =
     {
       kernel;
       root_path;
@@ -65,19 +56,16 @@ let create ~kernel ~server_proc ~root_path ?(opts = Opts.cntr_default) ?(threads
       server_proc;
       fs = Driver.ops driver;
       fault = plane;
-      m_recoveries = None;
-    }
-  in
-  (match plane with
-  | Some f ->
       (* Backing-store faults hit the server's syscalls only — whichever
          process is currently serving, so recovery's relaunch stays
-         covered while app syscalls never are. *)
-      Kernel.set_fault kernel
-        (Some
-           (fun ~op proc ->
-             if proc == t.server_proc then Fault.backing_errno f ~op else None))
-  | None -> ());
+         covered while client syscalls never are. *)
+      backing_hook =
+        (match plane with
+        | Some f -> Some (fun ~op proc -> if proc == t.server_proc then Fault.backing_errno f ~op else None)
+        | None -> None);
+    }
+  in
+  Option.iter (Kernel.add_fault kernel) t.backing_hook;
   t
 
 let fs t = t.fs
@@ -85,10 +73,12 @@ let obs t = Conn.obs t.conn
 let stats t = Conn.stats t.conn
 let fault t = t.fault
 
-(* Relaunch the CntrFS server after a crash: fork a replacement process
-   (same namespace view), teach it the driver's live ino map, swap the
-   handler, revive the connection and reopen the driver's file handles.
-   The mount, the driver caches and dirty writeback pages all survive. *)
+(* Relaunch the CntrFS server after a crash: fork a replacement from the
+   dead server (the fork inherits its namespace view, so a fat-container
+   server stays inside the fat container), teach it the driver's live ino
+   map, swap the handler, revive the connection and reopen the driver's
+   file handles.  The mount, the driver caches and dirty writeback pages
+   all survive. *)
 let recover t =
   let pairs = Driver.ino_paths t.driver in
   let old = t.server_proc in
@@ -96,9 +86,7 @@ let recover t =
   np.Proc.comm <- old.Proc.comm;
   let server =
     Server.create ~sched:(Conn.sched t.conn) ~kernel:t.kernel ~proc:np
-      ~root_path:t.root_path ~handle_cache:t.opts.Opts.handle_cache
-      ~valid_ns:(t.opts.Opts.entry_timeout_ns, t.opts.Opts.attr_timeout_ns)
-      ~passthrough:t.opts.Opts.passthrough ()
+      ~root_path:t.root_path ~opts:t.opts
   in
   Server.restore server pairs;
   t.server <- server;
@@ -107,19 +95,17 @@ let recover t =
   Conn.set_handler t.conn (Server.handle server);
   Conn.revive t.conn;
   Driver.on_server_restart t.driver;
-  let c =
-    match t.m_recoveries with
-    | Some c -> c
-    | None ->
-        let c =
-          Repro_obs.Metrics.counter
-            (Repro_obs.Obs.metrics (Conn.obs t.conn))
-            "session.recoveries"
-        in
-        t.m_recoveries <- Some c;
-        c
-  in
-  Repro_obs.Metrics.incr c
+  Repro_obs.Metrics.incr
+    (Repro_obs.Metrics.counter (Repro_obs.Obs.metrics (Conn.obs t.conn)) "session.recoveries")
+
+(* Close the session: DESTROY drops the server's handles and grants, the
+   server process exits and the session's backing rules leave the kernel;
+   the mount is left to the namespace it lives in.  A second call is a
+   no-op. *)
+let close t =
+  ignore (Server.handle t.server Protocol.root_ctx Protocol.Destroy);
+  if t.server_proc.Proc.alive then Kernel.exit t.kernel t.server_proc 0;
+  Option.iter (Kernel.remove_fault t.kernel) t.backing_hook
 
 (* Teardown barrier: wait out the background class (pending forgets,
    releases) so metrics snapshots are quiescent. *)

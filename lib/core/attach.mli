@@ -43,21 +43,16 @@ end
 type session = {
   sn_kernel : Kernel.t;
   sn_shell_proc : Proc.t;  (** the shell process, inside the nested namespace *)
-  mutable sn_server_proc : Proc.t;
-      (** the CntrFS server process; swapped by {!recover} *)
   sn_cntr_proc : Proc.t;  (** the cntr frontend process *)
   sn_tty : Tty.t;  (** pseudo-TTY master side *)
   sn_plane : Repro_proxy.Proxy.t;
       (** the forwarding plane carrying the TTY stream and socket proxies *)
-  sn_conn : Repro_fuse.Conn.t;  (** the FUSE connection (statistics live here) *)
-  sn_driver : Repro_fuse.Driver.t;
-  mutable sn_server : Repro_cntrfs.Server.t;  (** swapped by {!recover} *)
+  sn_cntrfs : Repro_cntrfs.Session.t;
+      (** the CntrFS mount built in step #2: the /dev/fuse connection
+          (statistics live here), driver, server process and fault plane *)
   sn_ctx : Context.t;  (** the container context captured in step #1 *)
   sn_app_pid : int;  (** pid of the application container's main process *)
-  sn_config : Config.t;  (** the configuration the session was built with *)
-  sn_fault : Repro_fault.Fault.t option;  (** the armed fault plane, when any *)
   mutable sn_detached : bool;  (** set by the first {!detach} *)
-  mutable sn_recoveries : Repro_obs.Metrics.counter option;
 }
 
 (** The mountpoint of the nested root inside the application container's
@@ -68,7 +63,10 @@ val tmp_mountpoint : string
     against the container named (or id-prefixed) [name].  [config] defaults
     to {!Config.default}; a config with a [fault] plan or [retry] policy
     arms the deterministic fault plane over the session's FUSE connection
-    and the server's backing syscalls. *)
+    and the server's backing syscalls when step #2 builds the session, so
+    the plan also covers the requests of the attach's own setup.  A failed
+    attach leaves nothing behind: the processes it forked have exited and
+    the session it built is closed ({!Repro_cntrfs.Session.close}). *)
 val attach :
   kernel:Kernel.t ->
   engines:Repro_runtime.Engine.engines ->
@@ -86,14 +84,13 @@ val run : session -> string -> int * string
     Idempotent: a second call is a no-op. *)
 val detach : session -> unit
 
-(** [with_session ~kernel ~engines ~budget ~config name f] — bracket:
-    attach, apply [f], always detach (even when [f] raises).  [f] may
-    detach early itself; the finalizer's detach is then a no-op. *)
+(** [with_session ~kernel ~engines ~budget name f] — bracket: attach with
+    {!Config.default}, apply [f], always detach (even when [f] raises).
+    [f] may detach early itself; the finalizer's detach is then a no-op. *)
 val with_session :
   kernel:Kernel.t ->
   engines:Repro_runtime.Engine.engines ->
   budget:Mem_budget.t ->
-  ?config:Config.t ->
   string ->
   (session -> 'a) ->
   ('a, Repro_util.Errno.t) result
@@ -112,11 +109,9 @@ val crash_server : session -> unit
     nanoseconds — long enough to trip an armed deadline. *)
 val hang_server : session -> ns:int -> unit
 
-(** Relaunch the CntrFS server after a crash: fork a replacement (inheriting
-    the dead server's namespace view), replay the driver's inode map into it
-    ({!Repro_cntrfs.Server.restore}), swap the handler, revive the
-    connection and reopen the driver's file handles.  The mount, the shell
-    and the driver caches survive.  Counts under [session.recoveries]. *)
+(** Relaunch the CntrFS server after a crash with
+    {!Repro_cntrfs.Session.recover}.  The mount, the shell and the driver
+    caches survive.  Counts under [session.recoveries]. *)
 val recover : session -> unit
 
 (** The container context captured during step #1. *)

@@ -60,6 +60,6 @@ let attach world ?config name =
     ~budget:world.World.budget ?config name
 
 (* Bracketed variant: attach, run [f], always detach. *)
-let with_session world ?config name f =
+let with_session world name f =
   Attach.with_session ~kernel:world.World.kernel ~engines:world.World.engines
-    ~budget:world.World.budget ?config name f
+    ~budget:world.World.budget name f

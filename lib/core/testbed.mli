@@ -18,10 +18,9 @@ val attach :
   (Attach.session, Repro_util.Errno.t) result
 
 (** [with_session world name f] — {!Attach.with_session} wired to the
-    world's kernel, engines and memory budget. *)
+    world's kernel, engines and memory budget, with the default config. *)
 val with_session :
   t ->
-  ?config:Attach.Config.t ->
   string ->
   (Attach.session -> 'a) ->
   ('a, Repro_util.Errno.t) result

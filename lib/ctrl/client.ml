@@ -227,7 +227,7 @@ let await t id =
       in
       go 0
 
-let call t ?params meth = await t (submit t ?params meth)
+let call t meth = await t (submit t meth)
 
 let notifications t =
   (match t.c_transport with Wire ws -> wire_slurp t ws | In_process -> ());
@@ -264,18 +264,17 @@ let decode_created v =
     sc_queue_wait_us = need_int v "queue_wait_us";
   }
 
-let start_create t ?tenant ?tools ?threads ?fault_plan container =
+let start_create t ?tenant ?tools ?fault_plan container =
   let fields =
     [ ("container", Jsonx.Str container) ]
     @ (match tenant with Some x -> [ ("tenant", Jsonx.Str x) ] | None -> [])
     @ (match tools with Some x -> [ ("tools", Jsonx.Str x) ] | None -> [])
-    @ (match threads with Some x -> [ ("threads", Jsonx.Int x) ] | None -> [])
     @ match fault_plan with Some x -> [ ("fault_plan", Jsonx.Str x) ] | None -> []
   in
   start t ~params:(Jsonx.Obj fields) decode_created "session.create"
 
-let session_create t ?tenant ?tools ?threads ?fault_plan container =
-  finish t (start_create t ?tenant ?tools ?threads ?fault_plan container)
+let session_create t ?tenant ?tools ?fault_plan container =
+  finish t (start_create t ?tenant ?tools ?fault_plan container)
 
 type execed = { sx_code : int; sx_output : string; sx_recovered : bool }
 

@@ -63,7 +63,7 @@ val poll : t -> ticket -> Rpc.response option
 val await : t -> ticket -> (Jsonx.t, Rpc.rerror) result
 
 (** [submit] + [await]. *)
-val call : t -> ?params:Jsonx.t -> string -> (Jsonx.t, Rpc.rerror) result
+val call : t -> string -> (Jsonx.t, Rpc.rerror) result
 
 (** Drain [stats.event] notifications received so far (oldest first). *)
 val notifications : t -> Jsonx.t list
@@ -84,14 +84,12 @@ val finish : t -> 'a call -> ('a, Rpc.rerror) result
 type created = { sc_session : int; sc_pid : int; sc_cgroup : string; sc_queue_wait_us : int }
 
 val start_create :
-  t -> ?tenant:string -> ?tools:string -> ?threads:int -> ?fault_plan:string -> string ->
-  created call
+  t -> ?tenant:string -> ?tools:string -> ?fault_plan:string -> string -> created call
 
 val session_create :
   t ->
   ?tenant:string ->
   ?tools:string ->
-  ?threads:int ->
   ?fault_plan:string ->
   string ->
   (created, Rpc.rerror) result

@@ -379,7 +379,7 @@ let apply_ctrl_fault t op ~on_crash =
 
 let remove t sess = Hashtbl.remove t.d_sessions sess.s_id
 
-let conn_dead a = a.Attach.sn_conn.Repro_fuse.Conn.dead
+let conn_dead a = a.Attach.sn_cntrfs.Repro_cntrfs.Session.conn.Repro_fuse.Conn.dead
 
 let handle_op t sess op =
   match op with

@@ -15,7 +15,7 @@ open Repro_util
 
 (** What to inject.  [Crash_server] kills the CntrFS server: in-flight and
     queued requests complete with [ENOTCONN], later calls fail immediately
-    until {!val:Repro_core.Attach.recover}-style revival.  [Hang ns] stalls
+    until [Repro_cntrfs.Session.recover] revives it.  [Hang ns] stalls
     the serving worker for [ns] virtual nanoseconds (a deadline/timeout
     test); [Delay ns] is a latency spike charged to the request.
     [Drop_reply] performs the work but loses the answer (the caller's

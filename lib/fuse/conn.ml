@@ -285,7 +285,7 @@ let crash t =
   ignore (Sched.broadcast t.sched t.bg_cond)
 
 (* Bring a crashed connection back after the server has been relaunched and
-   a fresh handler installed (see Attach.recover).  The parked worker pool
+   a fresh handler installed (see Session.recover).  The parked worker pool
    is reused. *)
 let revive t =
   t.dead <- false;
@@ -546,10 +546,8 @@ let ensure_workers t =
     done
   end
 
-(* The CNTR handshake: the child signals the server (over a Unix socket)
-   once CntrFS is mounted inside the nested namespace; only then does the
-   server start reading /dev/fuse (§3.2.2).  The worker pool parks on the
-   request waitqueue from this point on. *)
+(* Start serving: the worker pool parks on the request waitqueue from this
+   point on. *)
 let start_serving t =
   t.serving <- true;
   ensure_workers t;

@@ -118,9 +118,10 @@ val stats : t -> stats
 (** Install the server's request handler. *)
 val set_handler : t -> (Protocol.ctx -> Protocol.req -> Protocol.resp) -> unit
 
-(** The CNTR handshake: the child signals once CntrFS is mounted inside the
-    nested namespace; only then does the server read /dev/fuse (§3.2.2).
-    Calls before this return [ENOTCONN].  Spawns the worker pool. *)
+(** Spawn the worker pool and start serving; calls before this return
+    [ENOTCONN].  [Repro_cntrfs.Session.create] calls it once the handler is
+    installed.  In [cntr attach] that is step #2, and no request can reach
+    the connection before step #3 mounts CntrFS (§3.2.2). *)
 val start_serving : t -> unit
 
 (** Arm supervision on a live connection: a fault plane consulted while

@@ -184,7 +184,7 @@ let cache_attr ?valid_ns t st =
         if size = st.Types.st_size then st else { st with Types.st_size = size }
     | _ -> st
   in
-  if t.opts.Opts.attr_cache then begin
+  if t.opts.Opts.dcache then begin
     let v = Option.value ~default:t.opts.Opts.attr_timeout_ns valid_ns in
     Hashtbl.replace t.attrs st.Types.st_ino (st, expiry_of t v)
   end;
@@ -199,13 +199,13 @@ let cached_attr t ino =
   | None -> None
 
 let put_entry ?valid_ns t parent name ino =
-  if t.opts.Opts.entry_cache then begin
+  if t.opts.Opts.dcache then begin
     let v = Option.value ~default:t.opts.Opts.entry_timeout_ns valid_ns in
     Hashtbl.replace t.entries (parent, name) (ino, expiry_of t v)
   end
 
 let cached_entry t parent name =
-  if not t.opts.Opts.entry_cache then None
+  if not t.opts.Opts.dcache then None
   else
     match Hashtbl.find_opt t.entries (parent, name) with
     | Some (ino, exp) when not (expired t exp) -> Some ino
@@ -1366,7 +1366,7 @@ let statfs t () =
    nlookup) for every inode reachable through the dentry cache from the
    root (ino 1).  After a server crash this is what survives — the mount,
    the caches, the handles — and what a relaunched server must re-learn so
-   the driver's ino space stays valid (Attach.recover).  Depth-first,
+   the driver's ino space stays valid (Session.recover).  Depth-first,
    children in name order, so the replay is deterministic. *)
 let ino_paths t =
   let children = Hashtbl.create 64 in

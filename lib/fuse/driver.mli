@@ -31,8 +31,8 @@ val obs : t -> Repro_obs.Obs.t
 (** {1 Supervised-session recovery}
 
     After the CntrFS server crashes, the mount and the driver's caches
-    survive; these two calls let {!Repro_core.Attach.recover}-style paths
-    relaunch the server without remounting. *)
+    survive; these two calls let [Repro_cntrfs.Session.recover] relaunch
+    the server without remounting. *)
 
 (** The driver's live inode map: [(ino, path relative to the server root,
     nlookup)] for every inode reachable through the dentry cache, in

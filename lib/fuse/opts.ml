@@ -10,8 +10,7 @@ type t = {
   splice_read : bool;       (* zero-copy read replies *)
   splice_write : bool;      (* zero-copy write requests (extra ctx switch) *)
   forget_batch : int;       (* forget intents coalesced per request *)
-  entry_cache : bool;       (* dentry cache in the driver *)
-  attr_cache : bool;        (* attribute cache in the driver *)
+  dcache : bool;            (* dentry + attribute caches in the driver *)
   max_write : int;          (* bytes per WRITE request *)
   max_read : int;           (* bytes per READ request *)
   read_batch : int;         (* concurrent READs batched by async_read *)
@@ -36,8 +35,7 @@ let cntr_default = {
      disabled by default. *)
   splice_write = false;
   forget_batch = 64;
-  entry_cache = true;
-  attr_cache = true;
+  dcache = true;
   max_write = 128 * 1024;
   max_read = 128 * 1024;
   read_batch = 8;
@@ -59,8 +57,7 @@ let unoptimized = {
   forget_batch = 1;
   (* plain FUSE ships entry/attr validity 0 — no dcache caching; TTL'd
      caching is on CNTR's optimization list, so the baseline lacks it *)
-  entry_cache = false;
-  attr_cache = false;
+  dcache = false;
   max_write = 128 * 1024;
   max_read = 128 * 1024;
   read_batch = 1;

@@ -14,8 +14,9 @@ type t = {
           switch and the splice legs are charged (§3.3 leaves it off by
           default for exactly that trade) *)
   forget_batch : int;  (** forget intents coalesced per request *)
-  entry_cache : bool;  (** dentry cache in the driver *)
-  attr_cache : bool;  (** attribute cache in the driver *)
+  dcache : bool;
+      (** the driver's dentry and attribute caches (FUSE entry/attr
+          validity above zero) *)
   max_write : int;  (** bytes per WRITE request *)
   max_read : int;  (** bytes per READ request *)
   read_batch : int;  (** concurrent READs amortized by async_read *)

@@ -34,11 +34,12 @@ and t = {
   hostnames : (int, string) Hashtbl.t; (* uts ns id -> hostname *)
   mutable next_tag : int;
   mutable init_pid : int;
-  (* Fault-injection hook consulted on file/metadata syscalls: given the
+  (* Fault-injection hooks consulted on file/metadata syscalls: given the
      syscall name and the calling process, an [Errno.t] makes the call fail
-     before touching the filesystem.  Installed by the fault plane (filtered
-     there to the CntrFS server's processes); None costs one branch. *)
-  mutable k_fault : (op:string -> Proc.t -> Errno.t option) option;
+     before touching the filesystem.  Each armed CntrFS session adds one
+     (filtered there to its server's process) and removes it on close;
+     none costs one branch. *)
+  mutable k_faults : (op:string -> Proc.t -> Errno.t option) list;
 }
 
 let ( let* ) = Result.bind
@@ -47,14 +48,16 @@ let charge t =
   Repro_obs.Metrics.incr t.k_syscalls;
   Clock.consume_int t.clock Cost.syscall_ns
 
-let set_fault t hook = t.k_fault <- hook
+let add_fault t hook = t.k_faults <- hook :: t.k_faults
+let remove_fault t hook = t.k_faults <- List.filter (fun h -> h != hook) t.k_faults
 
 (* [Ok ()] in the common (unhooked) case; charge still applies — a faulted
    syscall entered the kernel before failing. *)
 let fault_check t proc op =
-  match t.k_fault with
-  | None -> Ok ()
-  | Some hook -> ( match hook ~op proc with None -> Ok () | Some e -> Error e)
+  match t.k_faults with
+  | [] -> Ok ()
+  | hooks -> (
+      match List.find_map (fun hook -> hook ~op proc) hooks with None -> Ok () | Some e -> Error e)
 
 (* Get-or-create a named counter on the kernel's registry — for cold
    paths where holding a handle isn't worth a record field. *)
@@ -88,7 +91,7 @@ let create ?obs ~clock ~root_fs () =
       hostnames = Hashtbl.create 4;
       next_tag = 0;
       init_pid = 1;
-      k_fault = None;
+      k_faults = [];
     }
   in
   let mnt_ns = Mount.create_ns ~fs:root_fs in
@@ -255,6 +258,13 @@ let open_ t proc path flags ~mode =
         | Error e -> Error e)
     | Error e -> Error e
   in
+  (* a fresh open file description for [v], on the lowest free fd *)
+  let file v fh =
+    Ok
+      (Proc.alloc_fd proc
+         (Proc.File
+            { of_vnode = v; of_fh = fh; of_flags = flags; of_path = path; of_offset = 0; of_refs = 1 }))
+  in
   let* r = resolved in
   match r with
   | `Existing v -> (
@@ -268,28 +278,16 @@ let open_ t proc path flags ~mode =
           | None ->
               let fs = v.Proc.v_mount.Mount.m_fs in
               let* fh = fs.Fsops.open_ (Proc.vfs_cred proc) v.Proc.v_ino flags in
-              let entry =
-                Proc.File
-                  { of_vnode = v; of_fh = fh; of_flags = flags; of_path = path; of_offset = 0; of_refs = 1 }
-              in
-              Ok (Proc.alloc_fd proc entry))
+              file v fh)
       | _ ->
           let fs = v.Proc.v_mount.Mount.m_fs in
-          let flags =
-            if v.Proc.v_mount.Mount.m_ro && Types.flag_writable flags then flags
-            else flags
-          in
           let* () =
             if v.Proc.v_mount.Mount.m_ro && Types.flag_writable flags then
               Error Errno.EROFS
             else Ok ()
           in
           let* fh = fs.Fsops.open_ (Proc.vfs_cred proc) v.Proc.v_ino flags in
-          let entry =
-            Proc.File
-              { of_vnode = v; of_fh = fh; of_flags = flags; of_path = path; of_offset = 0; of_refs = 1 }
-          in
-          Ok (Proc.alloc_fd proc entry))
+          file v fh)
   | `Create (dir, name) ->
       let* () =
         if dir.Proc.v_mount.Mount.m_ro then Error Errno.EROFS else Ok ()
@@ -297,12 +295,7 @@ let open_ t proc path flags ~mode =
       let fs = dir.Proc.v_mount.Mount.m_fs in
       let mode = mode land lnot proc.Proc.umask in
       let* st, fh = fs.Fsops.create (Proc.vfs_cred proc) dir.Proc.v_ino name ~mode flags in
-      let v = { Proc.v_mount = dir.Proc.v_mount; v_ino = st.Types.st_ino } in
-      let entry =
-        Proc.File
-          { of_vnode = v; of_fh = fh; of_flags = flags; of_path = path; of_offset = 0; of_refs = 1 }
-      in
-      Ok (Proc.alloc_fd proc entry)
+      file { Proc.v_mount = dir.Proc.v_mount; v_ino = st.Types.st_ino } fh
 
 let release_file f =
   f.Proc.of_refs <- f.Proc.of_refs - 1;
@@ -349,7 +342,7 @@ let file_kind f =
   | Ok st -> st.Types.st_kind
   | Error _ -> Types.Reg
 
-let read_file t proc f ~len =
+let read_file t f ~len =
   let fs = f.Proc.of_vnode.Proc.v_mount.Mount.m_fs in
   match file_kind f with
   | Types.Chr (a, b) -> (
@@ -360,14 +353,13 @@ let read_file t proc f ~len =
       let* data = fs.Fsops.read f.Proc.of_fh ~off:f.Proc.of_offset ~len in
       f.Proc.of_offset <- f.Proc.of_offset + String.length data;
       Ok data
-  [@@warning "-27"]
 
 let read t proc fdn ~len =
   charge t;
   let* () = fault_check t proc "read" in
   let* entry = fd_entry proc fdn in
   match entry with
-  | Proc.File f -> read_file t proc f ~len
+  | Proc.File f -> read_file t f ~len
   | Proc.Pipe_r p -> Pipe.read p ~len
   | Proc.Pipe_w _ -> Error Errno.EBADF
   | Proc.Sock_conn ep -> Sock.recv ep ~len
@@ -1014,7 +1006,7 @@ let splice t proc ~fd_in ~fd_out ~len =
       match inp with
       | Proc.Pipe_r p -> Pipe.read p ~len
       | Proc.Sock_conn ep -> Sock.recv ep ~len
-      | Proc.File f -> read_file t proc f ~len
+      | Proc.File f -> read_file t f ~len
       | Proc.Custom c -> c.Proc.c_read ~len
       | _ -> Error Errno.EINVAL
     in

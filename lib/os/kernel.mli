@@ -43,8 +43,8 @@ and t = {
   hostnames : (int, string) Hashtbl.t;  (** per UTS namespace *)
   mutable next_tag : int;
   mutable init_pid : int;
-  mutable k_fault : (op:string -> Proc.t -> Errno.t option) option;
-      (** fault-injection hook for file/metadata syscalls (see {!set_fault}) *)
+  mutable k_faults : (op:string -> Proc.t -> Errno.t option) list;
+      (** fault-injection hooks for file/metadata syscalls (see {!add_fault}) *)
 }
 
 (** Boot a kernel whose init process (pid 1) runs as root on [root_fs];
@@ -63,15 +63,20 @@ val procs_in_pidns : t -> Namespace.pid_ns -> Proc.t list
 (** Register a cloned/new mount namespace so propagation can reach it. *)
 val register_mnt_ns : t -> Mount.ns -> unit
 
-(** Install (or clear) the fault-injection hook.  It is consulted on entry
-    to the file/metadata syscalls ("open", "read", "write", "pread",
-    "pwrite", "stat", "lstat", "mkdir", "unlink", "rmdir", "rename",
-    "readdir", "fsync") with the calling process; returning an errno fails
-    the call before it reaches the filesystem.  The fault plane installs a
-    closure here filtered to the CntrFS server's processes, so transient
-    backing-store errors (EINTR/ENOMEM/EIO/ENOSPC) hit the server exactly
-    as if the host fs had returned them.  No hook costs one branch. *)
-val set_fault : t -> (op:string -> Proc.t -> Errno.t option) option -> unit
+(** Add a fault-injection hook.  Every hook is consulted on entry to the
+    file/metadata syscalls ("open", "read", "write", "pread", "pwrite",
+    "stat", "lstat", "mkdir", "unlink", "rmdir", "rename", "readdir",
+    "fsync") with the calling process; the first errno returned fails the
+    call before it reaches the filesystem.  Each armed CntrFS session adds
+    a closure filtered to its server's process, so transient backing-store
+    errors (EINTR/ENOMEM/EIO/ENOSPC) hit that server exactly as if the
+    host fs had returned them, and sessions never disarm each other.  No
+    hook costs one branch. *)
+val add_fault : t -> (op:string -> Proc.t -> Errno.t option) -> unit
+
+(** Remove a hook {!add_fault} added (compared physically); absent ones
+    are ignored. *)
+val remove_fault : t -> (op:string -> Proc.t -> Errno.t option) -> unit
 
 (** {1 Files} *)
 

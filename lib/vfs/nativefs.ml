@@ -537,7 +537,7 @@ let read t fh ~off ~len =
         let result = Fdata.read data ~off ~len in
         let n = String.length result in
         if h.h_direct then Store.read_direct t.store ~len:n ~async:h.h_async
-        else Store.read t.store ~ino:h.h_ino ~off ~len:n ~file_size:(Fdata.size data) ();
+        else Store.read t.store ~ino:h.h_ino ~off ~len:n ~file_size:(Fdata.size data);
         (* copy out to userspace *)
         Clock.consume_int t.clock (Cost.copy_cost n);
         inode.Inode.atime <- now t;

@@ -111,7 +111,7 @@ let charge_disk_read t bytes =
 (* Charge the cost of reading [len] bytes at [off] of [ino]: page-cache
    hits cost memory copies; a miss triggers a readahead window (one I/O
    covering up to [readahead_pages]), clamped to the file size. *)
-let read t ~ino ~off ~len ?(file_size = max_int) () =
+let read t ~ino ~off ~len ~file_size =
   fault_delay t "read";
   if len <= 0 then ()
   else

@@ -40,7 +40,7 @@ val set_fault_delay : t -> (op:string -> int) option -> unit
 
 (** Charge a read: page-cache hits cost memory copies; a miss triggers a
     readahead window (one I/O of up to 32 pages, clamped to [file_size]). *)
-val read : t -> ino:int -> off:int -> len:int -> ?file_size:int -> unit -> unit
+val read : t -> ino:int -> off:int -> len:int -> file_size:int -> unit
 
 (** Charge a buffered write; [sync] forces the inode's dirty pages out. *)
 val write : t -> ino:int -> off:int -> len:int -> sync:bool -> unit

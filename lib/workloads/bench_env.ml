@@ -65,9 +65,13 @@ let make_env ?obs ~backend ~budget_mb ?(threads = 4) () =
     | Cntrfs opts ->
         let server_proc = Kernel.fork kernel init in
         server_proc.Proc.comm <- "cntrfs";
+        let conn = Conn.create ~obs ~sched ~clock () in
         let session =
-          Session.create ~kernel ~server_proc ~root_path:"/" ~opts ~threads ~sched ~budget ()
+          Session.create ~kernel ~conn ~server_proc ~root_path:"/" ~opts ~threads ~budget ()
         in
+        Repro_obs.Metrics.set
+          (Repro_obs.Metrics.gauge metrics "cntrfs.server.threads")
+          (float_of_int threads);
         ignore (ok (Kernel.mount_at kernel init ~fs:(Session.fs session) "/cntr"));
         (Some session, "/cntr/data/bench")
   in

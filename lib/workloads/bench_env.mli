@@ -38,7 +38,8 @@ type workload = {
 }
 
 (** [obs] is shared by the env's kernel, page caches and FUSE session, so
-    one registry sees the whole run; omitted = a fresh private handle. *)
+    one registry sees the whole run; omitted = a fresh private handle.  A
+    CntrFS env also sets the [cntrfs.server.threads] gauge to [threads]. *)
 val make_env :
   ?obs:Repro_obs.Obs.t -> backend:backend -> budget_mb:int -> ?threads:int -> unit -> env
 

@@ -364,7 +364,7 @@ let ablation_matrix () =
       ("without async read batching", { base with Opts.async_read = false; read_batch = 1 });
       ("without splice read", { base with Opts.splice_read = false });
       ("without forget batching", { base with Opts.forget_batch = 1 });
-      ("without entry/attr caches", { base with Opts.entry_cache = false; attr_cache = false });
+      ("without entry/attr caches", { base with Opts.dcache = false });
       ("with splice write (off by default, §3.3)", { base with Opts.splice_write = true });
       ("nothing (unoptimized FUSE)", Opts.unoptimized);
     ]

@@ -126,7 +126,8 @@ let setup_cntrfs ?(opts = Repro_fuse.Opts.cntr_default) () =
   let server_proc = Kernel.fork k init in
   server_proc.Proc.comm <- "cntrfs";
   let budget = Mem_budget.create ~limit_bytes:(256 * 1024 * 1024) in
-  let session = Session.create ~kernel:k ~server_proc ~root_path:"/back" ~opts ~budget () in
+  let conn = Repro_fuse.Conn.create ~obs:k.Kernel.obs ~clock:k.Kernel.clock () in
+  let session = Session.create ~kernel:k ~conn ~server_proc ~root_path:"/back" ~opts ~budget () in
   ignore (ok (Kernel.mount_at k init ~fs:(Session.fs session) "/mnt"));
   let user, user2 = make_procs k init in
   { su_env_root = "/mnt"; su_kernel = k; su_root = init; su_user = user; su_user2 = user2; su_session = Some session }

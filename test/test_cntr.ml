@@ -7,6 +7,7 @@ open Repro_os
 open Repro_runtime
 open Repro_cntr
 module Proxy = Repro_proxy.Proxy
+module Session = Repro_cntrfs.Session
 
 let check_i = Alcotest.(check int)
 let check_s = Alcotest.(check string)
@@ -171,10 +172,36 @@ let test_detach_leaves_app_running () =
   Attach.detach session;
   check_b "app alive" true (Container.is_running app);
   check_b "shell dead" false session.Attach.sn_shell_proc.Proc.alive;
-  check_b "server dead" false session.Attach.sn_server_proc.Proc.alive;
+  check_b "server dead" false session.Attach.sn_cntrfs.Session.server_proc.Proc.alive;
   (* the app can still use its filesystem *)
   let content = ok (Kernel.read_whole world.World.kernel app.Container.ct_main "/etc/nginx.conf") in
   check_b "app fs intact" true (contains ~needle:"listen" content)
+
+(* --- mount options ------------------------------------------------------------ *)
+
+(* The attach's server takes its options from the same [opts] as the
+   driver: with a passthrough LRU armed, opens of the tools' files are
+   granted and their reads bypass FUSE. *)
+let test_attach_honours_passthrough () =
+  let world, _app = boot_with_app () in
+  let config =
+    {
+      Attach.Config.default with
+      Attach.Config.opts = { Repro_fuse.Opts.cntr_default with Repro_fuse.Opts.passthrough = 8 };
+    }
+  in
+  let session = ok (Testbed.attach world ~config "web") in
+  List.iter
+    (fun cmd ->
+      let code, _ = Attach.run session cmd in
+      check_i cmd 0 code)
+    [ "cat /etc/os-release"; "cat /etc/os-release"; "cat /usr/bin/gdb" ];
+  let m = Repro_obs.Obs.metrics (Attach.obs session) in
+  let c = Repro_obs.Metrics.counter_value m in
+  check_b "grants issued" true (c "fuse.passthrough.grants" > 0);
+  check_b "reads bypassed FUSE" true (c "fuse.passthrough.reads" > 0);
+  check_i "no FUSE READ" 0 (c "fuse.req.read.count");
+  Attach.detach session
 
 (* --- container-to-container (fat image) ------------------------------------- *)
 
@@ -260,7 +287,7 @@ let test_socket_proxy_roundtrip () =
   let fwd =
     ok
       (Proxy.forward plane ~front_proc:session.Attach.sn_shell_proc
-         ~back_proc:session.Attach.sn_server_proc ~backend_path:"/var/run/dbus.sock"
+         ~back_proc:session.Attach.sn_cntrfs.Session.server_proc ~backend_path:"/var/run/dbus.sock"
          "/var/run/cntr-dbus.sock")
   in
   let cfd = ok (Kernel.socket_connect k session.Attach.sn_shell_proc "/var/run/cntr-dbus.sock") in
@@ -331,6 +358,8 @@ let () =
           Alcotest.test_case "edit config in place" `Quick test_edit_config_in_place;
           Alcotest.test_case "detach leaves app" `Quick test_detach_leaves_app_running;
         ] );
+      ( "mount-options",
+        [ Alcotest.test_case "attach honours passthrough" `Quick test_attach_honours_passthrough ] );
       ( "use-cases",
         [
           Alcotest.test_case "fat container tools" `Quick test_fat_container_tools;

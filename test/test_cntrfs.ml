@@ -41,7 +41,9 @@ let boot ?(opts = Opts.cntr_default) ?(budget_bytes = 1024 * 1024 * 1024) () =
   let server_proc = Kernel.fork k init in
   server_proc.Proc.comm <- "cntrfs";
   let budget = Mem_budget.create ~limit_bytes:budget_bytes in
-  let session = Session.create ~kernel:k ~server_proc ~root_path:"/fat" ~opts ~budget () in
+  let session = Session.create ~kernel:k ~conn:(Conn.create ~obs:k.Kernel.obs ~clock ()) ~server_proc
+      ~root_path:"/fat" ~opts ~budget ()
+  in
   ignore (ok (Kernel.mount_at k init ~fs:(Session.fs session) "/cntr"));
   { k; init; session; budget }
 

@@ -32,7 +32,8 @@ let boot_pair_full ?(threads = 4) ?(budget = 32 * 1024 * 1024) ~opts () =
   let server = Kernel.fork k init in
   let budget = Mem_budget.create ~limit_bytes:budget in
   let session =
-    Session.create ~kernel:k ~server_proc:server ~root_path:"/back" ~opts ~threads ~budget ()
+    Session.create ~kernel:k ~conn:(Conn.create ~obs:k.Kernel.obs ~clock ()) ~server_proc:server
+      ~root_path:"/back" ~opts ~threads ~budget ()
   in
   ignore (ok (Kernel.mount_at k init ~fs:(Session.fs session) "/mnt"));
   (sys k init "/mnt", sys k init "/native", session)
@@ -433,8 +434,8 @@ let search () =
              let server = Kernel.fork k init in
              let budget = Mem_budget.create ~limit_bytes:(32 * 1024 * 1024) in
              let session =
-               Session.create ~kernel:k ~server_proc:server ~root_path:"/back"
-                 ~opts:Opts.cntr_default ~budget ()
+               Session.create ~kernel:k ~conn:(Conn.create ~obs:k.Kernel.obs ~clock ())
+                 ~server_proc:server ~root_path:"/back" ~opts:Opts.cntr_default ~budget ()
              in
              let real = Server.handle session.Session.server in
              Conn.set_handler session.Session.conn (fun ctx req ->

@@ -88,6 +88,51 @@ let test_hang_server_bounded_by_deadline () =
   check_i "alive after" 0 code;
   Attach.detach session
 
+(* One arm point: the plan is armed when step #2 builds the CntrFS session,
+   so a backing rule also sees the server's syscalls for the attach's own
+   setup — here the first one fails, and so does the attach. *)
+let test_plan_armed_for_setup () =
+  let world, _app = boot_with_app () in
+  let plan, retry =
+    match Repro_fault.Fault.parse "backing * nth=1 fail=EIO\n" with
+    | Ok v -> v
+    | Error msg -> Alcotest.fail msg
+  in
+  let config = { Attach.Config.default with Attach.Config.fault = Some plan; retry } in
+  check_err Errno.EIO (Testbed.attach world ~config "web")
+
+(* A failed attach releases what it started: its processes exit and its
+   backing hook leaves the kernel.  Each armed session's hook is its own,
+   so an earlier session's backing rule still fires after that, and with
+   another armed session live. *)
+let test_failed_attach_releases () =
+  let world, _app = boot_with_app () in
+  let armed text =
+    match Repro_fault.Fault.parse text with
+    | Ok (plan, retry) -> { Attach.Config.default with Attach.Config.fault = Some plan; retry }
+    | Error msg -> Alcotest.fail msg
+  in
+  (* fires on every backing syscall once a virtual second has passed *)
+  let first = ok (Testbed.attach world ~config:(armed "backing * after=1000000000 fail=EIO\n") "web") in
+  check_err Errno.EIO (Testbed.attach world ~config:(armed "backing * nth=1 fail=EIO\n") "web");
+  let attach_procs =
+    Hashtbl.fold
+      (fun _ p n ->
+        if p.Proc.alive && List.mem p.Proc.comm [ "cntr"; "cntrfs"; "cntr-shell" ] then n + 1 else n)
+      world.World.kernel.Kernel.procs 0
+  in
+  check_i "only the first attach's processes live" 3 attach_procs;
+  let second = ok (Testbed.attach world ~config:(armed "fuse statfs nth=1 fail=EIO\n") "web") in
+  Clock.consume_int world.World.clock 1_000_000_000;
+  let code, _ = Attach.run first "cat /etc/os-release" in
+  check_b "first plan's backing rule fails the cat" true (code <> 0);
+  let injected = match Attach.fault first with Some f -> Repro_fault.Fault.injected f | None -> 0 in
+  check_b "first plan injected" true (injected > 0);
+  let code, _ = Attach.run second "cat /etc/os-release" in
+  check_i "second session unaffected" 0 code;
+  Attach.detach second;
+  Attach.detach first
+
 let test_uninitialized_conn_refuses () =
   let clock = Clock.create () in
   let conn = Conn.create ~clock () in
@@ -224,6 +269,8 @@ let () =
           Alcotest.test_case "crash then recover" `Quick test_crash_then_recover_resumes;
           Alcotest.test_case "hang bounded by deadline" `Quick test_hang_server_bounded_by_deadline;
           Alcotest.test_case "uninitialized conn" `Quick test_uninitialized_conn_refuses;
+          Alcotest.test_case "plan armed for setup" `Quick test_plan_armed_for_setup;
+          Alcotest.test_case "failed attach releases" `Quick test_failed_attach_releases;
         ] );
       ( "container-lifecycle",
         [

@@ -47,7 +47,8 @@ let boot ?opts ?fault ?retry ?(budget = 32 * 1024 * 1024) () =
   let server = Kernel.fork k init in
   let budget = Mem_budget.create ~limit_bytes:budget in
   let session =
-    Session.create ~kernel:k ~server_proc:server ~root_path:"/back" ?opts ?fault ?retry ~budget ()
+    Session.create ~kernel:k ~conn:(Conn.create ~obs:k.Kernel.obs ~clock ()) ~server_proc:server
+      ~root_path:"/back" ?opts ?fault ?retry ~budget ()
   in
   (* disk-site rules throttle the backing store itself *)
   (match Session.fault session with

@@ -28,7 +28,10 @@ let boot ?(opts = Opts.cntr_default) () =
   ok (Kernel.mkdir k init "/mnt" ~mode:0o755);
   let server = Kernel.fork k init in
   let budget = Mem_budget.create ~limit_bytes:(64 * 1024 * 1024) in
-  let session = Session.create ~kernel:k ~server_proc:server ~root_path:"/back" ~opts ~budget () in
+  let session =
+    Session.create ~kernel:k ~conn:(Conn.create ~obs:k.Kernel.obs ~clock ()) ~server_proc:server
+      ~root_path:"/back" ~opts ~budget ()
+  in
   ignore (ok (Kernel.mount_at k init ~fs:(Session.fs session) "/mnt"));
   { k; init; session }
 
@@ -232,7 +235,7 @@ let test_entry_cache_avoids_lookups () =
   check_i "no further lookup requests" lookups1 (kind_count w "lookup")
 
 let test_entry_cache_disabled () =
-  let w = boot ~opts:{ Opts.cntr_default with Opts.entry_cache = false; attr_cache = false } () in
+  let w = boot ~opts:{ Opts.cntr_default with Opts.dcache = false } () in
   write_file w "/back/f" "x";
   ignore (ok (Kernel.stat w.k w.init "/mnt/f"));
   let lookups1 = kind_count w "lookup" in
