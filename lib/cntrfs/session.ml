@@ -99,12 +99,13 @@ let recover t =
     (Repro_obs.Metrics.counter (Repro_obs.Obs.metrics (Conn.obs t.conn)) "session.recoveries")
 
 (* Close the session: DESTROY drops the server's handles and grants, the
-   server process exits and the session's backing rules leave the kernel;
-   the mount is left to the namespace it lives in.  A second call is a
-   no-op. *)
+   server process exits, the worker fibers end and the session's backing
+   rules leave the kernel; the mount is left to the namespace it lives in.
+   A second call is a no-op. *)
 let close t =
   ignore (Server.handle t.server Protocol.root_ctx Protocol.Destroy);
   if t.server_proc.Proc.alive then Kernel.exit t.kernel t.server_proc 0;
+  Conn.close t.conn;
   Option.iter (Kernel.remove_fault t.kernel) t.backing_hook
 
 (* Teardown barrier: wait out the background class (pending forgets,

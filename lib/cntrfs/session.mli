@@ -72,9 +72,10 @@ val fault : t -> Repro_fault.Fault.t option
 val recover : t -> unit
 
 (** Close the session: send DESTROY to the server (its open handles and
-    passthrough grants die), exit the server process and remove the
-    session's backing-fault hook from the kernel, leaving every other
-    session's hook in place.  A second call is a no-op. *)
+    passthrough grants die), exit the server process, end the connection's
+    worker fibers ({!Repro_fuse.Conn.close}) and remove the session's
+    backing-fault hook from the kernel, leaving every other session's hook
+    in place.  A second call is a no-op. *)
 val close : t -> unit
 
 (** Teardown barrier: wait until every queued request (including one-way

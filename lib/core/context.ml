@@ -109,10 +109,3 @@ let inspect kernel proc ~pid =
       cx_uid_map = uid_map;
       cx_gid_map = gid_map;
     }
-
-let pp ppf t =
-  Fmt.pf ppf "pid=%d uid=%d gid=%d cgroup=%s lsm=%s caps=%s env=[%s]" t.cx_pid t.cx_uid
-    t.cx_gid t.cx_cgroup
-    (Option.value ~default:"unconfined" t.cx_lsm_profile)
-    (Caps.Set.to_hex t.cx_caps)
-    (String.concat ";" (List.map (fun (k, v) -> k ^ "=" ^ v) t.cx_env))

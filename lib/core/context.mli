@@ -20,5 +20,3 @@ type t = {
 (** [inspect kernel proc ~pid] reads /proc/[pid]/{status,environ,cgroup,
     attr/current,uid_map,gid_map,ns/*} as [proc] and parses them. *)
 val inspect : Kernel.t -> Proc.t -> pid:int -> (t, Repro_util.Errno.t) result
-
-val pp : Format.formatter -> t -> unit

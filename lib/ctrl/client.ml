@@ -35,7 +35,6 @@ type t = {
 
 type ticket = Rpc.id
 
-let daemon t = t.c_daemon
 
 let in_process d =
   {

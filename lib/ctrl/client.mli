@@ -35,8 +35,6 @@ val in_process : Daemon.t -> t
     connection with its own flow-control state on the daemon side. *)
 val connect : Daemon.wire -> t
 
-val daemon : t -> Daemon.t
-
 (** {1 Raw request plumbing} *)
 
 type ticket

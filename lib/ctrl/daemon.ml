@@ -226,8 +226,6 @@ let create ?(config = default_config) world =
     m_wait = Metrics.histogram metrics "ctrl.queue.wait_us";
   }
 
-let world t = t.d_world
-let config t = t.d_config
 let kernel t = t.d_world.Repro_runtime.World.kernel
 let obs t = (kernel t).Kernel.obs
 let clock t = (kernel t).Kernel.clock

@@ -78,8 +78,6 @@ type t
 (** The daemon drives sessions against [world]'s kernel and engines. *)
 val create : ?config:config -> Repro_runtime.World.t -> t
 
-val world : t -> Repro_runtime.World.t
-val config : t -> config
 val obs : t -> Repro_obs.Obs.t
 
 (** {1 Request path} *)

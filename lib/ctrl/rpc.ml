@@ -63,9 +63,6 @@ let response_json p =
 let encode_request r = Jsonx.to_string (request_json r)
 let encode_response p = Jsonx.to_string (response_json p)
 
-let notification meth params =
-  encode_request { r_id = None; r_method = meth; r_params = params }
-
 (* ------------------------------------------------------------------ *)
 (* Decoding                                                           *)
 (* ------------------------------------------------------------------ *)

@@ -67,9 +67,6 @@ val response_json : response -> Jsonx.t
 val encode_request : request -> string
 val encode_response : response -> string
 
-(** A [method]/[params] notification (no id). *)
-val notification : string -> Jsonx.t -> string
-
 (** Parse + classify raw text. *)
 val decode : string -> (message, rerror) result
 

@@ -88,6 +88,10 @@ type t = {
   (* the server crashed (fault plane or test hook): calls fail ENOTCONN
      immediately until [revive] *)
   mutable dead : bool;
+  (* the session closed for good: workers end instead of parking *)
+  mutable closed : bool;
+  (* [sched] was created for this connection, so its fibers are all ours *)
+  own_sched : bool;
   (* while true, calls charge no virtual time (background writeback) *)
   mutable background : bool;
   (* armed fault plane; None = plane off, every consult short-circuits *)
@@ -134,6 +138,7 @@ type t = {
 
 let create ?obs ?sched ~clock () =
   let obs = match obs with Some o -> o | None -> Repro_obs.Obs.create () in
+  let own_sched = sched = None in
   let sched = match sched with Some s -> s | None -> Sched.create ~clock in
   let m = Repro_obs.Obs.metrics obs in
   let qdepth_sum = Metrics.counter m "fuse.queue.depth.sum" in
@@ -150,6 +155,8 @@ let create ?obs ?sched ~clock () =
     max_background = 12;
     serving = false;
     dead = false;
+    closed = false;
+    own_sched;
     background = false;
     fault = None;
     retry = Fault.no_retry;
@@ -283,6 +290,17 @@ let crash t =
   List.iter (fun it -> fail_item t it) (Sched.Ws.drain_all t.pool);
   Metrics.set t.m_inflight (float_of_int t.inflight);
   ignore (Sched.broadcast t.sched t.bg_cond)
+
+(* Shut the connection for good (its session closed): calls fail ENOTCONN
+   and the workers end, so a closed session leaves no fiber behind.
+   Parked workers end now.  On a scheduler of its own, nothing will run
+   the connection's queued fibers again, so they end now too; on a shared
+   one, a runnable worker ends when it next runs out of work. *)
+let close t =
+  t.serving <- false;
+  t.closed <- true;
+  Array.iter (fun w -> Sched.cancel w.w_cond) t.workers;
+  if t.own_sched then Sched.cancel_pending t.sched
 
 (* Bring a crashed connection back after the server has been relaunched and
    a fresh handler installed (see Session.recover).  The parked worker pool
@@ -426,6 +444,7 @@ and worker_idle t w =
         Sched.unlock t.sched w.w_lock;
         worker_idle t w
       end
+      else if t.closed then Sched.unlock t.sched w.w_lock
       else begin
         (* Nothing anywhere: block in read(2) on /dev/fuse.  FUSE daemon
            threads do not spin in userspace — the read blocks in the
@@ -531,8 +550,9 @@ let spawn_worker t i =
   t.workers <- Array.append t.workers [| w |];
   ignore
     (Sched.spawn t.sched (fun () ->
-         try worker_loop t w
-         with e -> (match t.worker_exn with None -> t.worker_exn <- Some e | Some _ -> ())))
+         try worker_loop t w with
+         | Sched.Cancelled -> ()
+         | e -> (match t.worker_exn with None -> t.worker_exn <- Some e | Some _ -> ())))
 
 (* Top up the pool to [t.threads] workers (threads may be retuned between
    benchmark runs on a live connection). *)

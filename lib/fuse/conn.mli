@@ -57,6 +57,8 @@ type t = {
   mutable serving : bool;
   mutable dead : bool;
       (** the server crashed; calls fail [ENOTCONN] until {!revive} *)
+  mutable closed : bool;  (** set by {!close} *)
+  own_sched : bool;  (** [sched] was created for this connection *)
   mutable background : bool;
       (** while true, calls charge no virtual time (background writeback) *)
   mutable fault : Repro_fault.Fault.t option;
@@ -142,6 +144,14 @@ val inject_crash : t -> unit
 (** Bring a crashed connection back once the server has been relaunched and
     a fresh handler installed; the parked worker pool is reused. *)
 val revive : t -> unit
+
+(** Shut the connection for good: calls fail [ENOTCONN] from now on, and
+    the worker fibers end, charging nothing — parked ones at once, and on a
+    scheduler the connection created, every queued fiber too (nothing would
+    run them again); on a shared scheduler a runnable worker ends when it
+    next runs out of work.  Without this the workers would outlive their
+    session and world, each holding its fiber stack. *)
+val close : t -> unit
 
 (** Issue one request and wait for the reply: exactly one round trip.
     [splice] moves payloads by page remapping instead of copying.  Under

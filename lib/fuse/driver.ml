@@ -529,7 +529,7 @@ let create ~conn ~opts ~budget =
       conn;
       opts;
       clock;
-      fs_id = Fsops.next_fs_id ();
+      fs_id = Clock.fresh_fs_id clock;
       pcache = Page_cache.create ~metrics ~name:"fuse" ~budget ();
       pdata = Hashtbl.create 64;
       unlinked = Hashtbl.create 8;
@@ -567,8 +567,6 @@ let create ~conn ~opts ~budget =
   install_flush_hook t;
   t
 
-let conn t = t.conn
-let obs t = Conn.obs t.conn
 
 (* --- Fsops implementation ------------------------------------------------- *)
 

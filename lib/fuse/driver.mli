@@ -21,13 +21,6 @@ val create : conn:Conn.t -> opts:Opts.t -> budget:Mem_budget.t -> t
 (** The filesystem interface to hand to {!Repro_os.Kernel.mount_at}. *)
 val ops : t -> Fsops.t
 
-val conn : t -> Conn.t
-
-(** The connection's observability handle; the driver's page cache and
-    dentry counters ([vfs.page_cache.fuse.*], [fuse.dentry.*]) register
-    here. *)
-val obs : t -> Repro_obs.Obs.t
-
 (** {1 Supervised-session recovery}
 
     After the CntrFS server crashes, the mount and the driver's caches

@@ -105,14 +105,7 @@ let build_container kernel image =
   let* rootfs = Image.materialize image ~kernel ~proc:init in
   let proc = Kernel.fork kernel init in
   proc.Proc.comm <- "buildkit";
-  let ns = Mount.create_ns ~fs:(Nativefs.ops rootfs) in
-  Kernel.register_mnt_ns kernel ns;
-  let root_vnode =
-    { Proc.v_mount = Mount.root_mount ns; v_ino = (Nativefs.ops rootfs).Fsops.root }
-  in
-  proc.Proc.ns.Proc.mnt <- ns;
-  proc.Proc.root <- root_vnode;
-  proc.Proc.cwd <- root_vnode;
+  Kernel.enter_new_mnt_ns kernel proc ~fs:(Nativefs.ops rootfs);
   proc.Proc.env <- image.Image.config.Image.env;
   Ok proc
 

@@ -22,9 +22,6 @@ val base_layer : [ `Alpine | `Debian | `Scratch ] -> Layer.t
 (** Paths of a base the application actually touches at runtime. *)
 val base_paths_used : [ `Alpine | `Debian | `Scratch ] -> string list
 
-(** Synthesize the image for one spec. *)
-val build : spec -> Image.t
-
 (** The whole Top-50. *)
 val top50 : unit -> Image.t list
 

@@ -107,12 +107,7 @@ let materialize t ~kernel ~proc =
   (* Work in a scratch process whose root is the new fs, so paths are
      simply image-absolute. *)
   let scratch = Kernel.fork kernel proc in
-  let ns = Mount.create_ns ~fs:(Nativefs.ops rootfs) in
-  Kernel.register_mnt_ns kernel ns;
-  let root_vnode = { Proc.v_mount = Mount.root_mount ns; v_ino = (Nativefs.ops rootfs).Fsops.root } in
-  scratch.Proc.ns.Proc.mnt <- ns;
-  scratch.Proc.root <- root_vnode;
-  scratch.Proc.cwd <- root_vnode;
+  Kernel.enter_new_mnt_ns kernel scratch ~fs:(Nativefs.ops rootfs);
   let apply entry =
     match entry with
     | Layer.Dir { path; mode } ->

@@ -53,10 +53,6 @@ let push t image =
 
 let find t ref_ = Hashtbl.find_opt t.images ref_
 
-let images t =
-  Hashtbl.fold (fun _ i acc -> i :: acc) t.images []
-  |> List.sort (fun a b -> compare (Image.ref_ a) (Image.ref_ b))
-
 (* Pull an image: for each layer missing from the host store, transfer the
    chunks the host doesn't already hold, charging network time on the
    virtual clock.  Layers already present — or whose chunks are all

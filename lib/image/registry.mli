@@ -34,9 +34,6 @@ val push : t -> Image.t -> unit
 
 val find : t -> string -> Image.t option
 
-(** All images, sorted by reference. *)
-val images : t -> Image.t list
-
 (** Pull by "name:tag": transfers the chunks missing from the host store,
     charging network time on the virtual clock.  Layers that move no bytes
     are free — no per-layer latency for cached (or fully chunk-deduped)

@@ -77,11 +77,6 @@ val histogram_summary : t -> string -> summary option
 
 (** {1 Snapshots} *)
 
-type value = V_counter of int | V_gauge of float | V_histogram of summary
-
-(** All metrics, sorted by name; derived gauges are evaluated here. *)
-val snapshot : t -> (string * value) list
-
 (** Deterministic JSON object with sorted ["counters"], ["gauges"] and
     ["histograms"] sections. *)
 val to_json : t -> string

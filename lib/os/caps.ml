@@ -25,25 +25,7 @@ let all_caps = [
   CAP_SYS_PTRACE; CAP_SYS_ADMIN; CAP_MKNOD; CAP_SYS_RESOURCE; CAP_AUDIT_WRITE;
 ]
 
-let to_string = function
-  | CAP_CHOWN -> "cap_chown"
-  | CAP_DAC_OVERRIDE -> "cap_dac_override"
-  | CAP_FOWNER -> "cap_fowner"
-  | CAP_FSETID -> "cap_fsetid"
-  | CAP_KILL -> "cap_kill"
-  | CAP_SETGID -> "cap_setgid"
-  | CAP_SETUID -> "cap_setuid"
-  | CAP_NET_ADMIN -> "cap_net_admin"
-  | CAP_NET_BIND_SERVICE -> "cap_net_bind_service"
-  | CAP_SYS_CHROOT -> "cap_sys_chroot"
-  | CAP_SYS_PTRACE -> "cap_sys_ptrace"
-  | CAP_SYS_ADMIN -> "cap_sys_admin"
-  | CAP_MKNOD -> "cap_mknod"
-  | CAP_SYS_RESOURCE -> "cap_sys_resource"
-  | CAP_AUDIT_WRITE -> "cap_audit_write"
-
-let of_string s = List.find_opt (fun c -> to_string c = s) all_caps
-
+(* Kernel bit position, as in /proc's CapEff. *)
 let bit = function
   | CAP_CHOWN -> 0
   | CAP_DAC_OVERRIDE -> 1
@@ -68,9 +50,7 @@ module Set = struct
   let full = List.fold_left (fun acc c -> acc lor (1 lsl bit c)) 0 all_caps
   let mem c t = t land (1 lsl bit c) <> 0
   let add c t = t lor (1 lsl bit c)
-  let remove c t = t land lnot (1 lsl bit c)
   let of_list = List.fold_left (fun acc c -> add c acc) empty
-  let to_list t = List.filter (fun c -> mem c t) all_caps
   let to_hex t = Printf.sprintf "%016x" t
   let of_hex s = int_of_string ("0x" ^ s)
   let equal (a : t) b = a = b

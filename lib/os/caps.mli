@@ -19,22 +19,12 @@ type cap =
   | CAP_SYS_RESOURCE
   | CAP_AUDIT_WRITE
 
-val to_string : cap -> string
-val of_string : string -> cap option
-
-(** Kernel bit position (as in /proc's CapEff). *)
-val bit : cap -> int
-
 module Set : sig
   type t
 
   val empty : t
   val full : t
   val mem : cap -> t -> bool
-  val add : cap -> t -> t
-  val remove : cap -> t -> t
-  val of_list : cap list -> t
-  val to_list : t -> cap list
 
   (** CapEff-style 16-digit hex, as /proc prints it. *)
   val to_hex : t -> string

@@ -32,8 +32,6 @@ let add t ~fd ~interest ~probes =
      readiness as a fresh transition, as EPOLL_CTL_MOD does. *)
   Hashtbl.remove t.seen fd
 
-let modify = add
-
 (* EPOLL_CTL_MOD-style re-arm without touching probes or waitqueues: the
    next wait_edge sees current readiness as a fresh transition.  Pumps call
    this before parking so a readiness flap between two wait_edge samples

@@ -20,8 +20,6 @@ val create : unit -> t
     fresh transition. *)
 val add : t -> fd:int -> interest:interest -> probes:probes -> unit
 
-val modify : t -> fd:int -> interest:interest -> probes:probes -> unit
-
 (** Reset the fd's edge state only (EPOLL_CTL_MOD re-arm): the next
     {!wait_edge} reports current readiness as a fresh transition. *)
 val rearm : t -> fd:int -> unit

@@ -26,6 +26,7 @@ and t = {
   k_syscalls : Repro_obs.Metrics.counter;
   procs : (int, Proc.t) Hashtbl.t;
   mutable next_pid : int;
+  mnt_ids : Mount.ids; (* mount, mount namespace and peer group ids *)
   namespaces : (int, Mount.ns) Hashtbl.t; (* all mount namespaces *)
   sock_bindings : (int * int, Sock.listener) Hashtbl.t; (* (fs_id, ino) *)
   programs : (string, program) Hashtbl.t;
@@ -72,6 +73,19 @@ let fresh_ns t kind = { Namespace.id = fresh_tag t; kind }
 
 let register_mnt_ns t ns = Hashtbl.replace t.namespaces ns.Mount.ns_id ns
 
+(* A new private namespace rooted at [fs], registered for propagation,
+   and the vnode of its root. *)
+let new_mnt_ns t ~fs =
+  let ns = Mount.create_ns t.mnt_ids ~fs in
+  register_mnt_ns t ns;
+  (ns, { Proc.v_mount = Mount.root_mount ns; v_ino = fs.Fsops.root })
+
+let enter_new_mnt_ns t proc ~fs =
+  let ns, root = new_mnt_ns t ~fs in
+  proc.Proc.ns.Proc.mnt <- ns;
+  proc.Proc.root <- root;
+  proc.Proc.cwd <- root
+
 (* Create a kernel whose init process (pid 1) runs as root on [root_fs].
    The host root mount is shared, as systemd sets it up. *)
 let create ?obs ~clock ~root_fs () =
@@ -83,6 +97,7 @@ let create ?obs ~clock ~root_fs () =
       k_syscalls = Repro_obs.Metrics.counter (Repro_obs.Obs.metrics obs) "os.syscall.count";
       procs = Hashtbl.create 64;
       next_pid = 2;
+      mnt_ids = Mount.ids ();
       namespaces = Hashtbl.create 8;
       sock_bindings = Hashtbl.create 16;
       programs = Hashtbl.create 32;
@@ -94,10 +109,8 @@ let create ?obs ~clock ~root_fs () =
       k_faults = [];
     }
   in
-  let mnt_ns = Mount.create_ns ~fs:root_fs in
-  Mount.make_shared (Mount.root_mount mnt_ns);
-  register_mnt_ns t mnt_ns;
-  let root_vnode = { Proc.v_mount = Mount.root_mount mnt_ns; v_ino = root_fs.Fsops.root } in
+  let mnt_ns, root_vnode = new_mnt_ns t ~fs:root_fs in
+  Mount.make_shared t.mnt_ids root_vnode.Proc.v_mount;
   let ns_set =
     {
       Proc.mnt = mnt_ns;
@@ -281,17 +294,9 @@ let open_ t proc path flags ~mode =
               file v fh)
       | _ ->
           let fs = v.Proc.v_mount.Mount.m_fs in
-          let* () =
-            if v.Proc.v_mount.Mount.m_ro && Types.flag_writable flags then
-              Error Errno.EROFS
-            else Ok ()
-          in
           let* fh = fs.Fsops.open_ (Proc.vfs_cred proc) v.Proc.v_ino flags in
           file v fh)
   | `Create (dir, name) ->
-      let* () =
-        if dir.Proc.v_mount.Mount.m_ro then Error Errno.EROFS else Ok ()
-      in
       let fs = dir.Proc.v_mount.Mount.m_fs in
       let mode = mode land lnot proc.Proc.umask in
       let* st, fh = fs.Fsops.create (Proc.vfs_cred proc) dir.Proc.v_ino name ~mode flags in
@@ -507,8 +512,7 @@ let access t proc path want =
 
 let with_parent t proc path f =
   let* dir, name = resolve_parent t proc path in
-  if dir.Proc.v_mount.Mount.m_ro then Error Errno.EROFS
-  else f dir.Proc.v_mount.Mount.m_fs dir.Proc.v_ino name
+  f dir.Proc.v_mount.Mount.m_fs dir.Proc.v_ino name
 
 let mkdir t proc path ~mode =
   charge t;
@@ -562,7 +566,6 @@ let rename t proc ~src ~dst =
   let* ddir, dname = resolve_parent t proc dst in
   if sdir.Proc.v_mount.Mount.m_id <> ddir.Proc.v_mount.Mount.m_id then
     Error Errno.EXDEV
-  else if sdir.Proc.v_mount.Mount.m_ro then Error Errno.EROFS
   else
     sdir.Proc.v_mount.Mount.m_fs.Fsops.rename (Proc.vfs_cred proc)
       sdir.Proc.v_ino sname ddir.Proc.v_ino dname
@@ -573,7 +576,6 @@ let link t proc ~target ~linkpath =
   let* ldir, lname = resolve_parent t proc linkpath in
   if tv.Proc.v_mount.Mount.m_id <> ldir.Proc.v_mount.Mount.m_id then
     Error Errno.EXDEV
-  else if ldir.Proc.v_mount.Mount.m_ro then Error Errno.EROFS
   else
     let* _st =
       ldir.Proc.v_mount.Mount.m_fs.Fsops.link (Proc.vfs_cred proc)
@@ -588,7 +590,6 @@ let link_fd t proc fdn ~linkpath =
   let* ldir, lname = resolve_parent t proc linkpath in
   if f.Proc.of_vnode.Proc.v_mount.Mount.m_id <> ldir.Proc.v_mount.Mount.m_id then
     Error Errno.EXDEV
-  else if ldir.Proc.v_mount.Mount.m_ro then Error Errno.EROFS
   else
     let* _st =
       ldir.Proc.v_mount.Mount.m_fs.Fsops.link (Proc.vfs_cred proc)
@@ -599,10 +600,8 @@ let link_fd t proc fdn ~linkpath =
 let setattr_path t proc path sa =
   charge t;
   let* v = resolve_cwd t proc path in
-  if v.Proc.v_mount.Mount.m_ro then Error Errno.EROFS
-  else
-    let* _st = v.Proc.v_mount.Mount.m_fs.Fsops.setattr (Proc.vfs_cred proc) v.Proc.v_ino sa in
-    Ok ()
+  let* _st = v.Proc.v_mount.Mount.m_fs.Fsops.setattr (Proc.vfs_cred proc) v.Proc.v_ino sa in
+  Ok ()
 
 let chmod t proc path mode =
   setattr_path t proc path { Types.setattr_none with Types.sa_mode = Some mode }
@@ -625,8 +624,7 @@ let readdir t proc path =
 let setxattr t proc path name value =
   charge t;
   let* v = resolve_cwd t proc path in
-  if v.Proc.v_mount.Mount.m_ro then Error Errno.EROFS
-  else v.Proc.v_mount.Mount.m_fs.Fsops.setxattr (Proc.vfs_cred proc) v.Proc.v_ino name value
+  v.Proc.v_mount.Mount.m_fs.Fsops.setxattr (Proc.vfs_cred proc) v.Proc.v_ino name value
 
 let getxattr t proc path name =
   charge t;
@@ -641,8 +639,7 @@ let listxattr t proc path =
 let removexattr t proc path name =
   charge t;
   let* v = resolve_cwd t proc path in
-  if v.Proc.v_mount.Mount.m_ro then Error Errno.EROFS
-  else v.Proc.v_mount.Mount.m_fs.Fsops.removexattr (Proc.vfs_cred proc) v.Proc.v_ino name
+  v.Proc.v_mount.Mount.m_fs.Fsops.removexattr (Proc.vfs_cred proc) v.Proc.v_ino name
 
 let statfs t proc path =
   charge t;
@@ -769,7 +766,7 @@ let unshare t proc kinds =
       (fun kind ->
         match kind with
         | Namespace.Mnt ->
-            let ns = Mount.clone_ns proc.Proc.ns.Proc.mnt in
+            let ns = Mount.clone_ns t.mnt_ids proc.Proc.ns.Proc.mnt in
             register_mnt_ns t ns;
             (* Re-anchor root/cwd in the cloned namespace: find the clone of
                the mount they pointed into. *)
@@ -845,11 +842,11 @@ let require_admin proc =
 
 (* Propagate a new mount to peers of a shared parent (other namespaces that
    share the peer group see the mount appear). *)
-let propagate_mount t ~parent ~mp_ino ~fs ~root_ino ~ro =
+let propagate_mount t ~parent ~mp_ino ~fs ~root_ino =
   match parent.Mount.m_prop with
-  | Mount.Private | Mount.Slave _ -> ()
+  | Mount.Private -> ()
   | Mount.Shared group ->
-      let replica_group = Mount.next_peer_group () in
+      let replica_group = Mount.fresh_group t.mnt_ids in
       Hashtbl.iter
         (fun _ ns ->
           Hashtbl.iter
@@ -860,8 +857,8 @@ let propagate_mount t ~parent ~mp_ino ~fs ~root_ino ~ro =
                 && m.Mount.m_fs.Fsops.fs_id = parent.Mount.m_fs.Fsops.fs_id
               then
                 ignore
-                  (Mount.add ns ~parent:m.Mount.m_id ~mp_ino ~fs ~root_ino
-                     ~prop:(Mount.Shared replica_group) ~ro))
+                  (Mount.add t.mnt_ids ns ~parent:m.Mount.m_id ~mp_ino ~fs ~root_ino
+                     ~prop:(Mount.Shared replica_group)))
             ns.Mount.mounts)
         t.namespaces
 
@@ -876,10 +873,10 @@ let mount_at t proc ~fs target =
     let parent = v.Proc.v_mount in
     let root_ino = fs.Fsops.root in
     let m =
-      Mount.add ns ~parent:parent.Mount.m_id ~mp_ino:v.Proc.v_ino ~fs ~root_ino
-        ~prop:Mount.Private ~ro:false
+      Mount.add t.mnt_ids ns ~parent:parent.Mount.m_id ~mp_ino:v.Proc.v_ino ~fs ~root_ino
+        ~prop:Mount.Private
     in
-    propagate_mount t ~parent ~mp_ino:v.Proc.v_ino ~fs ~root_ino ~ro:false;
+    propagate_mount t ~parent ~mp_ino:v.Proc.v_ino ~fs ~root_ino;
     Ok m
   end
 
@@ -902,10 +899,10 @@ let bind_mount t proc ~src ~dst =
     let parent = dv.Proc.v_mount in
     let fs = sv.Proc.v_mount.Mount.m_fs in
     let m =
-      Mount.add ns ~parent:parent.Mount.m_id ~mp_ino:dv.Proc.v_ino ~fs
-        ~root_ino:sv.Proc.v_ino ~prop:Mount.Private ~ro:false
+      Mount.add t.mnt_ids ns ~parent:parent.Mount.m_id ~mp_ino:dv.Proc.v_ino ~fs
+        ~root_ino:sv.Proc.v_ino ~prop:Mount.Private
     in
-    propagate_mount t ~parent ~mp_ino:dv.Proc.v_ino ~fs ~root_ino:sv.Proc.v_ino ~ro:false;
+    propagate_mount t ~parent ~mp_ino:dv.Proc.v_ino ~fs ~root_ino:sv.Proc.v_ino;
     Ok m
   end
 
@@ -928,11 +925,6 @@ let make_rprivate t proc =
   let* () = require_admin proc in
   Mount.make_rprivate proc.Proc.ns.Proc.mnt;
   Ok ()
-
-(* Move every pre-existing mount of the namespace so CNTR can re-anchor the
-   application filesystem under the nested root (step #3).  Implemented as
-   re-pointing the parent/mountpoint of the old root's children; the caller
-   provides the new location. *)
 
 (* --- hostname, cgroups, rlimits, LSM ----------------------------------- *)
 
@@ -1072,7 +1064,7 @@ let socket_listen ?backlog t proc path =
     | Error e -> Error e
   in
   let* st = fs.Fsops.mknod cred dir.Proc.v_ino name ~kind:Types.Sock ~mode:0o755 in
-  let listener = Sock.listen ?backlog ~path () in
+  let listener = Sock.listen ?backlog () in
   Hashtbl.replace t.sock_bindings (fs.Fsops.fs_id, st.Types.st_ino) listener;
   Ok (Proc.alloc_fd proc (Proc.Sock_listen listener))
 

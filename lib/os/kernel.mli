@@ -3,7 +3,12 @@
 
     Every syscall takes the kernel and the calling process; permissions,
     namespaces, chroot and rlimits are those of the caller.  All costs are
-    charged to the world's virtual clock through {!Repro_util.Cost}. *)
+    charged to the world's virtual clock through {!Repro_util.Cost}.
+
+    Every id a kernel hands out — pids, namespace tags, mount,
+    mount-namespace and peer-group ids — comes from the kernel's own
+    counters, so a world's ids do not depend on the other kernels of the
+    process. *)
 
 open Repro_util
 open Repro_vfs
@@ -33,6 +38,9 @@ and t = {
   k_syscalls : Repro_obs.Metrics.counter;  (** hot handle for [os.syscall.count] *)
   procs : (int, Proc.t) Hashtbl.t;
   mutable next_pid : int;
+  mnt_ids : Mount.ids;
+      (** this kernel's mount, mount-namespace and peer-group ids, like
+          [next_pid] and [next_tag] *)
   namespaces : (int, Mount.ns) Hashtbl.t;  (** every mount namespace, for propagation *)
   sock_bindings : (int * int, Sock.listener) Hashtbl.t;
       (** Unix-socket bindings keyed by (fs_id, ino) — which is why sockets
@@ -59,9 +67,6 @@ val proc_by_pid : t -> int -> (Proc.t, Errno.t) result
 
 (** Processes visible from a PID namespace (itself and its descendants). *)
 val procs_in_pidns : t -> Namespace.pid_ns -> Proc.t list
-
-(** Register a cloned/new mount namespace so propagation can reach it. *)
-val register_mnt_ns : t -> Mount.ns -> unit
 
 (** Add a fault-injection hook.  Every hook is consulted on entry to the
     file/metadata syscalls ("open", "read", "write", "pread", "pwrite",
@@ -198,6 +203,12 @@ val umount : t -> Proc.t -> string -> (unit, Errno.t) result
 (** mount --make-rprivate /: detach every mount of the caller's namespace
     from its peer group, so new mounts stop propagating (§3.2.3). *)
 val make_rprivate : t -> Proc.t -> (unit, Errno.t) result
+
+(** Simulation hook, not a syscall: move [proc] into a fresh private mount
+    namespace whose one mount is [fs]'s root, which becomes its root and
+    cwd — how a runtime sandboxes a container on its image rootfs, and
+    how the image tools work inside one.  Charges nothing. *)
+val enter_new_mnt_ns : t -> Proc.t -> fs:Fsops.t -> unit
 
 val mounts_of_ns : Mount.ns -> Mount.mount list
 

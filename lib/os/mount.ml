@@ -8,17 +8,14 @@
 
 open Repro_vfs
 
-type propagation = Private | Shared of int | Slave of int
+type propagation = Private | Shared of int
 
 type mount = {
   m_id : int;
-  m_ns : int; (* owning namespace id *)
   m_fs : Fsops.t;
   m_root : Types.ino;
-  mutable m_parent : int option;
-  mutable m_mp : (int * Types.ino) option; (* (parent mount id, mountpoint ino) *)
+  m_mp : (int * Types.ino) option; (* (parent mount id, mountpoint ino) *)
   mutable m_prop : propagation;
-  mutable m_ro : bool;
 }
 
 type ns = {
@@ -27,32 +24,28 @@ type ns = {
   mutable root : int; (* root mount id *)
 }
 
-let next_mount_id =
-  let c = ref 0 in
-  fun () -> incr c; !c
+(* One kernel's three id spaces; each counts from 1. *)
+type ids = { mutable last_mount : int; mutable last_ns : int; mutable last_group : int }
 
-let next_ns_id =
-  let c = ref 0 in
-  fun () -> incr c; !c
+let ids () = { last_mount = 0; last_ns = 0; last_group = 0 }
 
-let next_peer_group =
-  let c = ref 0 in
-  fun () -> incr c; !c
+let fresh_mount ids =
+  ids.last_mount <- ids.last_mount + 1;
+  ids.last_mount
+
+let fresh_ns ids =
+  ids.last_ns <- ids.last_ns + 1;
+  ids.last_ns
+
+let fresh_group ids =
+  ids.last_group <- ids.last_group + 1;
+  ids.last_group
 
 (* A fresh namespace with one private mount of [fs]'s root. *)
-let create_ns ~fs =
-  let ns_id = next_ns_id () in
+let create_ns ids ~fs =
+  let ns_id = fresh_ns ids in
   let m =
-    {
-      m_id = next_mount_id ();
-      m_ns = ns_id;
-      m_fs = fs;
-      m_root = fs.Fsops.root;
-      m_parent = None;
-      m_mp = None;
-      m_prop = Private;
-      m_ro = false;
-    }
+    { m_id = fresh_mount ids; m_fs = fs; m_root = fs.Fsops.root; m_mp = None; m_prop = Private }
   in
   let ns = { ns_id; mounts = Hashtbl.create 16; root = m.m_id } in
   Hashtbl.replace ns.mounts m.m_id m;
@@ -79,17 +72,14 @@ let mount_on ns ~mid ~ino =
     ns.mounts None
 
 (* Raw insertion of a mount record (propagation is the kernel's job). *)
-let add ns ~parent ~mp_ino ~fs ~root_ino ~prop ~ro =
+let add ids ns ~parent ~mp_ino ~fs ~root_ino ~prop =
   let m =
     {
-      m_id = next_mount_id ();
-      m_ns = ns.ns_id;
+      m_id = fresh_mount ids;
       m_fs = fs;
       m_root = root_ino;
-      m_parent = Some parent;
       m_mp = Some (parent, mp_ino);
       m_prop = prop;
-      m_ro = ro;
     }
   in
   Hashtbl.replace ns.mounts m.m_id m;
@@ -97,7 +87,7 @@ let add ns ~parent ~mp_ino ~fs ~root_ino ~prop ~ro =
 
 let children ns mid =
   Hashtbl.fold
-    (fun _ m acc -> if m.m_parent = Some mid then m :: acc else acc)
+    (fun _ m acc -> match m.m_mp with Some (p, _) when p = mid -> m :: acc | _ -> acc)
     ns.mounts []
 
 let remove ns mid = Hashtbl.remove ns.mounts mid
@@ -105,24 +95,16 @@ let remove ns mid = Hashtbl.remove ns.mounts mid
 (* Copy every mount into a fresh namespace, preserving structure and
    propagation (clones of shared mounts stay in the same peer group, as in
    Linux). *)
-let clone_ns ns =
-  let new_ns_id = next_ns_id () in
+let clone_ns ids ns =
+  let new_ns_id = fresh_ns ids in
   let id_map = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun old_id _ -> Hashtbl.replace id_map old_id (next_mount_id ()))
-    ns.mounts;
+  Hashtbl.iter (fun old_id _ -> Hashtbl.replace id_map old_id (fresh_mount ids)) ns.mounts;
   let remap id = Hashtbl.find id_map id in
   let mounts = Hashtbl.create 16 in
   Hashtbl.iter
     (fun old_id m ->
       let m' =
-        {
-          m with
-          m_id = remap old_id;
-          m_ns = new_ns_id;
-          m_parent = Option.map remap m.m_parent;
-          m_mp = Option.map (fun (p, i) -> (remap p, i)) m.m_mp;
-        }
+        { m with m_id = remap old_id; m_mp = Option.map (fun (p, i) -> (remap p, i)) m.m_mp }
       in
       Hashtbl.replace mounts m'.m_id m')
     ns.mounts;
@@ -132,7 +114,7 @@ let clone_ns ns =
 let make_rprivate ns =
   Hashtbl.iter (fun _ m -> m.m_prop <- Private) ns.mounts
 
-let make_shared m =
+let make_shared ids m =
   match m.m_prop with
   | Shared _ -> ()
-  | Private | Slave _ -> m.m_prop <- Shared (next_peer_group ())
+  | Private -> m.m_prop <- Shared (fresh_group ids)

@@ -4,21 +4,22 @@
     subset CNTR depends on: shared peer groups (the host root), private
     mounts (container namespaces), and recursive privatization — so a
     mount created in CNTR's nested namespace never leaks back into the
-    application container (§3.2.3). *)
+    application container (§3.2.3).
+
+    Mount, namespace and peer-group ids come from an {!ids} source that
+    the kernel owns, so each world numbers its mounts from 1 whatever other
+    worlds the process has built. *)
 
 open Repro_vfs
 
-type propagation = Private | Shared of int | Slave of int
+type propagation = Private | Shared of int  (** peer group *)
 
 type mount = {
   m_id : int;
-  m_ns : int;  (** owning namespace id *)
   m_fs : Fsops.t;
   m_root : Types.ino;  (** root inode of this mount within [m_fs] *)
-  mutable m_parent : int option;
-  mutable m_mp : (int * Types.ino) option;  (** (parent mount id, mountpoint ino) *)
+  m_mp : (int * Types.ino) option;  (** (parent mount id, mountpoint ino) *)
   mutable m_prop : propagation;
-  mutable m_ro : bool;
 }
 
 type ns = {
@@ -27,10 +28,17 @@ type ns = {
   mutable root : int;  (** root mount id *)
 }
 
-val next_peer_group : unit -> int
+(** One kernel's mount, mount-namespace and peer-group id spaces. *)
+type ids
+
+(** Fresh id spaces: the first id drawn from each is 1. *)
+val ids : unit -> ids
+
+(** A new peer group id. *)
+val fresh_group : ids -> int
 
 (** A fresh namespace with one private mount of [fs]'s root. *)
-val create_ns : fs:Fsops.t -> ns
+val create_ns : ids -> fs:Fsops.t -> ns
 
 val find : ns -> int -> mount option
 val root_mount : ns -> mount
@@ -40,23 +48,26 @@ val mount_on : ns -> mid:int -> ino:Types.ino -> mount option
 
 (** Raw insertion (propagation to peers is the kernel's job). *)
 val add :
+  ids ->
   ns ->
   parent:int ->
   mp_ino:Types.ino ->
   fs:Fsops.t ->
   root_ino:Types.ino ->
   prop:propagation ->
-  ro:bool ->
   mount
 
+(** The mounts whose parent is mount [mid]. *)
 val children : ns -> int -> mount list
+
 val remove : ns -> int -> unit
 
 (** Copy every mount into a fresh namespace, preserving structure and peer
     groups (clones of shared mounts stay shared, as in Linux). *)
-val clone_ns : ns -> ns
+val clone_ns : ids -> ns -> ns
 
 (** mount --make-rprivate /: detach every mount from its peer group. *)
 val make_rprivate : ns -> unit
 
-val make_shared : mount -> unit
+(** Put a private mount in a new peer group of its own. *)
+val make_shared : ids -> mount -> unit

@@ -59,7 +59,7 @@ let create ~kernel ~pidns =
     {
       kernel;
       pidns;
-      fs_id = Fsops.next_fs_id ();
+      fs_id = Clock.fresh_fs_id kernel.Kernel.clock;
       handles = Hashtbl.create 8;
       next_fh = 1;
       nodes = Hashtbl.create 64;
@@ -86,10 +86,9 @@ let visible_pids t =
 
 (* --- content generation ------------------------------------------------ *)
 
-let render_status t (p : Proc.t) =
+let render_status (p : Proc.t) =
   let caps = p.Proc.cred.Proc.caps in
   let groups = String.concat " " (List.map string_of_int p.Proc.cred.Proc.groups) in
-  ignore t;
   Printf.sprintf
     "Name:\t%s\nPid:\t%d\nPPid:\t%d\nUid:\t%d\t%d\t%d\t%d\nGid:\t%d\t%d\t%d\t%d\nGroups:\t%s\nCapEff:\t%s\nSeccomp:\t0\n"
     p.Proc.comm p.Proc.pid p.Proc.ppid p.Proc.cred.Proc.uid p.Proc.cred.Proc.uid
@@ -105,13 +104,11 @@ let render_cgroup (p : Proc.t) = Printf.sprintf "0::%s\n" p.Proc.cgroup
 let render_mounts (p : Proc.t) =
   Kernel.mounts_of_ns p.Proc.ns.Proc.mnt
   |> List.map (fun m ->
-         Printf.sprintf "%d %s %s ino%d %s" m.Mount.m_id m.Mount.m_fs.Fsops.fs_name
+         Printf.sprintf "%d %s %s ino%d rw" m.Mount.m_id m.Mount.m_fs.Fsops.fs_name
            (match m.Mount.m_prop with
            | Mount.Private -> "private"
-           | Mount.Shared g -> Printf.sprintf "shared:%d" g
-           | Mount.Slave g -> Printf.sprintf "slave:%d" g)
-           m.Mount.m_root
-           (if m.Mount.m_ro then "ro" else "rw"))
+           | Mount.Shared g -> Printf.sprintf "shared:%d" g)
+           m.Mount.m_root)
   |> String.concat "\n"
 
 let render_limits (p : Proc.t) =
@@ -131,7 +128,7 @@ let render_map map =
 let render_pid_file t p name =
   let* proc = proc_of t p in
   match name with
-  | "status" -> Ok (render_status t proc)
+  | "status" -> Ok (render_status proc)
   | "environ" -> Ok (render_environ proc)
   | "cmdline" -> Ok (proc.Proc.comm ^ "\000")
   | "cgroup" -> Ok (render_cgroup proc)

@@ -14,7 +14,6 @@
 open Repro_util
 
 type endpoint = {
-  ep_id : int;
   recv_q : Pipe.t; (* bytes we read *)
   peer_q : Pipe.t; (* bytes the peer reads (we write here) *)
   mutable ep_open : bool;
@@ -24,24 +23,16 @@ type endpoint = {
 }
 
 type listener = {
-  l_id : int;
-  l_path : string; (* for diagnostics *)
   backlog : endpoint Queue.t; (* server-side endpoints awaiting accept *)
   l_backlog_max : int;
   mutable l_open : bool;
   mutable l_wakers : (unit -> unit) list;
 }
 
-let next_id =
-  let c = ref 0 in
-  fun () -> incr c; !c
-
 let default_backlog = 128
 
-let listen ?(backlog = default_backlog) ~path () =
+let listen ?(backlog = default_backlog) () =
   {
-    l_id = next_id ();
-    l_path = path;
     backlog = Queue.create ();
     l_backlog_max = max 1 backlog;
     l_open = true;
@@ -55,11 +46,11 @@ let wake_listener l = List.iter (fun f -> f ()) (List.rev l.l_wakers)
 let pair () =
   let a_to_b = Pipe.create () and b_to_a = Pipe.create () in
   let a =
-    { ep_id = next_id (); recv_q = b_to_a; peer_q = a_to_b; ep_open = true;
+    { recv_q = b_to_a; peer_q = a_to_b; ep_open = true;
       ep_wr_closed = false; ep_reset = false; ep_peer = None }
   in
   let b =
-    { ep_id = next_id (); recv_q = a_to_b; peer_q = b_to_a; ep_open = true;
+    { recv_q = a_to_b; peer_q = b_to_a; ep_open = true;
       ep_wr_closed = false; ep_reset = false; ep_peer = None }
   in
   a.ep_peer <- Some b;

@@ -2,7 +2,8 @@
     endpoint pairs with per-direction byte queues, half-close and abortive
     (RST) close.  Address binding (socket files) is the kernel's job —
     keyed by filesystem identity, which is why connections through a
-    CntrFS view fail and CNTR needs its proxy (§3.2.4). *)
+    CntrFS view fail and CNTR needs its proxy (§3.2.4).  Sockets carry no
+    ids: a listener is known by its binding, an endpoint by its fd. *)
 
 open Repro_util
 
@@ -11,7 +12,7 @@ type listener
 
 (** [backlog] bounds connections awaiting accept (default
     128); beyond it, [connect] refuses. *)
-val listen : ?backlog:int -> path:string -> unit -> listener
+val listen : ?backlog:int -> unit -> listener
 
 (** Connect: enqueues a server endpoint on the backlog, returns the client
     endpoint; [ECONNREFUSED] on a closed listener or a full backlog. *)

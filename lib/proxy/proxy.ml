@@ -98,9 +98,7 @@ type t = {
   m_datapath : Metrics.counter;
 }
 
-let mode t = t.px_mode
 let proc t = t.px_proc
-let sched t = t.px_sched
 let connection_count fw = fw.fw_proxied
 
 (* A fiber that dies takes the whole plane's credibility with it: remember

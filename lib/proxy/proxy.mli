@@ -54,9 +54,7 @@ val create :
   unit ->
   t
 
-val mode : t -> mode
 val proc : t -> Proc.t
-val sched : t -> Repro_sched.Sched.t
 
 (** A socket forwarder: a listener in the container plus an accept fiber
     that dials the host backend per client. *)

@@ -50,12 +50,7 @@ let create ~kernel ~image ?(wrap_rootfs = fun ops -> ops) settings =
   in
   (* fresh mount namespace rooted at the image rootfs (private mounts, as
      container runtimes configure them — §2.3) *)
-  let ns = Mount.create_ns ~fs:rootfs_ops in
-  Kernel.register_mnt_ns kernel ns;
-  let root_vnode = { Proc.v_mount = Mount.root_mount ns; v_ino = rootfs_ops.Fsops.root } in
-  main.Proc.ns.Proc.mnt <- ns;
-  main.Proc.root <- root_vnode;
-  main.Proc.cwd <- root_vnode;
+  Kernel.enter_new_mnt_ns kernel main ~fs:rootfs_ops;
   (* /proc scoped to the container's pid namespace, /dev as a fresh devtmpfs *)
   let procfs = Procfs.create ~kernel ~pidns:main.Proc.ns.Proc.pid_ns in
   let ensure_dir path =

@@ -69,16 +69,16 @@ let remove t key =
 
 (* --- the four engines ------------------------------------------------------ *)
 
-(* Hex digest stand-in for Docker's content-addressed container ids. *)
-let hex_id =
-  let counter = ref 0 in
-  fun name ->
-    incr counter;
-    let h = Hashtbl.hash (name, !counter) in
+(* Hex digest stand-in for Docker's content-addressed container ids: the
+   hash of the name and of how many containers this engine has run. *)
+let docker ~kernel =
+  let runs = ref 0 in
+  let hex_id name =
+    incr runs;
+    let h = Hashtbl.hash (name, !runs) in
     let raw = Printf.sprintf "%08x%08x%08x%08x" h (h * 31) (h * 131) (h * 1031) in
     String.sub (raw ^ raw) 0 64
-
-let docker ~kernel =
+  in
   create ~kernel ~name:"docker" ~make_id:hex_id
     ~cgroup:(fun ~id ~name:_ -> "/docker/" ^ id)
     ~lsm_profile:(Some "docker-default")

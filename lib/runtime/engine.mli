@@ -38,17 +38,8 @@ val run :
 (** All containers of this engine, sorted by name. *)
 val list : t -> Container.t list
 
-(** Find a running container by name, full id, or id prefix (≥ 4 chars). *)
-val find : t -> string -> (Container.t, Repro_util.Errno.t) result
-
 (** Stop and deregister a container. *)
 val remove : t -> string -> (unit, Repro_util.Errno.t) result
-
-(** The four stock engines. *)
-
-val docker : kernel:Kernel.t -> t
-val lxc : kernel:Kernel.t -> t
-val rkt : kernel:Kernel.t -> t
 
 type engines = t list
 

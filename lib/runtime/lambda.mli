@@ -27,8 +27,6 @@ val engine : t -> Engine.t
     shipped as a 256 KiB code bundle. *)
 val deploy : t -> name:string -> handler:string -> func
 
-val find : t -> string -> func option
-
 (** Invoke the function: reuses a warm instance or cold-starts one.
     Returns (handler exit code, whether this was a cold start, instance). *)
 val invoke :

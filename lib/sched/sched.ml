@@ -28,10 +28,12 @@ module Pq = Map.Make (Key)
    parked.  Resuming never rewinds the fiber below [pk_at]. *)
 type parked = { pk_at : int64; pk_k : (unit, unit) Effect.Deep.continuation }
 
+(* A queued event runs its fiber's next segment; called with [true] it
+   ends the fiber instead (see [cancel_pending]). *)
 type t = {
   clock : Clock.t;
   mutable seq : int;
-  mutable events : (unit -> unit) Pq.t;
+  mutable events : (bool -> unit) Pq.t;
   mutable next_id : int;
 }
 
@@ -111,13 +113,13 @@ module Dq = struct
 end
 
 exception Deadlock of string
+exception Cancelled
 
 type _ Effect.t +=
   | Suspend : (parked -> unit) -> unit Effect.t
   | Current : int Effect.t
 
 let create ~clock = { clock; seq = 0; events = Pq.empty; next_id = 0 }
-let clock t = t.clock
 
 (* Fiber id of the caller; 0 when running at top level (the "main thread"),
    where no effect handler is installed. *)
@@ -128,13 +130,17 @@ let schedule t ~at fn =
   t.seq <- t.seq + 1;
   t.events <- Pq.add (at, t.seq) fn t.events
 
+let resumption p =
+  let k = p.pk_k in
+  fun cancelled -> if cancelled then Effect.Deep.discontinue k Cancelled else Effect.Deep.continue k ()
+
 (* Make a parked fiber runnable.  It resumes no earlier than both its own
    park time and the waker's current time: a reply cannot be seen before it
    was produced, and a fiber cannot travel back below its own timeline. *)
 let resume t p =
   let now = Clock.now_ns t.clock in
   let at = if Int64.compare now p.pk_at > 0 then now else p.pk_at in
-  schedule t ~at (fun () -> Effect.Deep.continue p.pk_k ())
+  schedule t ~at (resumption p)
 
 let suspend register = Effect.perform (Suspend register)
 
@@ -160,7 +166,7 @@ let drive_until t stop =
     | Some (((at, _) as key), fn) ->
         t.events <- Pq.remove key t.events;
         Clock.set_ns t.clock at;
-        fn ()
+        fn false
   done
 
 (* {1 Ivars} *)
@@ -217,10 +223,11 @@ let spawn t f =
   let iv = ivar () in
   t.next_id <- t.next_id + 1;
   let id = t.next_id in
-  schedule t ~at:(Clock.now_ns t.clock) (fun () ->
-      run_fiber t id (fun () ->
-          let r = try Ok (f ()) with e -> Error e in
-          fill_result t iv r));
+  schedule t ~at:(Clock.now_ns t.clock) (fun cancelled ->
+      if not cancelled then
+        run_fiber t id (fun () ->
+            let r = try Ok (f ()) with e -> Error e in
+            fill_result t iv r));
   iv
 
 let await = read
@@ -327,13 +334,30 @@ let with_lock t m f =
 type cond = { cv_waiters : parked Dq.t }
 
 let cond () = { cv_waiters = Dq.create () }
-let waiters cv = Dq.length cv.cv_waiters
 
 (* Park on [cv] without holding any lock; tasks only switch at effects, so
    an unlock immediately followed by [park] cannot miss a wakeup. *)
 let park _t cv =
   if not (in_task ()) then invalid_arg "Sched.park: only tasks can park";
   suspend (fun p -> Dq.push_back cv.cv_waiters p)
+
+(* End every fiber parked on [cv]: each resumes at once by raising
+   [Cancelled] where it parked.  Nothing is scheduled and no virtual time
+   passes, so the fibers' owner can go away without leaving them behind. *)
+let cancel cv =
+  List.iter (fun p -> Effect.Deep.discontinue p.pk_k Cancelled) (Dq.drain cv.cv_waiters)
+
+(* The same for every queued event of [t], for an owner that goes away
+   with its scheduler: fibers that never started are dropped, and every
+   runnable one resumes by raising [Cancelled] (until none is left, since
+   an ending fiber may wake another). *)
+let rec cancel_pending t =
+  let evs = t.events in
+  if not (Pq.is_empty evs) then begin
+    t.events <- Pq.empty;
+    Pq.iter (fun _ fn -> fn true) evs;
+    cancel_pending t
+  end
 
 (* Unlock + park is atomic here because tasks only switch at effects. *)
 let wait t cv m =
@@ -362,15 +386,11 @@ let broadcast t cv =
    commit a long stretch of lock holds before same-time peers get to run. *)
 let yield t =
   if in_task () then
-    suspend (fun p ->
-        schedule t ~at:p.pk_at (fun () -> Effect.Deep.continue p.pk_k ()))
+    suspend (fun p -> schedule t ~at:p.pk_at (resumption p))
 
 let sleep_ns t ns =
   if in_task () then
-    suspend (fun p ->
-        schedule t
-          ~at:(Int64.add p.pk_at (Int64.of_int ns))
-          (fun () -> Effect.Deep.continue p.pk_k ()))
+    suspend (fun p -> schedule t ~at:(Int64.add p.pk_at (Int64.of_int ns)) (resumption p))
   else Clock.consume_int t.clock ns
 
 (* {1 Work-stealing pool state}
@@ -508,8 +528,6 @@ module Ws = struct
     else (id, false)
 
   let set_avail p i at = p.ws_avail.(i) <- at
-
-  let avail p i = p.ws_avail.(i)
 
   let set_parked p i ~at =
     p.ws_avail.(i) <- at;

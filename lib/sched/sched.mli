@@ -17,7 +17,6 @@ exception Deadlock of string
 (** Raised when a wait can never be satisfied (empty event queue). *)
 
 val create : clock:Repro_util.Clock.t -> t
-val clock : t -> Repro_util.Clock.t
 
 val in_task : unit -> bool
 
@@ -77,12 +76,22 @@ type cond
 
 val cond : unit -> cond
 
-val waiters : cond -> int
-(** Number of fibers currently parked on [cv]. *)
-
 val park : t -> cond -> unit
 (** Park on [cv] without a mutex; an unlock immediately followed by [park]
     cannot miss a wakeup (tasks switch only at effects).  Tasks only. *)
+
+exception Cancelled
+
+val cancel : cond -> unit
+(** End every fiber parked on [cv] now: each resumes by raising
+    {!Cancelled} where it parked and unwinds.  Nothing is scheduled and no
+    virtual time passes — for an owner that goes away, so its parked
+    fibers (and their stacks) do not outlive it. *)
+
+val cancel_pending : t -> unit
+(** The same for every queued event of the scheduler, for an owner that
+    goes away with it: fibers that never started are dropped, runnable
+    ones resume by raising {!Cancelled}. *)
 
 val wait : t -> cond -> mutex -> unit
 (** Atomically release the mutex and park; relocks before returning.  The
@@ -162,8 +171,6 @@ module Ws : sig
   val set_avail : 'a t -> int -> int64 -> unit
   (** Record the virtual time at which worker [i]'s current work segment
       ends (it can absorb submissions stamped earlier with no wake). *)
-
-  val avail : 'a t -> int -> int64
 
   val set_parked : 'a t -> int -> at:int64 -> unit
   (** Push worker [i] onto the parked stack; [at] (the virtual park time)

@@ -14,6 +14,3 @@ val wrap : t -> Fsops.t -> Fsops.t
 
 (** All recorded paths, sorted. *)
 val accessed_paths : t -> string list
-
-(** Manually mark a path as accessed. *)
-val record : t -> string -> unit

@@ -1,10 +1,18 @@
 (* Virtual clock.  All simulated work advances this clock through the cost
    model instead of consuming wall time, which makes every benchmark
-   deterministic and fast regardless of the simulated data volume. *)
+   deterministic and fast regardless of the simulated data volume.
 
-type t = { mutable now_ns : int64 }
+   Each world has one clock, and every filesystem of the world is built
+   with it, before the world's kernel exists; so the clock also numbers
+   the world's filesystems. *)
 
-let create () = { now_ns = 0L }
+type t = { mutable now_ns : int64; mutable last_fs_id : int }
+
+let create () = { now_ns = 0L; last_fs_id = 0 }
+
+let fresh_fs_id t =
+  t.last_fs_id <- t.last_fs_id + 1;
+  t.last_fs_id
 
 (* Current virtual time in nanoseconds since the world was created. *)
 let now_ns t = t.now_ns

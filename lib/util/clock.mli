@@ -6,6 +6,12 @@ type t
 
 val create : unit -> t
 
+(** The next filesystem id of the world this clock times, counting from 1.
+    Every filesystem is built with its world's clock, the host root before
+    the kernel exists, so a world's filesystem ids never depend on the
+    worlds built before it. *)
+val fresh_fs_id : t -> int
+
 (** Nanoseconds of virtual time since the world was created. *)
 val now_ns : t -> int64
 

@@ -11,7 +11,6 @@
 val syscall_ns : int
 val context_switch_ns : int
 val copy_ns_per_kib : int
-val mem_ns_per_kib : int
 val splice_setup_ns : int
 val splice_page_ns : int
 val dentry_ns : int
@@ -25,7 +24,6 @@ val page_size : int
 
 (** The EBS GP2 disk behind every SSD-profile store. *)
 
-val disk_read_latency_ns : int
 val disk_write_latency_ns : int
 val disk_read_ns_per_kib : int
 val disk_write_ns_per_kib : int

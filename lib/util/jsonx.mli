@@ -43,7 +43,6 @@ val parse : string -> (t, string) result
 (** Field lookup on [Obj]; [None] on missing field or non-object. *)
 val mem : t -> string -> t option
 
-val str : t -> string option
 val list_ : t -> t list option
 
 (** [field_str v k] = [mem v k |> str], and friends. *)

@@ -7,8 +7,6 @@ type t = { mutable state : int64 }
 
 let create ~seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
-
 let next_int64 t =
   let open Int64 in
   t.state <- add t.state 0x9E3779B97F4A7C15L;
@@ -31,8 +29,6 @@ let int_range t lo hi =
 let float t =
   let v = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
   v /. 9007199254740992.0 (* 2^53 *)
-
-let bool t = Int64.logand (next_int64 t) 1L = 1L
 
 (* Pick a uniformly random element of a non-empty array. *)
 let choose t arr =

@@ -6,9 +6,6 @@ type t
 
 val create : seed:int -> t
 
-(** Independent copy with the same future stream. *)
-val copy : t -> t
-
 val next_int64 : t -> int64
 
 (** Uniform int in [0, bound). *)
@@ -19,8 +16,6 @@ val int_range : t -> int -> int -> int
 
 (** Uniform float in [0, 1). *)
 val float : t -> float
-
-val bool : t -> bool
 
 (** Uniform element of a non-empty array. *)
 val choose : t -> 'a array -> 'a

@@ -3,5 +3,4 @@
 val kib : int -> int
 val mib : int -> int
 val gib : int -> int
-val pp : Format.formatter -> int -> unit
 val to_string : int -> string

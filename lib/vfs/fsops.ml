@@ -11,7 +11,7 @@ type fh = int
 
 type t = {
   fs_name : string;
-  fs_id : int;
+  fs_id : int; (* unique within the world: see Clock.fresh_fs_id *)
   root : ino;
   (* Resolve [name] in directory [dir]; returns the child inode and its
      attributes (like a FUSE LOOKUP reply). *)
@@ -52,9 +52,3 @@ type t = {
   supports_mmap : fh -> bool;
   supports_direct_io : bool;
 }
-
-let next_fs_id =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    !counter

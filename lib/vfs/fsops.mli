@@ -13,6 +13,8 @@ type fh = int
 type t = {
   fs_name : string;
   fs_id : int;
+      (** unique within the world, from its clock's
+          {!Repro_util.Clock.fresh_fs_id} *)
   root : Types.ino;
   lookup :
     Types.cred ->
@@ -98,4 +100,3 @@ type t = {
   supports_mmap : fh -> bool;
   supports_direct_io : bool;
 }
-val next_fs_id : unit -> int

@@ -50,7 +50,7 @@ let create ?metrics ?(name = "nativefs") ?(readonly = false) ~clock store_profil
       next_ino = 2;
       next_fh = 1;
       root_ino = 1;
-      fs_id = Fsops.next_fs_id ();
+      fs_id = Clock.fresh_fs_id clock;
       max_links = 65000;
       total_blocks = 25 * 1024 * 1024; (* 100 GiB of 4 KiB blocks *)
       readonly;
@@ -65,7 +65,6 @@ let create ?metrics ?(name = "nativefs") ?(readonly = false) ~clock store_profil
   t
 
 let store t = t.store
-let clock t = t.clock
 
 let now t = Clock.now_ns t.clock
 let charge_meta t = Clock.consume_int t.clock Cost.dentry_ns

@@ -19,4 +19,3 @@ val create :
 val ops : t -> Fsops.t
 
 val store : t -> Store.t
-val clock : t -> Clock.t

@@ -6,10 +6,6 @@ open Bench_env
 
 val compilebench_read : workload
 
-(** [dbench clients paper_overhead]. *)
-val dbench : int -> float -> workload
-
-val gzip : workload
 val iozone_read : workload
 val postmark : workload
 

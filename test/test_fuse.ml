@@ -73,6 +73,24 @@ let test_not_serving_before_handshake () =
   | Protocol.R_ok -> ()
   | _ -> Alcotest.fail "expected R_ok after start_serving"
 
+let test_close_refuses_and_charges_nothing () =
+  (* a closed connection refuses requests like one that never started, and
+     ending its workers costs no virtual time and leaves nothing queued on
+     the scheduler it created *)
+  let clock = Clock.create () in
+  let conn = Conn.create ~clock () in
+  Conn.set_handler conn (fun _ _ -> Protocol.R_ok);
+  Conn.start_serving conn;
+  ignore (Conn.call conn Protocol.root_ctx Protocol.Statfs);
+  let before = Clock.now_ns clock in
+  Conn.close conn;
+  Alcotest.(check int64) "close charges nothing" before (Clock.now_ns clock);
+  Alcotest.(check int) "nothing left scheduled" 0
+    (Repro_sched.Sched.pending_events conn.Conn.sched);
+  match Conn.call conn Protocol.root_ctx Protocol.Statfs with
+  | Protocol.R_err Errno.ENOTCONN -> ()
+  | _ -> Alcotest.fail "expected ENOTCONN after close"
+
 let test_batching_amortizes_context_switches () =
   (* a group of 8 requests submitted at once crosses /dev/fuse once: the
      worker pipelines through the queue without re-parking, so the group
@@ -692,6 +710,8 @@ let () =
         [
           Alcotest.test_case "requests by kind" `Quick test_requests_counted_by_kind;
           Alcotest.test_case "handshake gate" `Quick test_not_serving_before_handshake;
+          Alcotest.test_case "close refuses, charges nothing" `Quick
+            test_close_refuses_and_charges_nothing;
           Alcotest.test_case "batching amortizes" `Quick test_batching_amortizes_context_switches;
           Alcotest.test_case "background mode free" `Quick test_background_mode_free;
           Alcotest.test_case "splice accounting" `Quick test_splice_accounting;

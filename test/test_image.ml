@@ -37,13 +37,8 @@ let test_union_whiteout () =
   (* materialize and read back: top layer wins *)
   let k, init = boot () in
   let rootfs = ok (Image.materialize image ~kernel:k ~proc:init) in
-  let ns = Mount.create_ns ~fs:(Nativefs.ops rootfs) in
-  Kernel.register_mnt_ns k ns;
   let probe = Kernel.fork k init in
-  let root_vnode = { Proc.v_mount = Mount.root_mount ns; v_ino = (Nativefs.ops rootfs).Fsops.root } in
-  probe.Proc.ns.Proc.mnt <- ns;
-  probe.Proc.root <- root_vnode;
-  probe.Proc.cwd <- root_vnode;
+  Kernel.enter_new_mnt_ns k probe ~fs:(Nativefs.ops rootfs);
   check_s "upper layer wins" "new-a" (ok (Kernel.read_whole k probe "/etc/a"));
   check_b "whiteout removed the file" true
     (Kernel.stat k probe "/etc/b" = Error Errno.ENOENT);
@@ -224,15 +219,8 @@ let prop_materialize_matches_effective =
       match Image.materialize image ~kernel:k ~proc:init with
       | Error _ -> false
       | Ok rootfs ->
-          let ns = Mount.create_ns ~fs:(Nativefs.ops rootfs) in
-          Kernel.register_mnt_ns k ns;
           let probe = Kernel.fork k init in
-          let root_vnode =
-            { Proc.v_mount = Mount.root_mount ns; v_ino = (Nativefs.ops rootfs).Fsops.root }
-          in
-          probe.Proc.ns.Proc.mnt <- ns;
-          probe.Proc.root <- root_vnode;
-          probe.Proc.cwd <- root_vnode;
+          Kernel.enter_new_mnt_ns k probe ~fs:(Nativefs.ops rootfs);
           let actual =
             Errno.ok_exn (Kernel.readdir k probe "/")
             |> List.filter_map (fun e ->

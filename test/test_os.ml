@@ -209,6 +209,33 @@ let test_shared_propagation () =
   write_file k init "/mnt/x" "prop";
   check_s "propagated into clone" "prop" (read_file k child "/mnt/x")
 
+let test_propagation_clone_of_clone () =
+  let k, init = boot () in
+  ok (Kernel.mkdir k init "/mnt" ~mode:0o755);
+  (* a clone keeps the peer group, and so does a clone of that clone *)
+  let child = Kernel.fork k init in
+  ok (Kernel.unshare k child [ Namespace.Mnt ]);
+  let grandchild = Kernel.fork k child in
+  ok (Kernel.unshare k grandchild [ Namespace.Mnt ]);
+  let extra = Nativefs.create ~name:"extra" ~clock:k.Kernel.clock Store.Ram () in
+  ignore (ok (Kernel.mount_at k init ~fs:(Nativefs.ops extra) "/mnt"));
+  write_file k init "/mnt/x" "prop";
+  check_s "propagated into the clone's clone" "prop" (read_file k grandchild "/mnt/x")
+
+(* The inward half of §3.2.3's isolation: once the clone is rprivate, host
+   mounts stop reaching it. *)
+let test_rprivate_stops_inward_propagation () =
+  let k, init = boot () in
+  ok (Kernel.mkdir k init "/mnt" ~mode:0o755);
+  let child = Kernel.fork k init in
+  ok (Kernel.unshare k child [ Namespace.Mnt ]);
+  ok (Kernel.make_rprivate k child);
+  let extra = Nativefs.create ~name:"extra" ~clock:k.Kernel.clock Store.Ram () in
+  ignore (ok (Kernel.mount_at k init ~fs:(Nativefs.ops extra) "/mnt"));
+  write_file k init "/mnt/x" "host";
+  check_s "visible on the host" "host" (read_file k init "/mnt/x");
+  check_err Errno.ENOENT (Kernel.stat k child "/mnt/x")
+
 (* --- namespaces ----------------------------------------------------------- *)
 
 let test_setns () =
@@ -524,6 +551,10 @@ let () =
           Alcotest.test_case "chroot confinement" `Quick test_chroot_confinement;
           Alcotest.test_case "mount ns isolation" `Quick test_mount_ns_isolation;
           Alcotest.test_case "shared propagation" `Quick test_shared_propagation;
+          Alcotest.test_case "propagation into a clone's clone" `Quick
+            test_propagation_clone_of_clone;
+          Alcotest.test_case "rprivate stops inward propagation" `Quick
+            test_rprivate_stops_inward_propagation;
         ] );
       ( "namespaces",
         [

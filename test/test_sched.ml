@@ -347,6 +347,45 @@ let qcheck_ws_single_worker =
     QCheck.(list_of_size Gen.(1 -- 40) int)
     ws_single_worker_prop
 
+(* Cancelling a cond ends every fiber parked on it at once: their tasks
+   finish, nothing is left scheduled and no virtual time passes. *)
+let test_cond_cancel_ends_parked () =
+  let clock, s = mk () in
+  let cv = Sched.cond () in
+  let parked = ref 0 and ended = ref 0 in
+  let waiter () =
+    incr parked;
+    try Sched.park s cv with Sched.Cancelled -> incr ended
+  in
+  let ws = List.init 3 (fun _ -> Sched.spawn s waiter) in
+  Sched.drive_main s (fun () -> !parked = 3 && Sched.pending_events s = 0);
+  let before = Clock.now_ns clock in
+  Sched.cancel cv;
+  check_i "every parked fiber ended" 3 !ended;
+  check_i "nothing scheduled" 0 (Sched.pending_events s);
+  Alcotest.(check int64) "no time passed" before (Clock.now_ns clock);
+  List.iter (fun w -> Sched.await s w) ws;
+  check_i "no waiter left to signal" 0 (Sched.signal s cv)
+
+(* Cancelling a scheduler's queue ends its runnable fibers and drops the
+   ones that never started, again without time passing. *)
+let test_cancel_pending_ends_runnable () =
+  let clock, s = mk () in
+  let started = ref 0 and ended = ref 0 in
+  let sleeper () =
+    incr started;
+    try Sched.sleep_ns s 1_000 with Sched.Cancelled -> incr ended
+  in
+  ignore (Sched.spawn s sleeper);
+  ignore (Sched.spawn s sleeper);
+  Sched.drive_main s (fun () -> !started = 2);
+  ignore (Sched.spawn s sleeper);
+  Sched.cancel_pending s;
+  check_i "the two sleepers ended" 2 !ended;
+  check_i "the unstarted one never ran" 2 !started;
+  check_i "nothing scheduled" 0 (Sched.pending_events s);
+  check_ns "no time passed" 0 clock
+
 (* --- suite ------------------------------------------------------------------ *)
 
 let () =
@@ -372,7 +411,12 @@ let () =
           tc "serializes tasks" `Quick test_mutex_serializes_tasks;
           tc "reentrant" `Quick test_mutex_reentrant;
         ] );
-      ("cond", [ tc "broadcast counts waiters" `Quick test_cond_broadcast_counts_waiters ]);
+      ( "cond",
+        [
+          tc "broadcast counts waiters" `Quick test_cond_broadcast_counts_waiters;
+          tc "cancel ends parked fibers" `Quick test_cond_cancel_ends_parked;
+          tc "cancel_pending ends runnable fibers" `Quick test_cancel_pending_ends_runnable;
+        ] );
       ( "sequential-identity",
         [ QCheck_alcotest.to_alcotest qcheck_sequential_identity ] );
       ("dq", [ QCheck_alcotest.to_alcotest qcheck_dq_model ]);
