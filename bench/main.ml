@@ -1488,24 +1488,29 @@ let fleet_wire_shard () =
   let g name = int_of_float (Repro_obs.Metrics.gauge_value m name) in
   let per_seq = float_of_int seq_ns /. float_of_int fleet_wire_seq in
   let per_pipe = float_of_int pipe_ns /. float_of_int fleet_wire_pipe in
-  {
-    fw_sessions = c "ctrl.sessions.total";
-    fw_seq_ns = seq_ns;
-    fw_pipe_ns = pipe_ns;
-    fw_speedup = per_seq /. per_pipe;
-    fw_conns = c "ctrl.wire.conns";
-    fw_batches = c "ctrl.wire.batches";
-    fw_pipelined_max = g "ctrl.wire.pipelined.max";
-    fw_stalls = c "ctrl.wire.stalls";
-    fw_overloaded = c "ctrl.wire.overloaded";
-    fw_backlog_peak = g "ctrl.wire.backlog.peak";
-    fw_frame_max = g "ctrl.wire.frame.max";
-    fw_storm_ok = !storm_ok;
-    fw_storm_refused = !storm_refused;
-    fw_events = events;
-    fw_c2b = c "proxy.fwd.rpc.bytes.c2b";
-    fw_b2c = c "proxy.fwd.rpc.bytes.b2c";
-  }
+  let row =
+    {
+      fw_sessions = c "ctrl.sessions.total";
+      fw_seq_ns = seq_ns;
+      fw_pipe_ns = pipe_ns;
+      fw_speedup = per_seq /. per_pipe;
+      fw_conns = c "ctrl.wire.conns";
+      fw_batches = c "ctrl.wire.batches";
+      fw_pipelined_max = g "ctrl.wire.pipelined.max";
+      fw_stalls = c "ctrl.wire.stalls";
+      fw_overloaded = c "ctrl.wire.overloaded";
+      fw_backlog_peak = g "ctrl.wire.backlog.peak";
+      fw_frame_max = g "ctrl.wire.frame.max";
+      fw_storm_ok = !storm_ok;
+      fw_storm_refused = !storm_refused;
+      fw_events = events;
+      fw_c2b = c "proxy.fwd.rpc.bytes.c2b";
+      fw_b2c = c "proxy.fwd.rpc.bytes.b2c";
+    }
+  in
+  (* every reported value is read: the endpoint can go *)
+  Daemon.wire_close w;
+  row
 
 let fleet () =
   let rows = List.init fleet_shards fleet_shard in

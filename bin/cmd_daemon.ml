@@ -39,12 +39,15 @@ let run common json wire =
     }
   in
   let daemon = Daemon.create ~config world in
-  let client =
+  let endpoint =
     if wire then
       match Daemon.wire_serve daemon ~path:wire_path () with
-      | Ok w -> Client.connect w
+      | Ok w -> Some w
       | Error e -> failwith ("cntr daemon: cannot serve wire: " ^ Errno.message e)
-    else Client.in_process daemon
+    else None
+  in
+  let client =
+    match endpoint with Some w -> Client.connect w | None -> Client.in_process daemon
   in
   ignore (Client.subscribe client);
   let transport = if wire then wire_path else "in-process" in
@@ -220,6 +223,7 @@ let run common json wire =
           s.Repro_obs.Metrics.s_p95
     | None -> ()
   end;
+  Option.iter Daemon.wire_close endpoint;
   0
 
 let json_arg =

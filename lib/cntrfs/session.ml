@@ -91,7 +91,7 @@ let recover t =
   Server.restore server pairs;
   t.server <- server;
   t.server_proc <- np;
-  if old.Proc.alive then Kernel.exit t.kernel old 0;
+  if Proc.alive old then Kernel.exit t.kernel old 0;
   Conn.set_handler t.conn (Server.handle server);
   Conn.revive t.conn;
   Driver.on_server_restart t.driver;
@@ -104,7 +104,7 @@ let recover t =
    A second call is a no-op. *)
 let close t =
   ignore (Server.handle t.server Protocol.root_ctx Protocol.Destroy);
-  if t.server_proc.Proc.alive then Kernel.exit t.kernel t.server_proc 0;
+  if Proc.alive t.server_proc then Kernel.exit t.kernel t.server_proc 0;
   Conn.close t.conn;
   Option.iter (Kernel.remove_fault t.kernel) t.backing_hook
 

@@ -68,7 +68,7 @@ let or_undo undo r =
   if Result.is_error r then undo ();
   r
 
-let exit_if_alive kernel proc = if proc.Proc.alive then Kernel.exit kernel proc 0
+let exit_if_alive kernel proc = if Proc.alive proc then Kernel.exit kernel proc 0
 
 (* The common tail of [detach] and of an attach that fails after step #2:
    the shell exits, the CntrFS session closes and cntr itself exits. *)

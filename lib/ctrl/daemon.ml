@@ -1108,6 +1108,17 @@ let wire_serve t ~path () =
           t.d_wires <- w :: t.d_wires;
           Ok w)
 
+(* The pair of [wire_serve]: the plane's reactor, acceptor and pumps end,
+   the wire's three processes exit (closing the daemon's listener and the
+   client ends), and [pump] stops servicing it. *)
+let wire_close w =
+  let t = w.w_daemon in
+  if List.memq w t.d_wires then begin
+    t.d_wires <- List.filter (fun x -> x != w) t.d_wires;
+    Proxy.close w.w_plane;
+    List.iter (fun p -> Kernel.exit (k t) p 0) [ w.w_proc; w.w_client_proc; Proxy.proc w.w_plane ]
+  end
+
 let wire_path w = w.w_path
 let wire_client_proc w = w.w_client_proc
 let wire_daemon w = w.w_daemon

@@ -144,6 +144,13 @@ type wire
     connections round-robin. *)
 val wire_serve : t -> path:string -> unit -> (wire, Errno.t) result
 
+(** The pair of {!wire_serve}: close the endpoint's forwarding plane
+    (its reactor, acceptor and per-client pumps end; open connections are
+    aborted), exit the wire's three processes and stop servicing it in
+    {!pump}.  A later connect to its path is refused ([ECONNREFUSED]).
+    The daemon and its sessions are untouched.  Idempotent. *)
+val wire_close : wire -> unit
+
 val wire_path : wire -> string
 
 (** The daemon this endpoint serves — a wire is a complete connect

@@ -1,6 +1,10 @@
-(* The simulated kernel: process table, namespaces, mount forest, path
-   walking, and the syscall surface the rest of the repository programs
-   against.  All costs are charged to the virtual clock. *)
+(* The simulated kernel: process table, mount forest, path walking, and
+   the syscall surface the rest of the repository programs against.  All
+   costs are charged to the virtual clock.
+
+   Each fact is stored once: a process's namespaces, cgroup and liveness
+   in its [Proc.t], a hostname in its UTS namespace, a namespace's mounts
+   in its [Mount.ns], reached through the processes in it. *)
 
 open Repro_util
 open Repro_vfs
@@ -16,8 +20,6 @@ and chardev = {
   dev_open : (t -> Proc.t -> Proc.fd_entry) option;
 }
 
-and cgroup = { mutable cg_procs : int list }
-
 and t = {
   clock : Clock.t;
   obs : Repro_obs.Obs.t;
@@ -27,14 +29,10 @@ and t = {
   procs : (int, Proc.t) Hashtbl.t;
   mutable next_pid : int;
   mnt_ids : Mount.ids; (* mount, mount namespace and peer group ids *)
-  namespaces : (int, Mount.ns) Hashtbl.t; (* all mount namespaces *)
   sock_bindings : (int * int, Sock.listener) Hashtbl.t; (* (fs_id, ino) *)
   programs : (string, program) Hashtbl.t;
   chardevs : (int * int, chardev) Hashtbl.t;
-  cgroups : (string, cgroup) Hashtbl.t;
-  hostnames : (int, string) Hashtbl.t; (* uts ns id -> hostname *)
   mutable next_tag : int;
-  mutable init_pid : int;
   (* Fault-injection hooks consulted on file/metadata syscalls: given the
      syscall name and the calling process, an [Errno.t] makes the call fail
      before touching the filesystem.  Each armed CntrFS session adds one
@@ -70,14 +68,11 @@ let fresh_tag t =
   t.next_tag
 
 let fresh_ns t kind = { Namespace.id = fresh_tag t; kind }
+let fresh_uts t hostname = { Namespace.uts_id = fresh_tag t; hostname }
 
-let register_mnt_ns t ns = Hashtbl.replace t.namespaces ns.Mount.ns_id ns
-
-(* A new private namespace rooted at [fs], registered for propagation,
-   and the vnode of its root. *)
+(* A new private namespace rooted at [fs], and the vnode of its root. *)
 let new_mnt_ns t ~fs =
   let ns = Mount.create_ns t.mnt_ids ~fs in
-  register_mnt_ns t ns;
   (ns, { Proc.v_mount = Mount.root_mount ns; v_ino = fs.Fsops.root })
 
 let enter_new_mnt_ns t proc ~fs =
@@ -98,14 +93,10 @@ let create ?obs ~clock ~root_fs () =
       procs = Hashtbl.create 64;
       next_pid = 2;
       mnt_ids = Mount.ids ();
-      namespaces = Hashtbl.create 8;
       sock_bindings = Hashtbl.create 16;
       programs = Hashtbl.create 32;
       chardevs = Hashtbl.create 8;
-      cgroups = Hashtbl.create 8;
-      hostnames = Hashtbl.create 4;
       next_tag = 0;
-      init_pid = 1;
       k_faults = [];
     }
   in
@@ -116,7 +107,7 @@ let create ?obs ~clock ~root_fs () =
       Proc.mnt = mnt_ns;
       pid_ns = { Namespace.pns_id = fresh_tag t; parent = None };
       net = fresh_ns t Namespace.Net;
-      uts = fresh_ns t Namespace.Uts;
+      uts = fresh_uts t "host";
       ipc = fresh_ns t Namespace.Ipc;
       user = { Namespace.uns_id = fresh_tag t; uid_map = Namespace.identity_map; gid_map = Namespace.identity_map };
       cgroup_ns = fresh_ns t Namespace.Cgroup;
@@ -138,24 +129,21 @@ let create ?obs ~clock ~root_fs () =
       lsm_profile = None;
       rlimit_fsize = None;
       umask = 0o022;
-      alive = true;
       exit_code = None;
     }
   in
   Hashtbl.replace t.procs 1 init;
-  Hashtbl.replace t.cgroups "/" { cg_procs = [ 1 ] };
-  Hashtbl.replace t.hostnames ns_set.Proc.uts.Namespace.id "host";
   t
 
-let init_proc t = Hashtbl.find t.procs t.init_pid
+let init_proc t = Hashtbl.find t.procs 1
 
 let proc_by_pid t pid =
   match Hashtbl.find_opt t.procs pid with
-  | Some p when p.Proc.alive -> Ok p
+  | Some p when Proc.alive p -> Ok p
   | _ -> Error Errno.ESRCH
 
 let all_procs t =
-  Hashtbl.fold (fun _ p acc -> if p.Proc.alive then p :: acc else acc) t.procs []
+  Hashtbl.fold (fun _ p acc -> if Proc.alive p then p :: acc else acc) t.procs []
   |> List.sort (fun a b -> compare a.Proc.pid b.Proc.pid)
 
 (* Processes visible from a given pid namespace (it and its descendants). *)
@@ -719,39 +707,26 @@ let fork t proc =
       proc with
       Proc.pid;
       ppid = proc.Proc.pid;
+      (* fresh cred and ns records: the child's setuid, setns and unshare
+         are its own, while the namespaces themselves are shared *)
       cred = { proc.Proc.cred with Proc.uid = proc.Proc.cred.Proc.uid };
-      ns =
-        {
-          Proc.mnt = proc.Proc.ns.Proc.mnt;
-          pid_ns = proc.Proc.ns.Proc.pid_ns;
-          net = proc.Proc.ns.Proc.net;
-          uts = proc.Proc.ns.Proc.uts;
-          ipc = proc.Proc.ns.Proc.ipc;
-          user = proc.Proc.ns.Proc.user;
-          cgroup_ns = proc.Proc.ns.Proc.cgroup_ns;
-        };
+      ns = { proc.Proc.ns with Proc.mnt = proc.Proc.ns.Proc.mnt };
       fds;
-      env = proc.Proc.env;
-      alive = true;
       exit_code = None;
     }
   in
   Hashtbl.replace t.procs pid child;
-  (match Hashtbl.find_opt t.cgroups proc.Proc.cgroup with
-  | Some cg -> cg.cg_procs <- pid :: cg.cg_procs
-  | None -> ());
   child
 
+(* Close every fd and record the exit code.  The record stays in
+   [t.procs], where [proc_by_pid] answers ESRCH for it: nothing reaps an
+   exited process. *)
 let exit t proc code =
   charge t;
-  if proc.Proc.alive then begin
+  if Proc.alive proc then begin
     let fds = Hashtbl.fold (fun fd _ acc -> fd :: acc) proc.Proc.fds [] in
     List.iter (fun fd -> ignore (close t proc fd)) fds;
-    proc.Proc.alive <- false;
-    proc.Proc.exit_code <- Some code;
-    (match Hashtbl.find_opt t.cgroups proc.Proc.cgroup with
-    | Some cg -> cg.cg_procs <- List.filter (fun p -> p <> proc.Proc.pid) cg.cg_procs
-    | None -> ())
+    proc.Proc.exit_code <- Some code
   end
 
 (* --- namespaces -------------------------------------------------------- *)
@@ -767,7 +742,6 @@ let unshare t proc kinds =
         match kind with
         | Namespace.Mnt ->
             let ns = Mount.clone_ns t.mnt_ids proc.Proc.ns.Proc.mnt in
-            register_mnt_ns t ns;
             (* Re-anchor root/cwd in the cloned namespace: find the clone of
                the mount they pointed into. *)
             let rebase v =
@@ -795,11 +769,7 @@ let unshare t proc kinds =
               { Namespace.pns_id = fresh_tag t; parent = Some proc.Proc.ns.Proc.pid_ns }
         | Namespace.Net -> proc.Proc.ns.Proc.net <- fresh_ns t Namespace.Net
         | Namespace.Uts ->
-            let ns = fresh_ns t Namespace.Uts in
-            Hashtbl.replace t.hostnames ns.Namespace.id
-              (Option.value ~default:"host"
-                 (Hashtbl.find_opt t.hostnames proc.Proc.ns.Proc.uts.Namespace.id));
-            proc.Proc.ns.Proc.uts <- ns
+            proc.Proc.ns.Proc.uts <- fresh_uts t proc.Proc.ns.Proc.uts.Namespace.hostname
         | Namespace.Ipc -> proc.Proc.ns.Proc.ipc <- fresh_ns t Namespace.Ipc
         | Namespace.User ->
             proc.Proc.ns.Proc.user <-
@@ -840,6 +810,14 @@ let require_admin proc =
   if Caps.Set.mem Caps.CAP_SYS_ADMIN proc.Proc.cred.Proc.caps then Ok ()
   else Error Errno.EPERM
 
+(* The mount namespaces of live processes, each once, by ascending id.
+   Path walks read only the caller's namespace, so one that no live
+   process is in can never show a mount. *)
+let live_mnt_namespaces t =
+  all_procs t
+  |> List.map (fun p -> p.Proc.ns.Proc.mnt)
+  |> List.sort_uniq (fun a b -> compare a.Mount.ns_id b.Mount.ns_id)
+
 (* Propagate a new mount to peers of a shared parent (other namespaces that
    share the peer group see the mount appear). *)
 let propagate_mount t ~parent ~mp_ino ~fs ~root_ino =
@@ -847,8 +825,8 @@ let propagate_mount t ~parent ~mp_ino ~fs ~root_ino =
   | Mount.Private -> ()
   | Mount.Shared group ->
       let replica_group = Mount.fresh_group t.mnt_ids in
-      Hashtbl.iter
-        (fun _ ns ->
+      List.iter
+        (fun ns ->
           Hashtbl.iter
             (fun _ m ->
               if
@@ -860,7 +838,7 @@ let propagate_mount t ~parent ~mp_ino ~fs ~root_ino =
                   (Mount.add t.mnt_ids ns ~parent:m.Mount.m_id ~mp_ino ~fs ~root_ino
                      ~prop:(Mount.Shared replica_group)))
             ns.Mount.mounts)
-        t.namespaces
+        (live_mnt_namespaces t)
 
 let mount_at t proc ~fs target =
   charge t;
@@ -928,33 +906,20 @@ let make_rprivate t proc =
 
 (* --- hostname, cgroups, rlimits, LSM ----------------------------------- *)
 
-let gethostname t proc =
-  Option.value ~default:"host" (Hashtbl.find_opt t.hostnames proc.Proc.ns.Proc.uts.Namespace.id)
+let gethostname _t proc = proc.Proc.ns.Proc.uts.Namespace.hostname
 
 let sethostname t proc name =
   charge t;
   let* () = require_admin proc in
-  Hashtbl.replace t.hostnames proc.Proc.ns.Proc.uts.Namespace.id name;
+  proc.Proc.ns.Proc.uts.Namespace.hostname <- name;
   Ok ()
-
-let cgroup_create t path =
-  if not (Hashtbl.mem t.cgroups path) then
-    Hashtbl.replace t.cgroups path { cg_procs = [] }
 
 let cgroup_attach t proc ~cgroup =
   charge t;
-  cgroup_create t cgroup;
-  (match Hashtbl.find_opt t.cgroups proc.Proc.cgroup with
-  | Some old -> old.cg_procs <- List.filter (fun p -> p <> proc.Proc.pid) old.cg_procs
-  | None -> ());
-  let cg = Hashtbl.find t.cgroups cgroup in
-  cg.cg_procs <- proc.Proc.pid :: cg.cg_procs;
   proc.Proc.cgroup <- cgroup
 
 let cgroup_procs t cgroup =
-  match Hashtbl.find_opt t.cgroups cgroup with
-  | Some cg -> List.sort compare cg.cg_procs
-  | None -> []
+  all_procs t |> List.filter_map (fun p -> if p.Proc.cgroup = cgroup then Some p.Proc.pid else None)
 
 let set_rlimit_fsize _t proc limit = proc.Proc.rlimit_fsize <- limit
 

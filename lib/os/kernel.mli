@@ -1,5 +1,5 @@
-(** The simulated kernel: process table, namespaces, the mount forest, path
-    walking and the syscall surface everything else programs against.
+(** The simulated kernel: process table, the mount forest, path walking
+    and the syscall surface everything else programs against.
 
     Every syscall takes the kernel and the calling process; permissions,
     namespaces, chroot and rlimits are those of the caller.  All costs are
@@ -8,7 +8,9 @@
     Every id a kernel hands out — pids, namespace tags, mount,
     mount-namespace and peer-group ids — comes from the kernel's own
     counters, so a world's ids do not depend on the other kernels of the
-    process. *)
+    process.  Each fact has one owner: a process's namespaces, cgroup and
+    liveness are in its {!Proc.t}, a hostname in its UTS namespace, and
+    the kernel keeps no table beside them. *)
 
 open Repro_util
 open Repro_vfs
@@ -28,8 +30,6 @@ and chardev = {
   dev_open : (t -> Proc.t -> Proc.fd_entry) option;
 }
 
-and cgroup = { mutable cg_procs : int list }
-
 and t = {
   clock : Clock.t;
   obs : Repro_obs.Obs.t;
@@ -37,20 +37,18 @@ and t = {
           layers so [os.*], [fuse.*] and [vfs.*] counters land together *)
   k_syscalls : Repro_obs.Metrics.counter;  (** hot handle for [os.syscall.count] *)
   procs : (int, Proc.t) Hashtbl.t;
+      (** every process by pid; an exited one stays until it is reaped,
+          and nothing reaps yet *)
   mutable next_pid : int;
   mnt_ids : Mount.ids;
       (** this kernel's mount, mount-namespace and peer-group ids, like
           [next_pid] and [next_tag] *)
-  namespaces : (int, Mount.ns) Hashtbl.t;  (** every mount namespace, for propagation *)
   sock_bindings : (int * int, Sock.listener) Hashtbl.t;
       (** Unix-socket bindings keyed by (fs_id, ino) — which is why sockets
           seen through a FUSE mount don't connect (§3.2.4) *)
   programs : (string, program) Hashtbl.t;
   chardevs : (int * int, chardev) Hashtbl.t;
-  cgroups : (string, cgroup) Hashtbl.t;
-  hostnames : (int, string) Hashtbl.t;  (** per UTS namespace *)
   mutable next_tag : int;
-  mutable init_pid : int;
   mutable k_faults : (op:string -> Proc.t -> Errno.t option) list;
       (** fault-injection hooks for file/metadata syscalls (see {!add_fault}) *)
 }
@@ -63,6 +61,8 @@ and t = {
 val create : ?obs:Repro_obs.Obs.t -> clock:Clock.t -> root_fs:Fsops.t -> unit -> t
 
 val init_proc : t -> Proc.t
+
+(** A live process; [ESRCH] for an unknown or exited pid. *)
 val proc_by_pid : t -> int -> (Proc.t, Errno.t) result
 
 (** Processes visible from a PID namespace (itself and its descendants). *)
@@ -178,11 +178,12 @@ val chroot : t -> Proc.t -> string -> (unit, Errno.t) result
 (** fork(2): fds become shared open file descriptions, Linux-style. *)
 val fork : t -> Proc.t -> Proc.t
 
-(** Close all fds and mark the process dead. *)
+(** Close all fds and record the exit code; the record stays in [procs]. *)
 val exit : t -> Proc.t -> int -> unit
 
 (** unshare(2) for the given namespace kinds; requires CAP_SYS_ADMIN.
-    Unsharing [Mnt] clones the mount table (propagation groups preserved). *)
+    Unsharing [Mnt] clones the mount table (propagation groups preserved);
+    unsharing [Uts] copies the hostname into the fresh namespace. *)
 val unshare : t -> Proc.t -> Namespace.kind list -> (unit, Errno.t) result
 
 (** setns(2): join [target_pid]'s namespaces — the primitive CNTR attaches
@@ -192,7 +193,7 @@ val setns : t -> Proc.t -> target_pid:int -> Namespace.kind list -> (unit, Errno
 (** {1 Mounts} *)
 
 (** Mount [fs]'s root over the directory [target]; propagates to shared
-    peers. *)
+    peers in the mount namespaces of live processes. *)
 val mount_at : t -> Proc.t -> fs:Fsops.t -> string -> (Mount.mount, Errno.t) result
 
 (** Bind mount: graft the subtree (or single file) at [src] onto [dst]. *)
@@ -215,8 +216,12 @@ val mounts_of_ns : Mount.ns -> Mount.mount list
 (** {1 Identity, cgroups, limits} *)
 
 val gethostname : t -> Proc.t -> string
+
+(** Rename the caller's UTS namespace, for every process in it. *)
 val sethostname : t -> Proc.t -> string -> (unit, Errno.t) result
 val cgroup_attach : t -> Proc.t -> cgroup:string -> unit
+
+(** The live processes in a cgroup, by ascending pid. *)
 val cgroup_procs : t -> string -> int list
 val set_rlimit_fsize : t -> Proc.t -> int option -> unit
 val apply_lsm_profile : t -> Proc.t -> string option -> unit

@@ -21,7 +21,7 @@ type mount = {
 type ns = {
   ns_id : int;
   mounts : (int, mount) Hashtbl.t;
-  mutable root : int; (* root mount id *)
+  root : int; (* root mount id *)
 }
 
 (* One kernel's three id spaces; each counts from 1. *)

@@ -25,7 +25,7 @@ type mount = {
 type ns = {
   ns_id : int;
   mounts : (int, mount) Hashtbl.t;
-  mutable root : int;  (** root mount id *)
+  root : int;  (** root mount id *)
 }
 
 (** One kernel's mount, mount-namespace and peer-group id spaces. *)

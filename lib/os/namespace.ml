@@ -1,7 +1,8 @@
 (* Namespace identities.  Mount namespaces carry real state and live in
    [Mount]; PID namespaces are hierarchical (a parent namespace sees its
-   descendants' processes); the others are opaque identity tags whose
-   sharing/unsharing is what matters to the simulation. *)
+   descendants' processes); a UTS namespace holds its hostname; the others
+   are opaque identity tags whose sharing/unsharing is what matters to the
+   simulation. *)
 
 type kind = Mnt | Pid | Net | Uts | Ipc | User | Cgroup
 
@@ -16,8 +17,10 @@ let kind_to_string = function
 
 let all_kinds = [ Mnt; Pid; Net; Uts; Ipc; User; Cgroup ]
 
-(* An opaque namespace tag (net, uts, ipc, cgroup). *)
+(* An opaque namespace tag (net, ipc, cgroup). *)
 type t = { id : int; kind : kind }
+
+type uts_ns = { uts_id : int; mutable hostname : string }
 
 type pid_ns = { pns_id : int; parent : pid_ns option }
 

@@ -1,15 +1,20 @@
 (** Namespace identities.  Mount namespaces carry real state in {!Mount};
     PID namespaces are hierarchical (a parent sees its descendants'
-    processes); the others are opaque identity tags whose sharing and
-    unsharing is what the simulation tracks. *)
+    processes); a UTS namespace holds its hostname; the others are opaque
+    identity tags whose sharing and unsharing is what the simulation
+    tracks. *)
 
 type kind = Mnt | Pid | Net | Uts | Ipc | User | Cgroup
 
 val kind_to_string : kind -> string
 val all_kinds : kind list
 
-(** An opaque namespace tag (net, uts, ipc, cgroup). *)
+(** An opaque namespace tag (net, ipc, cgroup). *)
 type t = { id : int; kind : kind }
+
+(** A UTS namespace and its hostname, shared by fork and setns (so every
+    member sees a sethostname) and copied into a fresh one by unshare. *)
+type uts_ns = { uts_id : int; mutable hostname : string }
 
 type pid_ns = { pns_id : int; parent : pid_ns option }
 

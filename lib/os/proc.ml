@@ -55,7 +55,7 @@ type ns_set = {
   mutable mnt : Mount.ns;
   mutable pid_ns : Namespace.pid_ns;
   mutable net : Namespace.t;
-  mutable uts : Namespace.t;
+  mutable uts : Namespace.uts_ns;
   mutable ipc : Namespace.t;
   mutable user : Namespace.user_ns;
   mutable cgroup_ns : Namespace.t;
@@ -63,10 +63,10 @@ type ns_set = {
 
 type t = {
   pid : int;
-  mutable ppid : int;
+  ppid : int;
   mutable comm : string;
   cred : os_cred;
-  mutable ns : ns_set;
+  ns : ns_set;
   mutable cwd : vnode;
   mutable root : vnode;
   fds : (int, fd_entry) Hashtbl.t;
@@ -76,7 +76,6 @@ type t = {
   mutable lsm_profile : string option;
   mutable rlimit_fsize : int option;
   mutable umask : int;
-  mutable alive : bool;
   mutable exit_code : int option;
 }
 
@@ -93,6 +92,9 @@ let vfs_cred t : Types.cred = {
   cap_fsetid = Caps.Set.mem Caps.CAP_FSETID t.cred.caps;
   rlimit_fsize = t.rlimit_fsize;
 }
+
+(* An exited process keeps its record, and exit code, in the kernel. *)
+let alive t = match t.exit_code with None -> true | Some _ -> false
 
 let getenv t name = List.assoc_opt name t.env
 

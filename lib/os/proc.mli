@@ -2,7 +2,8 @@
     (vnodes), file-descriptor table, environment, cgroup and LSM context —
     the "container context" CNTR gathers in step #1 and re-applies in step
     #3 (§3.2 of the paper).  [custom_payload] is the extension point for
-    driver-specific fds (/dev/fuse connections). *)
+    driver-specific fds (/dev/fuse connections).  A record is the one
+    owner of these facts: the kernel keeps no table beside it. *)
 
 open Repro_util
 open Repro_vfs
@@ -46,17 +47,17 @@ type ns_set = {
   mutable mnt : Mount.ns;
   mutable pid_ns : Namespace.pid_ns;
   mutable net : Namespace.t;
-  mutable uts : Namespace.t;
+  mutable uts : Namespace.uts_ns;
   mutable ipc : Namespace.t;
   mutable user : Namespace.user_ns;
   mutable cgroup_ns : Namespace.t;
 }
 type t = {
   pid : int;
-  mutable ppid : int;
+  ppid : int;
   mutable comm : string;
   cred : os_cred;
-  mutable ns : ns_set;
+  ns : ns_set;
   mutable cwd : vnode;
   mutable root : vnode;
   fds : (int, fd_entry) Hashtbl.t;
@@ -66,10 +67,12 @@ type t = {
   mutable lsm_profile : string option;
   mutable rlimit_fsize : int option;
   mutable umask : int;
-  mutable alive : bool;
   mutable exit_code : int option;
 }
 val vfs_cred : t -> Types.cred
+
+(** [exit_code = None]; an exited process keeps its record in the kernel. *)
+val alive : t -> bool
 val getenv : t -> string -> string option
 val setenv : t -> string -> string -> unit
 val alloc_fd : t -> fd_entry -> int

@@ -2,7 +2,11 @@
    out of here: namespaces, environment, capabilities, cgroup, LSM profile,
    uid/gid maps (§3.2.1).  Each instance is scoped to a PID namespace, so a
    container's /proc only shows its own processes while the host /proc
-   shows everything. *)
+   shows everything.
+
+   Nothing here is stored per process: an inode number encodes its node
+   ([ino_of_node]), [node_of_ino] decodes it, and every read renders from
+   the live [Proc.t]. *)
 
 open Repro_util
 open Repro_vfs
@@ -18,31 +22,36 @@ type node =
 
 let pid_files = [ "status"; "environ"; "cmdline"; "cgroup"; "mounts"; "limits"; "uid_map"; "gid_map" ]
 
-let ino_of_node = function
+(* Node [k] of pid [p] is inode [p * 1000 + k]: the directory at 100, its
+   files from 101, ns/ at 120 and its links from 121 (in
+   [Namespace.all_kinds] order), attr/ at 140 and attr/current at 141. *)
+let ino_of_node =
+  let index l x = Option.get (List.find_index (( = ) x) l) in
+  function
   | Root -> 1
   | Pid_dir p -> (p * 1000) + 100
-  | Pid_file (p, name) ->
-      let idx =
-        match List.find_index (String.equal name) pid_files with
-        | Some i -> i
-        | None -> 50
-      in
-      (p * 1000) + 101 + idx
+  | Pid_file (p, name) -> (p * 1000) + 101 + index pid_files name
   | Ns_dir p -> (p * 1000) + 120
-  | Ns_file (p, kind) ->
-      let idx =
-        match kind with
-        | Namespace.Mnt -> 0
-        | Namespace.Pid -> 1
-        | Namespace.Net -> 2
-        | Namespace.Uts -> 3
-        | Namespace.Ipc -> 4
-        | Namespace.User -> 5
-        | Namespace.Cgroup -> 6
-      in
-      (p * 1000) + 121 + idx
+  | Ns_file (p, kind) -> (p * 1000) + 121 + index Namespace.all_kinds kind
   | Attr_dir p -> (p * 1000) + 140
   | Attr_file p -> (p * 1000) + 141
+
+(* The inverse of [ino_of_node]. *)
+let node_of_ino ino =
+  let p = ino / 1000 in
+  let nth l i = Option.to_result ~none:Errno.ENOENT (List.nth_opt l i) in
+  if ino = 1 then Ok Root
+  else if p < 1 then Error Errno.ENOENT
+  else
+    match ino mod 1000 with
+    | 100 -> Ok (Pid_dir p)
+    | 120 -> Ok (Ns_dir p)
+    | 140 -> Ok (Attr_dir p)
+    | 141 -> Ok (Attr_file p)
+    | k when k > 100 && k < 120 -> Result.map (fun f -> Pid_file (p, f)) (nth pid_files (k - 101))
+    | k when k > 120 && k < 140 ->
+        Result.map (fun kind -> Ns_file (p, kind)) (nth Namespace.all_kinds (k - 121))
+    | _ -> Error Errno.ENOENT
 
 type t = {
   kernel : Kernel.t;
@@ -51,27 +60,10 @@ type t = {
   (* Open handles snapshot the generated content. *)
   handles : (int, string) Hashtbl.t;
   mutable next_fh : int;
-  nodes : (int, node) Hashtbl.t; (* ino -> node, filled on lookup *)
 }
 
 let create ~kernel ~pidns =
-  let t =
-    {
-      kernel;
-      pidns;
-      fs_id = Clock.fresh_fs_id kernel.Kernel.clock;
-      handles = Hashtbl.create 8;
-      next_fh = 1;
-      nodes = Hashtbl.create 64;
-    }
-  in
-  Hashtbl.replace t.nodes 1 Root;
-  t
-
-let intern t node =
-  let ino = ino_of_node node in
-  Hashtbl.replace t.nodes ino node;
-  ino
+  { kernel; pidns; fs_id = Clock.fresh_fs_id kernel.Kernel.clock; handles = Hashtbl.create 8; next_fh = 1 }
 
 let ( let* ) = Result.bind
 
@@ -80,9 +72,6 @@ let proc_of t pid =
   | Ok p when Namespace.pid_ns_visible_from ~outer:t.pidns p.Proc.ns.Proc.pid_ns -> Ok p
   | Ok _ -> Error Errno.ENOENT
   | Error _ -> Error Errno.ENOENT
-
-let visible_pids t =
-  Kernel.procs_in_pidns t.kernel t.pidns |> List.map (fun p -> p.Proc.pid)
 
 (* --- content generation ------------------------------------------------ *)
 
@@ -143,7 +132,7 @@ let ns_id_of (proc : Proc.t) kind =
   | Namespace.Mnt -> proc.Proc.ns.Proc.mnt.Mount.ns_id
   | Namespace.Pid -> proc.Proc.ns.Proc.pid_ns.Namespace.pns_id
   | Namespace.Net -> proc.Proc.ns.Proc.net.Namespace.id
-  | Namespace.Uts -> proc.Proc.ns.Proc.uts.Namespace.id
+  | Namespace.Uts -> proc.Proc.ns.Proc.uts.Namespace.uts_id
   | Namespace.Ipc -> proc.Proc.ns.Proc.ipc.Namespace.id
   | Namespace.User -> proc.Proc.ns.Proc.user.Namespace.uns_id
   | Namespace.Cgroup -> proc.Proc.ns.Proc.cgroup_ns.Namespace.id
@@ -158,11 +147,6 @@ let render_content t node =
   | Attr_file p ->
       let* proc = proc_of t p in
       Ok (Option.value ~default:"unconfined" proc.Proc.lsm_profile ^ "\n")
-
-let node_of_ino t ino =
-  match Hashtbl.find_opt t.nodes ino with
-  | Some n -> Ok n
-  | None -> Error Errno.ENOENT
 
 let is_dir_node = function
   | Root | Pid_dir _ | Ns_dir _ | Attr_dir _ -> true
@@ -199,7 +183,7 @@ let stat_of t ino node =
   }
 
 let lookup t _cred dir name =
-  let* node = node_of_ino t dir in
+  let* node = node_of_ino dir in
   let* child =
     match (node, name) with
     | Root, pid_str -> (
@@ -222,46 +206,37 @@ let lookup t _cred dir name =
     | Attr_dir p, "current" -> Ok (Attr_file p)
     | _ -> Error Errno.ENOENT
   in
-  let ino = intern t child in
+  let ino = ino_of_node child in
   Ok (ino, stat_of t ino child)
 
 let getattr t ino =
-  let* node = node_of_ino t ino in
+  let* node = node_of_ino ino in
   Ok (stat_of t ino node)
 
 let readdir t _cred ino =
-  let* node = node_of_ino t ino in
-  let names =
+  let* node = node_of_ino ino in
+  let entries =
     match node with
-    | Root -> List.map string_of_int (visible_pids t)
-    | Pid_dir _ -> "ns" :: "attr" :: pid_files
-    | Ns_dir _ -> List.map Namespace.kind_to_string Namespace.all_kinds
-    | Attr_dir _ -> [ "current" ]
-    | _ -> []
+    | Root ->
+        Kernel.procs_in_pidns t.kernel t.pidns
+        |> List.map (fun p -> (string_of_int p.Proc.pid, Pid_dir p.Proc.pid))
+    | Pid_dir p ->
+        ("ns", Ns_dir p) :: ("attr", Attr_dir p) :: List.map (fun f -> (f, Pid_file (p, f))) pid_files
+    | Ns_dir p ->
+        List.map (fun kind -> (Namespace.kind_to_string kind, Ns_file (p, kind))) Namespace.all_kinds
+    | Attr_dir p -> [ ("current", Attr_file p) ]
+    | Pid_file _ | Ns_file _ | Attr_file _ -> []
   in
   if not (is_dir_node node) then Error Errno.ENOTDIR
   else
     Ok
       (List.map
-         (fun name ->
-           let child =
-             match (node, name) with
-             | Root, p -> Pid_dir (int_of_string p)
-             | Pid_dir p, "ns" -> Ns_dir p
-             | Pid_dir p, "attr" -> Attr_dir p
-             | Pid_dir p, f -> Pid_file (p, f)
-             | Ns_dir p, k ->
-                 Ns_file
-                   ( p,
-                     List.find (fun kind -> Namespace.kind_to_string kind = k) Namespace.all_kinds )
-             | Attr_dir p, _ -> Attr_file p
-             | _ -> Root
-           in
-           { Types.d_ino = intern t child; d_name = name; d_kind = kind_of_node child })
-         names)
+         (fun (name, child) ->
+           { Types.d_ino = ino_of_node child; d_name = name; d_kind = kind_of_node child })
+         entries)
 
 let open_ t _cred ino _flags =
-  let* node = node_of_ino t ino in
+  let* node = node_of_ino ino in
   if is_dir_node node then Error Errno.EISDIR
   else
     let* content = render_content t node in
@@ -278,7 +253,7 @@ let read t fh ~off ~len =
       else Ok (String.sub content off (min len (String.length content - off)))
 
 let readlink t ino =
-  let* node = node_of_ino t ino in
+  let* node = node_of_ino ino in
   match node with
   | Ns_file _ ->
       (* ns links are magic: their "target" is the namespace tag, not a

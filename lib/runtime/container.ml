@@ -102,4 +102,4 @@ let pid t = t.ct_main.Proc.pid
 
 let stop ~kernel t = Kernel.exit kernel t.ct_main 0
 
-let is_running t = t.ct_main.Proc.alive
+let is_running t = Proc.alive t.ct_main

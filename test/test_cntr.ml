@@ -171,8 +171,8 @@ let test_detach_leaves_app_running () =
   let session = ok (Testbed.attach world "web") in
   Attach.detach session;
   check_b "app alive" true (Container.is_running app);
-  check_b "shell dead" false session.Attach.sn_shell_proc.Proc.alive;
-  check_b "server dead" false session.Attach.sn_cntrfs.Session.server_proc.Proc.alive;
+  check_b "shell dead" false (Proc.alive session.Attach.sn_shell_proc);
+  check_b "server dead" false (Proc.alive session.Attach.sn_cntrfs.Session.server_proc);
   (* the app can still use its filesystem *)
   let content = ok (Kernel.read_whole world.World.kernel app.Container.ct_main "/etc/nginx.conf") in
   check_b "app fs intact" true (contains ~needle:"listen" content)

@@ -667,6 +667,34 @@ let test_wire_watermark_stall_resume () =
   check_i "flow control never refuses" 0 (counter world "ctrl.wire.overloaded");
   ignore (ok' (Client.session_detach c ~session:sid))
 
+(* wire_close ends what wire_serve started: the plane's fibers (so no
+   proxied connection stays open), the wire's three processes, and the
+   listener at its path.  The daemon itself keeps serving. *)
+let test_wire_close () =
+  let world, d, w = wire_boot () in
+  let kernel = Daemon.kernel d in
+  List.iter
+    (fun c -> ignore (ok' (Client.call c "daemon.info")))
+    [ Client.connect w; Client.connect w ];
+  check_b "two connections proxied" true (gauge world "proxy.connections.active" = 2.);
+  let wire_procs =
+    Hashtbl.fold
+      (fun _ p acc ->
+        if List.mem p.Repro_os.Proc.comm [ "cntrd"; "cntr-cli"; "cntrd-rpc" ] then p :: acc
+        else acc)
+      kernel.Kernel.procs []
+  in
+  check_i "three wire processes" 3 (List.length wire_procs);
+  Daemon.wire_close w;
+  (match Kernel.socket_connect kernel (Kernel.init_proc kernel) (Daemon.wire_path w) with
+  | Error Errno.ECONNREFUSED -> ()
+  | Ok _ -> Alcotest.fail "connected to a closed wire"
+  | Error e -> Alcotest.failf "expected ECONNREFUSED, got %s" (Errno.to_string e));
+  check_b "no proxied connection" true (gauge world "proxy.connections.active" = 0.);
+  check_b "the wire's processes exited" false (List.exists Repro_os.Proc.alive wire_procs);
+  Daemon.wire_close w;
+  ignore (ok' (Client.call (Client.in_process d) "daemon.info"))
+
 (* Overload property, over raw frames so duplicate replies cannot be
    masked by the client's reply table: burst n calls at a connection with
    an in-flight cap, then drain — every submitted id must get exactly one
@@ -775,6 +803,7 @@ let () =
             test_wire_out_of_order_replies;
           Alcotest.test_case "watermark stall and resume" `Quick
             test_wire_watermark_stall_resume;
+          Alcotest.test_case "close ends the endpoint" `Quick test_wire_close;
           QCheck_alcotest.to_alcotest prop_wire_overload_exactly_once;
         ] );
     ]

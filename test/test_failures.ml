@@ -118,7 +118,7 @@ let test_failed_attach_releases () =
   let attach_procs =
     Hashtbl.fold
       (fun _ p n ->
-        if p.Proc.alive && List.mem p.Proc.comm [ "cntr"; "cntrfs"; "cntr-shell" ] then n + 1 else n)
+        if Proc.alive p && List.mem p.Proc.comm [ "cntr"; "cntrfs"; "cntr-shell" ] then n + 1 else n)
       world.World.kernel.Kernel.procs 0
   in
   check_i "only the first attach's processes live" 3 attach_procs;
@@ -132,6 +132,52 @@ let test_failed_attach_releases () =
   check_i "second session unaffected" 0 code;
   Attach.detach second;
   Attach.detach first
+
+(* Every failure point of an attach releases what the attach started.  For
+   each fault site, the k-th operation there fails with EIO, for k = 1,
+   2, ... until an attach gets through, which is then detached.  After
+   each attempt no attach process is alive, no fault hook is armed and
+   init holds the fds it held before. *)
+let test_fault_point_sweep () =
+  let world, _app = boot_with_app () in
+  let k = world.World.kernel and init = world.World.init in
+  let init_fds = Hashtbl.length init.Proc.fds in
+  let released what =
+    let live =
+      Hashtbl.fold
+        (fun _ p n ->
+          if Proc.alive p && List.mem p.Proc.comm [ "cntr"; "cntrfs"; "cntr-shell" ] then n + 1
+          else n)
+        k.Kernel.procs 0
+    in
+    check_i (what ^ ": no attach process alive") 0 live;
+    check_b (what ^ ": no fault hook armed") true (k.Kernel.k_faults = []);
+    check_i (what ^ ": init's fds") init_fds (Hashtbl.length init.Proc.fds)
+  in
+  let sweep site =
+    let rec go n =
+      if n > 64 then Alcotest.failf "%s: no attach got through in 64 tries" site;
+      let plan, retry =
+        match Repro_fault.Fault.parse (Printf.sprintf "%s * nth=%d fail=EIO\n" site n) with
+        | Ok v -> v
+        | Error msg -> Alcotest.fail msg
+      in
+      let config = { Attach.Config.default with Attach.Config.fault = Some plan; retry } in
+      let what = Printf.sprintf "%s nth=%d" site n in
+      match Testbed.attach world ~config "web" with
+      | Error e ->
+          Alcotest.check errno what Errno.EIO e;
+          released what;
+          go (n + 1)
+      | Ok session ->
+          Attach.detach session;
+          released what;
+          n
+    in
+    go 1
+  in
+  check_i "backing: the first k that attaches" 11 (sweep "backing");
+  check_i "fuse: the first k that attaches" 11 (sweep "fuse")
 
 let test_uninitialized_conn_refuses () =
   let clock = Clock.create () in
@@ -171,7 +217,7 @@ let test_double_detach_harmless () =
   Attach.detach session;
   (* still consistent *)
   check_b "app alive" true (Container.is_running app);
-  check_b "shell dead" false session.Attach.sn_shell_proc.Proc.alive;
+  check_b "shell dead" false (Proc.alive session.Attach.sn_shell_proc);
   ignore world
 
 let test_with_session_detaches_on_exception () =
@@ -271,6 +317,7 @@ let () =
           Alcotest.test_case "uninitialized conn" `Quick test_uninitialized_conn_refuses;
           Alcotest.test_case "plan armed for setup" `Quick test_plan_armed_for_setup;
           Alcotest.test_case "failed attach releases" `Quick test_failed_attach_releases;
+          Alcotest.test_case "fault-point sweep" `Quick test_fault_point_sweep;
         ] );
       ( "container-lifecycle",
         [

@@ -222,6 +222,21 @@ let test_propagation_clone_of_clone () =
   write_file k init "/mnt/x" "prop";
   check_s "propagated into the clone's clone" "prop" (read_file k grandchild "/mnt/x")
 
+(* Propagation reaches the namespaces of live processes only: one that no
+   live process is in can never show a mount, so it gets no replica. *)
+let test_propagation_skips_dead_namespace () =
+  let k, init = boot () in
+  ok (Kernel.mkdir k init "/mnt" ~mode:0o755);
+  let child = Kernel.fork k init in
+  ok (Kernel.unshare k child [ Namespace.Mnt ]);
+  let kept = child.Proc.ns.Proc.mnt in
+  let before = Hashtbl.length kept.Mount.mounts in
+  Kernel.exit k child 0;
+  let extra = Nativefs.create ~name:"extra" ~clock:k.Kernel.clock Store.Ram () in
+  ignore (ok (Kernel.mount_at k init ~fs:(Nativefs.ops extra) "/mnt"));
+  check_i "no replica in the exited process's namespace" before
+    (Hashtbl.length kept.Mount.mounts)
+
 (* The inward half of §3.2.3's isolation: once the clone is rprivate, host
    mounts stop reaching it. *)
 let test_rprivate_stops_inward_propagation () =
@@ -491,7 +506,9 @@ let test_cgroups () =
   check_b "in cgroup" true (List.mem child.Proc.pid (Kernel.cgroup_procs k "/docker/abc"));
   check_b "left root" false (List.mem child.Proc.pid (Kernel.cgroup_procs k "/"));
   let cg = read_file k init (Printf.sprintf "/proc/%d/cgroup" child.Proc.pid) in
-  check_s "procfs cgroup" "0::/docker/abc\n" cg
+  check_s "procfs cgroup" "0::/docker/abc\n" cg;
+  Kernel.exit k child 0;
+  check_b "gone after exit" false (List.mem child.Proc.pid (Kernel.cgroup_procs k "/docker/abc"))
 
 let test_rlimit_fsize_via_kernel () =
   let k, init = boot () in
@@ -512,7 +529,16 @@ let test_hostname_per_uts () =
   ok (Kernel.unshare k child [ Namespace.Uts ]);
   ok (Kernel.sethostname k child "inner");
   check_s "child" "inner" (Kernel.gethostname k child);
-  check_s "host unchanged" "host" (Kernel.gethostname k init)
+  check_s "host unchanged" "host" (Kernel.gethostname k init);
+  (* the namespace is shared, not copied: a member that joined by setns
+     and one forked from the child both see a later rename *)
+  let joiner = Kernel.fork k init in
+  ok (Kernel.setns k joiner ~target_pid:child.Proc.pid [ Namespace.Uts ]);
+  let grandchild = Kernel.fork k child in
+  ok (Kernel.sethostname k child "renamed");
+  check_s "setns member sees the rename" "renamed" (Kernel.gethostname k joiner);
+  check_s "forked member sees the rename" "renamed" (Kernel.gethostname k grandchild);
+  check_s "host still unchanged" "host" (Kernel.gethostname k init)
 
 let test_exit_closes_fds () =
   let k, init = boot () in
@@ -521,7 +547,7 @@ let test_exit_closes_fds () =
   ignore (rfd);
   ignore (ok (Kernel.write k child wfd "x"));
   Kernel.exit k child 7;
-  check_b "dead" false child.Proc.alive;
+  check_b "dead" false (Proc.alive child);
   check_b "exit code" true (child.Proc.exit_code = Some 7);
   check_err Errno.ESRCH (Kernel.proc_by_pid k child.Proc.pid)
 
@@ -555,6 +581,8 @@ let () =
             test_propagation_clone_of_clone;
           Alcotest.test_case "rprivate stops inward propagation" `Quick
             test_rprivate_stops_inward_propagation;
+          Alcotest.test_case "propagation skips a namespace with no live process" `Quick
+            test_propagation_skips_dead_namespace;
         ] );
       ( "namespaces",
         [
