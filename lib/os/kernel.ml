@@ -1140,21 +1140,36 @@ let register_program t name prog = Hashtbl.replace t.programs name prog
 
 let program_exists t name = Hashtbl.mem t.programs name
 
-(* Read a whole file through the filesystem (charging its costs). *)
-let read_whole t proc path =
+(* Read [path] to its end through the filesystem in 256 KiB reads,
+   charging every syscall, and fold [f] over the chunks read. *)
+let fold_file t proc path f init =
   let* fdn = open_ t proc path [ Types.O_RDONLY ] ~mode:0 in
-  let buf = Buffer.create 4096 in
-  let rec go () =
+  let rec go acc =
     let* chunk = read t proc fdn ~len:(256 * 1024) in
-    if chunk = "" then Ok ()
-    else begin
-      Buffer.add_string buf chunk;
-      go ()
-    end
+    if chunk = "" then Ok acc else go (f acc chunk)
   in
-  let* () = go () in
+  let* acc = go init in
   let* () = close t proc fdn in
-  Ok (Buffer.contents buf)
+  Ok acc
+
+(* Chunks gathered newest first, as one string: a lone chunk as read,
+   several joined once. *)
+let join_rev = function [] -> "" | [ c ] -> c | cs -> String.concat "" (List.rev cs)
+
+let read_whole t proc path =
+  let* chunks = fold_file t proc path (fun cs c -> c :: cs) [] in
+  Ok (join_rev chunks)
+
+(* Keep a binary's bytes up to its first newline, all that [Binfmt.parse]
+   reads.  [exec] still reads the file to its end, so it is charged every
+   read a whole-file load is charged. *)
+let add_header parts chunk =
+  match parts with
+  | last :: _ when String.ends_with ~suffix:"\n" last -> parts
+  | _ -> (
+      match String.index_opt chunk '\n' with
+      | Some i -> String.sub chunk 0 (i + 1) :: parts
+      | None -> chunk :: parts)
 
 (* execve: load the binary via the filesystem (mmap), decode the binfmt
    header, and run the registered program synchronously.  Returns the
@@ -1174,8 +1189,8 @@ let rec exec t proc path args =
   end
   else begin
     fs.Fsops.release fh;
-    let* content = read_whole t proc path in
-    match Binfmt.parse content with
+    let* header = fold_file t proc path add_header [] in
+    match Binfmt.parse (join_rev header) with
     | None -> Error Errno.ENOSYS
     | Some (Binfmt.Script interp) -> exec t proc interp (interp :: path :: List.tl args)
     | Some (Binfmt.Bin name) -> (

@@ -21,6 +21,9 @@ type mount = {
 type ns = {
   ns_id : int;
   mounts : (int, mount) Hashtbl.t;
+  stacked : (int * Types.ino, mount list) Hashtbl.t;
+      (* (parent mount id, mountpoint ino) -> the mounts on it, highest id
+         first *)
   root : int; (* root mount id *)
 }
 
@@ -41,14 +44,26 @@ let fresh_group ids =
   ids.last_group <- ids.last_group + 1;
   ids.last_group
 
+(* Record [m] in [ns], on top of its mountpoint's stack.  Every caller
+   inserts a higher id than any already in [ns] ([add] draws a fresh one,
+   [clone_ns] inserts in the order it drew them), so each stack stays
+   highest id first. *)
+let insert ns m =
+  Hashtbl.replace ns.mounts m.m_id m;
+  match m.m_mp with
+  | None -> ()
+  | Some key ->
+      let below = Option.value ~default:[] (Hashtbl.find_opt ns.stacked key) in
+      Hashtbl.replace ns.stacked key (m :: below)
+
 (* A fresh namespace with one private mount of [fs]'s root. *)
 let create_ns ids ~fs =
   let ns_id = fresh_ns ids in
   let m =
     { m_id = fresh_mount ids; m_fs = fs; m_root = fs.Fsops.root; m_mp = None; m_prop = Private }
   in
-  let ns = { ns_id; mounts = Hashtbl.create 16; root = m.m_id } in
-  Hashtbl.replace ns.mounts m.m_id m;
+  let ns = { ns_id; mounts = Hashtbl.create 16; stacked = Hashtbl.create 16; root = m.m_id } in
+  insert ns m;
   ns
 
 let find ns mid = Hashtbl.find_opt ns.mounts mid
@@ -58,18 +73,10 @@ let root_mount ns =
   | Some m -> m
   | None -> invalid_arg "Mount.root_mount: dangling root"
 
-(* The topmost mount stacked on mountpoint (parent mount [mid], inode
-   [ino]), if any. *)
+(* The topmost (highest-id) mount stacked on mountpoint (parent mount
+   [mid], inode [ino]), if any. *)
 let mount_on ns ~mid ~ino =
-  Hashtbl.fold
-    (fun _ m best ->
-      match m.m_mp with
-      | Some (pmid, pino) when pmid = mid && pino = ino -> (
-          match best with
-          | Some b when b.m_id > m.m_id -> best
-          | _ -> Some m)
-      | _ -> best)
-    ns.mounts None
+  match Hashtbl.find_opt ns.stacked (mid, ino) with Some (m :: _) -> Some m | _ -> None
 
 (* Raw insertion of a mount record (propagation is the kernel's job). *)
 let add ids ns ~parent ~mp_ino ~fs ~root_ino ~prop =
@@ -82,7 +89,7 @@ let add ids ns ~parent ~mp_ino ~fs ~root_ino ~prop =
       m_prop = prop;
     }
   in
-  Hashtbl.replace ns.mounts m.m_id m;
+  insert ns m;
   m
 
 let children ns mid =
@@ -90,7 +97,17 @@ let children ns mid =
     (fun _ m acc -> match m.m_mp with Some (p, _) when p = mid -> m :: acc | _ -> acc)
     ns.mounts []
 
-let remove ns mid = Hashtbl.remove ns.mounts mid
+let remove ns mid =
+  match find ns mid with
+  | None -> ()
+  | Some m -> (
+      Hashtbl.remove ns.mounts mid;
+      match m.m_mp with
+      | None -> ()
+      | Some key -> (
+          match List.filter (fun b -> b.m_id <> mid) (Hashtbl.find ns.stacked key) with
+          | [] -> Hashtbl.remove ns.stacked key
+          | on -> Hashtbl.replace ns.stacked key on))
 
 (* Copy every mount into a fresh namespace, preserving structure and
    propagation (clones of shared mounts stay in the same peer group, as in
@@ -100,15 +117,15 @@ let clone_ns ids ns =
   let id_map = Hashtbl.create 16 in
   Hashtbl.iter (fun old_id _ -> Hashtbl.replace id_map old_id (fresh_mount ids)) ns.mounts;
   let remap id = Hashtbl.find id_map id in
-  let mounts = Hashtbl.create 16 in
+  let ns' =
+    { ns_id = new_ns_id; mounts = Hashtbl.create 16; stacked = Hashtbl.create 16; root = remap ns.root }
+  in
   Hashtbl.iter
     (fun old_id m ->
-      let m' =
-        { m with m_id = remap old_id; m_mp = Option.map (fun (p, i) -> (remap p, i)) m.m_mp }
-      in
-      Hashtbl.replace mounts m'.m_id m')
+      insert ns'
+        { m with m_id = remap old_id; m_mp = Option.map (fun (p, i) -> (remap p, i)) m.m_mp })
     ns.mounts;
-  { ns_id = new_ns_id; mounts; root = remap ns.root }
+  ns'
 
 (* mount --make-rprivate /: detach every mount from its peer group. *)
 let make_rprivate ns =

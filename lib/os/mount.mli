@@ -22,9 +22,14 @@ type mount = {
   mutable m_prop : propagation;
 }
 
-type ns = {
+(** Built only by this module, which keeps [mounts] and [stacked] in
+    step. *)
+type ns = private {
   ns_id : int;
-  mounts : (int, mount) Hashtbl.t;
+  mounts : (int, mount) Hashtbl.t;  (** by mount id *)
+  stacked : (int * Types.ino, mount list) Hashtbl.t;
+      (** (parent mount id, mountpoint ino) to the mounts stacked there,
+          highest id first *)
   root : int;  (** root mount id *)
 }
 

@@ -24,9 +24,15 @@ end
 
 module Pq = Map.Make (Key)
 
-(* A suspended fiber: the continuation plus the fiber-local time at which it
-   parked.  Resuming never rewinds the fiber below [pk_at]. *)
-type parked = { pk_at : int64; pk_k : (unit, unit) Effect.Deep.continuation }
+(* A suspended fiber: its id, the continuation and the fiber-local time at
+   which it parked.  Resuming never rewinds the fiber below [pk_at].  A
+   segment of the fiber answers with what is left to run once it is off
+   the fiber: nothing when it ended, its registration when it parked. *)
+type parked = {
+  pk_id : int;
+  pk_at : int64;
+  pk_k : (unit, unit -> unit) Effect.Deep.continuation;
+}
 
 (* A queued event runs its fiber's next segment; called with [true] it
    ends the fiber instead (see [cancel_pending]). *)
@@ -115,24 +121,40 @@ end
 exception Deadlock of string
 exception Cancelled
 
-type _ Effect.t +=
-  | Suspend : (parked -> unit) -> unit Effect.t
-  | Current : int Effect.t
+type _ Effect.t += Suspend : (parked -> unit) -> unit Effect.t
 
 let create ~clock = { clock; seq = 0; events = Pq.empty; next_id = 0 }
 
-(* Fiber id of the caller; 0 when running at top level (the "main thread"),
-   where no effect handler is installed. *)
-let current_id () = try Effect.perform Current with Effect.Unhandled _ -> 0
+(* Fiber id of the caller; 0 when running at top level (the "main thread").
+   Every segment of a fiber runs inside [segment], which sets the cell to
+   the fiber's id and gives the caller's value back when the segment parks,
+   ends or raises, so the cell names the innermost running fiber, as the
+   effect-handler stack does. *)
+let fiber_id = Domain.DLS.new_key (fun () -> 0)
+let current_id () = Domain.DLS.get fiber_id
 let in_task () = current_id () > 0
+
+(* Run [go x] as a segment of fiber [id], then what it left to run
+   (a parking fiber's registration) back in the caller's context. *)
+let segment id go x =
+  let outer = Domain.DLS.get fiber_id in
+  Domain.DLS.set fiber_id id;
+  match go x with
+  | after ->
+      Domain.DLS.set fiber_id outer;
+      after ()
+  | exception e ->
+      Domain.DLS.set fiber_id outer;
+      raise e
 
 let schedule t ~at fn =
   t.seq <- t.seq + 1;
   t.events <- Pq.add (at, t.seq) fn t.events
 
-let resumption p =
-  let k = p.pk_k in
-  fun cancelled -> if cancelled then Effect.Deep.discontinue k Cancelled else Effect.Deep.continue k ()
+let continue_parked p cancelled =
+  if cancelled then Effect.Deep.discontinue p.pk_k Cancelled else Effect.Deep.continue p.pk_k ()
+
+let resumption p cancelled = segment p.pk_id (continue_parked p) cancelled
 
 (* Make a parked fiber runnable.  It resumes no earlier than both its own
    park time and the waker's current time: a reply cannot be seen before it
@@ -144,16 +166,22 @@ let resume t p =
 
 let suspend register = Effect.perform (Suspend register)
 
+let nothing () = ()
+
 let run_fiber t (id : int) f =
-  let effc : type a. a Effect.t -> ((a, unit) Effect.Deep.continuation -> unit) option =
+  let effc : type a. a Effect.t -> ((a, unit -> unit) Effect.Deep.continuation -> unit -> unit) option =
     function
     | Suspend register ->
-        Some (fun k -> register { pk_at = Clock.now_ns t.clock; pk_k = k })
-    | Current -> Some (fun k -> Effect.Deep.continue k id)
+        Some
+          (fun k ->
+            let p = { pk_id = id; pk_at = Clock.now_ns t.clock; pk_k = k } in
+            fun () -> register p)
     | _ -> None
   in
-  Effect.Deep.match_with f ()
-    { Effect.Deep.retc = (fun () -> ()); exnc = raise; effc }
+  segment id
+    (fun () ->
+      Effect.Deep.match_with f () { Effect.Deep.retc = (fun () -> nothing); exnc = raise; effc })
+    ()
 
 let pending_events t = Pq.cardinal t.events
 
@@ -261,8 +289,12 @@ let drive_main t pred =
 type mutex = {
   mutable mu_owner : int; (* 0 = free *)
   mutable mu_depth : int;
-  mutable mu_hold_start : int64; (* acquisition time of the current hold *)
-  mutable mu_holds : (int64 * int64) list; (* committed holds, newest first *)
+  mutable mu_hold_start : int; (* acquisition time of the current hold *)
+  mutable mu_holds : int array;
+      (* committed holds, a ring of (start, end) pairs; empty until the
+         first unlock, since most mutexes are never taken *)
+  mutable mu_next : int; (* ring slot the next hold goes to *)
+  mutable mu_nholds : int; (* holds in the ring, at most [max_holds] *)
   mu_waiters : parked Dq.t;
 }
 
@@ -274,28 +306,31 @@ let mutex () =
   {
     mu_owner = 0;
     mu_depth = 0;
-    mu_hold_start = 0L;
-    mu_holds = [];
+    mu_hold_start = 0;
+    mu_holds = [||];
+    mu_next = 0;
+    mu_nholds = 0;
     mu_waiters = Dq.create ();
   }
 
 let owner_token () = match current_id () with 0 -> -1 | id -> id
 
+(* The earliest instant at or after [s] inside no committed hold: search
+   the holds newest first ([i] holds back from the newest), and after each
+   jump to a hold's end search again from the newest. *)
+let rec settle m s i =
+  if i = m.mu_nholds then s
+  else
+    let slot = (m.mu_next - 1 - i + max_holds) mod max_holds in
+    let e = m.mu_holds.((2 * slot) + 1) in
+    if m.mu_holds.(2 * slot) <= s && s < e then settle m e 0 else settle m s (i + 1)
+
 let acquired t m me =
   m.mu_owner <- me;
   m.mu_depth <- 1;
-  let rec settle s =
-    match
-      List.find_opt
-        (fun (b, e) -> Int64.compare b s <= 0 && Int64.compare s e < 0)
-        m.mu_holds
-    with
-    | Some (_, e) -> settle e
-    | None -> s
-  in
-  let now = Clock.now_ns t.clock in
-  let s = settle now in
-  if Int64.compare s now > 0 then Clock.set_ns t.clock s;
+  let now = Int64.to_int (Clock.now_ns t.clock) in
+  let s = settle m now 0 in
+  if s > now then Clock.set_ns t.clock (Int64.of_int s);
   m.mu_hold_start <- s
 
 let rec lock t m =
@@ -311,15 +346,20 @@ let rec lock t m =
     lock t m
   end
 
+let commit_hold m ~until =
+  if Array.length m.mu_holds = 0 then m.mu_holds <- Array.make (2 * max_holds) 0;
+  let slot = m.mu_next in
+  m.mu_holds.(2 * slot) <- m.mu_hold_start;
+  m.mu_holds.((2 * slot) + 1) <- until;
+  m.mu_next <- (slot + 1) mod max_holds;
+  if m.mu_nholds < max_holds then m.mu_nholds <- m.mu_nholds + 1
+
 let unlock t m =
   if m.mu_owner <> owner_token () then invalid_arg "Sched.unlock: not the owner";
   m.mu_depth <- m.mu_depth - 1;
   if m.mu_depth = 0 then begin
     m.mu_owner <- 0;
-    m.mu_holds <-
-      List.filteri
-        (fun i _ -> i < max_holds)
-        ((m.mu_hold_start, Clock.now_ns t.clock) :: m.mu_holds);
+    commit_hold m ~until:(Int64.to_int (Clock.now_ns t.clock));
     match Dq.pop_front m.mu_waiters with
     | None -> ()
     | Some p -> resume t p
@@ -344,8 +384,7 @@ let park _t cv =
 (* End every fiber parked on [cv]: each resumes at once by raising
    [Cancelled] where it parked.  Nothing is scheduled and no virtual time
    passes, so the fibers' owner can go away without leaving them behind. *)
-let cancel cv =
-  List.iter (fun p -> Effect.Deep.discontinue p.pk_k Cancelled) (Dq.drain cv.cv_waiters)
+let cancel cv = List.iter (fun p -> resumption p true) (Dq.drain cv.cv_waiters)
 
 (* The same for every queued event of [t], for an owner that goes away
    with its scheduler: fibers that never started are dropped, and every
