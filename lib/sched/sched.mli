@@ -18,7 +18,12 @@ exception Deadlock of string
 
 val create : clock:Repro_util.Clock.t -> t
 
+val current_id : unit -> int
+(** Id of the innermost running fiber (each scheduler numbers its fibers
+    from 1 in spawn order); 0 at top level. *)
+
 val in_task : unit -> bool
+(** [current_id () > 0]. *)
 
 val pending_events : t -> int
 

@@ -251,6 +251,78 @@ let test_rprivate_stops_inward_propagation () =
   check_s "visible on the host" "host" (read_file k init "/mnt/x");
   check_err Errno.ENOENT (Kernel.stat k child "/mnt/x")
 
+(* --- mountpoint index --------------------------------------------------------
+
+   [Mount.mount_on] looks a mountpoint up in its namespace's index; the
+   reference is the scan over every mount of the namespace it replaced.
+   Random mount, bind, umount, unshare, fork and make-rprivate sequences
+   (propagation adds replicas to other namespaces, and umount removes)
+   must leave every namespace's index agreeing with the scan. *)
+
+let mount_on_by_scan ns ~mid ~ino =
+  Hashtbl.fold
+    (fun _ m best ->
+      match m.Mount.m_mp with
+      | Some (pmid, pino) when pmid = mid && pino = ino -> (
+          match best with Some b when b.Mount.m_id > m.Mount.m_id -> best | _ -> Some m)
+      | _ -> best)
+    ns.Mount.mounts None
+
+(* Every (mount id, inode) pair of [ns], over the inodes its mounts root
+   at or are mounted on. *)
+let index_agrees ns =
+  let mounts = Hashtbl.fold (fun _ m acc -> m :: acc) ns.Mount.mounts [] in
+  let inos =
+    List.concat_map
+      (fun m -> m.Mount.m_root :: (match m.Mount.m_mp with Some (_, i) -> [ i ] | None -> []))
+      mounts
+    |> List.sort_uniq compare
+  in
+  let id = Option.map (fun m -> m.Mount.m_id) in
+  List.for_all
+    (fun m ->
+      List.for_all
+        (fun ino ->
+          let mid = m.Mount.m_id in
+          id (Mount.mount_on ns ~mid ~ino) = id (mount_on_by_scan ns ~mid ~ino))
+        inos)
+    mounts
+
+let mount_dirs = [| "/a"; "/b"; "/a/x"; "/b/y"; "/a/x/z" |]
+
+let mount_ops_prop ops =
+  let k, init = boot () in
+  ok (Kernel.mkdir k init "/a" ~mode:0o755);
+  ok (Kernel.mkdir k init "/b" ~mode:0o755);
+  let procs = ref [| init |] in
+  let dir i = mount_dirs.(i mod Array.length mount_dirs) in
+  List.for_all
+    (fun (kind, (p, i, j)) ->
+      let proc = !procs.(p mod Array.length !procs) in
+      (match kind with
+      | 0 ->
+          let fs = Nativefs.create ~name:"m" ~clock:k.Kernel.clock Store.Ram () in
+          ignore (Kernel.mount_at k proc ~fs:(Nativefs.ops fs) (dir i))
+      | 1 -> ignore (Kernel.bind_mount k proc ~src:(dir i) ~dst:(dir j))
+      | 2 -> ignore (Kernel.umount k proc (dir i))
+      | 3 -> ignore (Kernel.unshare k proc [ Namespace.Mnt ])
+      | 4 -> procs := Array.append !procs [| Kernel.fork k proc |]
+      | 5 -> ignore (Kernel.mkdir k proc (dir i) ~mode:0o755)
+      | _ -> ignore (Kernel.make_rprivate k proc));
+      Array.for_all (fun p -> index_agrees p.Proc.ns.Proc.mnt) !procs)
+    ops
+
+let qcheck_mount_index =
+  let op = QCheck.Gen.(pair (int_bound 6) (triple small_nat small_nat small_nat)) in
+  QCheck.Test.make ~count:200 ~name:"mount_on index == scan of every mount"
+    QCheck.(
+      make
+        ~print:(fun ops ->
+          String.concat "; "
+            (List.map (fun (k, (p, i, j)) -> Printf.sprintf "%d(%d,%d,%d)" k p i j) ops))
+        Gen.(list_size (1 -- 30) op))
+    mount_ops_prop
+
 (* --- namespaces ----------------------------------------------------------- *)
 
 let test_setns () =
@@ -497,6 +569,53 @@ let test_exec_unknown () =
   write_file k init "/tmp/junk" "not a binary";
   check_err Errno.ENOSYS (Kernel.exec k init "/tmp/junk" [ "junk" ])
 
+(* --- whole-file reads -------------------------------------------------------
+
+   [read_whole] reads in 256 KiB chunks: open, one read per chunk, the
+   empty read at end of file, close, each one syscall.  [exec] adds its
+   own entry and access check and then reads the whole binary the same
+   way, keeping only the header line. *)
+
+let syscalls k =
+  Repro_obs.Metrics.counter_value (Repro_obs.Obs.metrics k.Kernel.obs) "os.syscall.count"
+
+let test_read_whole_counts () =
+  let k, init = boot () in
+  List.iter
+    (fun (path, size, calls) ->
+      let content = String.init size (fun i -> Char.chr (97 + (i mod 26))) in
+      write_file k init path content;
+      let before = syscalls k in
+      let got = read_file k init path in
+      check_i (path ^ ": syscalls") calls (syscalls k - before);
+      check_i (path ^ ": length") size (String.length got);
+      check_b (path ^ ": bytes") true (got = content))
+    [ ("/tmp/empty", 0, 3); ("/tmp/one", 100_000, 4); ("/tmp/three", 600_000, 6) ]
+
+let test_exec_reads_whole_binary () =
+  let k, init = boot () in
+  let ran = ref [] in
+  Kernel.register_program k "big" (fun _k p _args ->
+      ran := p.Proc.comm :: !ran;
+      0);
+  Kernel.register_program k "sh" (fun _k _p args ->
+      ran := String.concat " " args :: !ran;
+      3);
+  write_file k init "/usr/bin/big" (Binfmt.make ~prog:"big" ~size:(300 * 1024) ());
+  write_file k init "/usr/bin/sh" (Binfmt.make ~prog:"sh" ());
+  let before = syscalls k in
+  check_i "exit code" 0 (ok (Kernel.exec k init "/usr/bin/big" [ "big" ]));
+  (* exec, access, open, 2 chunks + EOF, close *)
+  check_i "syscalls of a 300 KiB binary" 7 (syscalls k - before);
+  (* a script whose first line spans two chunks *)
+  write_file k init "/tmp/long" ("#!/usr/bin/sh" ^ String.make (300 * 1024) ' ' ^ "\necho\n");
+  let before = syscalls k in
+  check_i "script exit code" 3 (ok (Kernel.exec k init "/tmp/long" [ "long" ]));
+  (* the script's exec, access, open, 2 chunks + EOF, close; then the
+     same for the 31-byte interpreter with one chunk *)
+  check_i "syscalls of a long-header script" 13 (syscalls k - before);
+  Alcotest.(check (list string)) "programs ran" [ "/usr/bin/sh /tmp/long"; "big" ] !ran
+
 (* --- cgroups, rlimits, hostname -------------------------------------------- *)
 
 let test_cgroups () =
@@ -583,6 +702,7 @@ let () =
             test_rprivate_stops_inward_propagation;
           Alcotest.test_case "propagation skips a namespace with no live process" `Quick
             test_propagation_skips_dead_namespace;
+          QCheck_alcotest.to_alcotest qcheck_mount_index;
         ] );
       ( "namespaces",
         [
@@ -616,7 +736,9 @@ let () =
           Alcotest.test_case "binary" `Quick test_exec;
           Alcotest.test_case "script" `Quick test_exec_script;
           Alcotest.test_case "unknown format" `Quick test_exec_unknown;
+          Alcotest.test_case "reads the whole binary" `Quick test_exec_reads_whole_binary;
         ] );
+      ("read-whole", [ Alcotest.test_case "syscalls and bytes" `Quick test_read_whole_counts ]);
       ( "misc",
         [
           Alcotest.test_case "cgroups" `Quick test_cgroups;

@@ -386,6 +386,230 @@ let test_cancel_pending_ends_runnable () =
   check_i "nothing scheduled" 0 (Sched.pending_events s);
   check_ns "no time passed" 0 clock
 
+(* --- fiber id cell ------------------------------------------------------------
+
+   [Sched.current_id] reads a cell that each fiber segment sets.  The
+   reference is the handler stack itself: every fiber body below runs
+   under a handler of its own answering [Probe] with the id the scheduler
+   gives it (spawn order, from 1 per scheduler), and at top level the
+   effect goes unhandled, answering 0.  The two must agree everywhere. *)
+
+type _ Effect.t += Probe : int Effect.t
+
+let probe () = try Effect.perform Probe with Effect.Unhandled _ -> 0
+
+let labelled (id : int) f () =
+  let effc : type a. a Effect.t -> ((a, unit) Effect.Deep.continuation -> unit) option =
+    function Probe -> Some (fun k -> Effect.Deep.continue k id) | _ -> None
+  in
+  Effect.Deep.match_with f () { Effect.Deep.retc = Fun.id; exnc = raise; effc }
+
+let agree where =
+  check_i (where ^ ": cell = handler stack") (probe ()) (Sched.current_id ());
+  check_b (where ^ ": in_task") (probe () > 0) (Sched.in_task ())
+
+let test_fiber_id_cell () =
+  let _, s = mk () in
+  agree "top level";
+  let cv = Sched.cond () in
+  (* 1: park and resume *)
+  let f1 =
+    Sched.spawn s
+      (labelled 1 (fun () ->
+           agree "fiber 1";
+           Sched.park s cv;
+           agree "fiber 1 after resume"))
+  in
+  Sched.drive_main s (fun () -> Sched.pending_events s = 0);
+  agree "top level while fiber 1 is parked";
+  check_i "one parked" 1 (Sched.signal s cv);
+  Sched.await s f1;
+  agree "top level after fiber 1";
+  (* 2: raises; 3 awaits 4, which raises *)
+  let f2 = Sched.spawn s (labelled 2 (fun () -> agree "fiber 2"; failwith "two")) in
+  (match Sched.await s f2 with exception Failure _ -> () | () -> Alcotest.fail "fiber 2 raised");
+  agree "top level after fiber 2 raised";
+  Sched.run s
+    (labelled 3 (fun () ->
+         let f4 = Sched.spawn s (labelled 4 (fun () -> agree "fiber 4"; failwith "four")) in
+         (match Sched.await s f4 with
+         | exception Failure _ -> ()
+         | () -> Alcotest.fail "fiber 4 raised");
+         agree "fiber 3 after fiber 4 raised"));
+  (* 5 is cancelled from top level; 6 cancels 7 *)
+  let f5 =
+    Sched.spawn s
+      (labelled 5 (fun () ->
+           try Sched.park s cv with Sched.Cancelled -> agree "fiber 5 unwinding"))
+  in
+  Sched.drive_main s (fun () -> Sched.pending_events s = 0);
+  Sched.cancel cv;
+  agree "top level after cancel";
+  Sched.await s f5;
+  let cv7 = Sched.cond () in
+  Sched.run s
+    (labelled 6 (fun () ->
+         let f7 =
+           Sched.spawn s
+             (labelled 7 (fun () ->
+                  try Sched.park s cv7 with Sched.Cancelled -> agree "fiber 7 unwinding"))
+         in
+         Sched.yield s;
+         Sched.cancel cv7;
+         agree "fiber 6 after cancelling 7";
+         Sched.await s f7;
+         agree "fiber 6 after awaiting 7"));
+  (* nested schedulers: fiber 8 of [s] drives [b], whose fiber 1 runs
+     inside it, parks, and ends from top level *)
+  let _, b = mk () in
+  let bcv = Sched.cond () in
+  let b1 = ref None in
+  Sched.run s
+    (labelled 8 (fun () ->
+         b1 :=
+           Some
+             (Sched.spawn b
+                (labelled 1 (fun () ->
+                     agree "b's fiber 1 inside s's fiber 8";
+                     Sched.park b bcv;
+                     agree "b's fiber 1 resumed at top level")));
+         Sched.drive_main b (fun () -> Sched.pending_events b = 0);
+         agree "s's fiber 8 after driving b"));
+  agree "top level after the nested run";
+  check_i "b's fiber parked" 1 (Sched.signal b bcv);
+  Sched.await b (Option.get !b1);
+  agree "top level at the end"
+
+(* --- mutex hold ring ---------------------------------------------------------
+
+   A mutex keeps its last 32 committed holds in a ring.  The reference is
+   the list it replaced, built on the public primitives (a cond for the
+   waiters: [park] and [signal] queue and wake exactly as the mutex's own
+   wait list does).  Random programs of several fibers and the top level
+   must acquire at the same instants under both. *)
+
+module Ref_mutex = struct
+  type t = {
+    mutable owner : int;
+    mutable depth : int;
+    mutable start : int64;
+    mutable holds : (int64 * int64) list; (* newest first *)
+    waiters : Sched.cond;
+  }
+
+  let create () = { owner = 0; depth = 0; start = 0L; holds = []; waiters = Sched.cond () }
+  let token () = match Sched.current_id () with 0 -> -1 | id -> id
+
+  let acquired clock m me =
+    m.owner <- me;
+    m.depth <- 1;
+    let rec settle s =
+      match List.find_opt (fun (b, e) -> b <= s && s < e) m.holds with
+      | Some (_, e) -> settle e
+      | None -> s
+    in
+    let now = Clock.now_ns clock in
+    let s = settle now in
+    if s > now then Clock.set_ns clock s;
+    m.start <- s
+
+  let rec lock s clock m =
+    let me = token () in
+    if m.owner = 0 then acquired clock m me
+    else if m.owner = me then m.depth <- m.depth + 1
+    else if me = -1 then begin
+      Sched.drive_main s (fun () -> m.owner = 0);
+      acquired clock m me
+    end
+    else begin
+      Sched.park s m.waiters;
+      lock s clock m
+    end
+
+  let unlock s clock m =
+    if m.owner <> token () then invalid_arg "Ref_mutex.unlock: not the owner";
+    m.depth <- m.depth - 1;
+    if m.depth = 0 then begin
+      m.owner <- 0;
+      m.holds <- List.filteri (fun i _ -> i < 32) ((m.start, Clock.now_ns clock) :: m.holds);
+      ignore (Sched.signal s m.waiters)
+    end
+end
+
+(* One step of a program: [kind] picks the action, [mu] one of two
+   mutexes, [ns] an amount of work. *)
+let run_mutex_program ~make (progs : (int * int * int) list list) =
+  let clock, s = mk () in
+  let lock, unlock = make s clock in
+  let log = ref [] in
+  let step who (kind, mu, ns) =
+    let mu = abs mu mod 2 and ns = abs ns mod 5_000 in
+    match abs kind mod 6 with
+    | 0 | 1 ->
+        lock mu;
+        log := (who, Clock.now_ns clock) :: !log;
+        Clock.consume_int clock ns;
+        unlock mu
+    | 2 ->
+        (* a section that yields, so others find the lock held *)
+        lock mu;
+        log := (who, Clock.now_ns clock) :: !log;
+        Clock.consume_int clock ns;
+        Sched.yield s;
+        Clock.consume_int clock 100;
+        unlock mu
+    | 3 ->
+        lock mu;
+        lock mu;
+        log := (who, Clock.now_ns clock) :: !log;
+        Clock.consume_int clock ns;
+        unlock mu;
+        unlock mu
+    | 4 -> Sched.sleep_ns s ns
+    | _ -> Sched.yield s
+  in
+  match progs with
+  | [] -> (!log, Clock.now_ns clock)
+  | main :: fibers ->
+      let tasks = List.mapi (fun i p -> Sched.spawn s (fun () -> List.iter (step (i + 1)) p)) fibers in
+      List.iter (step 0) main;
+      List.iter (Sched.await s) tasks;
+      (List.rev !log, Clock.now_ns clock)
+
+let ring_mutexes s _clock =
+  let ms = Array.init 2 (fun _ -> Sched.mutex ()) in
+  ((fun i -> Sched.lock s ms.(i)), fun i -> Sched.unlock s ms.(i))
+
+let list_mutexes s clock =
+  let ms = Array.init 2 (fun _ -> Ref_mutex.create ()) in
+  ((fun i -> Ref_mutex.lock s clock ms.(i)), fun i -> Ref_mutex.unlock s clock ms.(i))
+
+let hold_ring_prop progs =
+  run_mutex_program ~make:ring_mutexes progs = run_mutex_program ~make:list_mutexes progs
+
+let gen_step = QCheck.Gen.(triple small_int small_int (int_bound 10_000))
+
+let qcheck_hold_ring =
+  QCheck.Test.make ~count:300 ~name:"hold ring == list of holds"
+    QCheck.(
+      make
+        ~print:(fun ps -> Printf.sprintf "%d programs" (List.length ps))
+        Gen.(list_size (1 -- 4) (list_size (0 -- 40) gen_step)))
+    hold_ring_prop
+
+(* A fiber that commits 80 holds on one mutex in one segment, ahead of a
+   fiber that then locks at time 0: the ring wraps, and both forget the
+   same old holds. *)
+let qcheck_hold_ring_wraps =
+  QCheck.Test.make ~count:100 ~name:"hold ring == list of holds past 32 holds"
+    QCheck.(
+      make
+        Gen.(
+          pair (list_size (33 -- 80) (int_bound 3_000)) (list_size (1 -- 10) gen_step)))
+    (fun (works, late) ->
+      let burst = List.map (fun w -> (0, 0, w)) works in
+      hold_ring_prop [ []; burst; late; List.map (fun (k, _, w) -> (k, 0, w)) late ])
+
 (* --- suite ------------------------------------------------------------------ *)
 
 let () =
@@ -410,7 +634,10 @@ let () =
         [
           tc "serializes tasks" `Quick test_mutex_serializes_tasks;
           tc "reentrant" `Quick test_mutex_reentrant;
+          QCheck_alcotest.to_alcotest qcheck_hold_ring;
+          QCheck_alcotest.to_alcotest qcheck_hold_ring_wraps;
         ] );
+      ("fiber-id", [ tc "cell agrees with the handler stack" `Quick test_fiber_id_cell ]);
       ( "cond",
         [
           tc "broadcast counts waiters" `Quick test_cond_broadcast_counts_waiters;
