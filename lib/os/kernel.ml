@@ -1141,15 +1141,18 @@ let register_program t name prog = Hashtbl.replace t.programs name prog
 let program_exists t name = Hashtbl.mem t.programs name
 
 (* Read [path] to its end through the filesystem in 256 KiB reads,
-   charging every syscall, and fold [f] over the chunks read. *)
+   charging every syscall, and fold [f] over the chunks read.  The fd is
+   closed whether or not a read fails; a read's error wins over close's. *)
 let fold_file t proc path f init =
   let* fdn = open_ t proc path [ Types.O_RDONLY ] ~mode:0 in
   let rec go acc =
     let* chunk = read t proc fdn ~len:(256 * 1024) in
     if chunk = "" then Ok acc else go (f acc chunk)
   in
-  let* acc = go init in
-  let* () = close t proc fdn in
+  let folded = go init in
+  let closed = close t proc fdn in
+  let* acc = folded in
+  let* () = closed in
   Ok acc
 
 (* Chunks gathered newest first, as one string: a lone chunk as read,

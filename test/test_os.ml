@@ -616,6 +616,35 @@ let test_exec_reads_whole_binary () =
   check_i "syscalls of a long-header script" 13 (syscalls k - before);
   Alcotest.(check (list string)) "programs ran" [ "/usr/bin/sh /tmp/long"; "big" ] !ran
 
+(* A read that fails part-way still closes the file: a fault hook failing
+   the second read leaves the caller's fd table as it was, for a plain
+   whole-file read and for exec's. *)
+let test_read_whole_closes_on_error () =
+  let k, init = boot () in
+  write_file k init "/tmp/big" (String.make 600_000 'x');
+  write_file k init "/usr/bin/big" (Binfmt.make ~prog:"big" ~size:(300 * 1024) ());
+  Kernel.register_program k "big" (fun _ _ _ -> 0);
+  let fds () = Hashtbl.length init.Proc.fds in
+  let with_second_read_failing f =
+    let reads = ref 0 in
+    let hook ~op _proc =
+      if op = "read" then begin
+        incr reads;
+        if !reads = 2 then Some Errno.EIO else None
+      end
+      else None
+    in
+    Kernel.add_fault k hook;
+    let before = fds () in
+    let r = f () in
+    Kernel.remove_fault k hook;
+    check_i "fd count unchanged" before (fds ());
+    r
+  in
+  check_err Errno.EIO (with_second_read_failing (fun () -> Kernel.read_whole k init "/tmp/big"));
+  check_err Errno.EIO
+    (with_second_read_failing (fun () -> Kernel.exec k init "/usr/bin/big" [ "big" ]))
+
 (* --- cgroups, rlimits, hostname -------------------------------------------- *)
 
 let test_cgroups () =
@@ -738,7 +767,12 @@ let () =
           Alcotest.test_case "unknown format" `Quick test_exec_unknown;
           Alcotest.test_case "reads the whole binary" `Quick test_exec_reads_whole_binary;
         ] );
-      ("read-whole", [ Alcotest.test_case "syscalls and bytes" `Quick test_read_whole_counts ]);
+      ( "read-whole",
+        [
+          Alcotest.test_case "syscalls and bytes" `Quick test_read_whole_counts;
+          Alcotest.test_case "a failed read closes the file" `Quick
+            test_read_whole_closes_on_error;
+        ] );
       ( "misc",
         [
           Alcotest.test_case "cgroups" `Quick test_cgroups;
