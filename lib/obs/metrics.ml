@@ -78,6 +78,7 @@ let gauge t name =
       g
 
 let set g v = g.g_value <- v
+let shift g d = g.g_value <- g.g_value +. d
 
 (* Derived gauges are computed at snapshot time (hit ratios, amplification
    factors).  Re-registering the same name keeps the first closure, so

@@ -38,6 +38,10 @@ type gauge
 val gauge : t -> string -> gauge
 val set : gauge -> float -> unit
 
+(** Add to a gauge, for one that several owners each move by their own
+    changes. *)
+val shift : gauge -> float -> unit
+
 (** A gauge computed at snapshot time (hit ratios, amplification factors).
     Re-registering an existing derived name keeps the first closure. *)
 val register_derived : t -> string -> (unit -> float) -> unit

@@ -85,7 +85,6 @@ type t = {
   mutable px_conns : conn list;
   mutable px_forwarders : forwarder list;
   mutable px_error : exn option;
-  mutable px_active : int;
   m_active : Metrics.gauge;
   m_total : Metrics.counter;
   m_refused : Metrics.counter;
@@ -187,9 +186,7 @@ let close_buf_writer t d =
     close_fd t d.d_buf_w
   end
 
-let conn_retired t =
-  t.px_active <- t.px_active - 1;
-  Metrics.set t.m_active (float_of_int t.px_active)
+let conn_retired t = Metrics.shift t.m_active (-1.)
 
 (* Half-close the destination once this direction has delivered everything:
    sockets shut down their send side (the peer's read side stays usable),
@@ -498,8 +495,7 @@ let add_conn t ?(extra = (None, None)) ~label ~a_rfd ~a_wfd ~b_rfd ~b_wfd () =
     }
   in
   t.px_conns <- cn :: t.px_conns;
-  t.px_active <- t.px_active + 1;
-  Metrics.set t.m_active (float_of_int t.px_active);
+  Metrics.shift t.m_active 1.;
   register_kick t a_rfd ~on_in:true ~on_out:false (fun () -> kick_dir t c2b);
   register_kick t b_wfd ~on_in:false ~on_out:true (fun () -> kick_dir t c2b);
   register_kick t b_rfd ~on_in:true ~on_out:false (fun () -> kick_dir t b2c);
@@ -683,7 +679,6 @@ let create ?(mode = Splice) ?(buffer = Pipe.default_capacity) ?fault ~kernel ~pr
       px_conns = [];
       px_forwarders = [];
       px_error = None;
-      px_active = 0;
       m_active = Metrics.gauge metrics "proxy.connections.active";
       m_total = Metrics.counter metrics "proxy.connections.total";
       m_refused = Metrics.counter metrics "proxy.connections.refused";

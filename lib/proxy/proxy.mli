@@ -19,7 +19,8 @@
     {!Repro_os.Kernel.pass_fd} (SCM_RIGHTS style).
 
     Metrics (registry of the kernel's obs handle):
-    [proxy.connections.active] (gauge), [proxy.connections.total],
+    [proxy.connections.active] (gauge, summed over the kernel's planes),
+    [proxy.connections.total],
     [proxy.connections.refused], [proxy.bytes.c2b], [proxy.bytes.b2c],
     [proxy.bytes.unflushed], [proxy.splice.calls], [proxy.buffer.stalls],
     [proxy.loop.wakeups].

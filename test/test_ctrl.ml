@@ -695,6 +695,21 @@ let test_wire_close () =
   Daemon.wire_close w;
   ignore (ok' (Client.call (Client.in_process d) "daemon.info"))
 
+(* [proxy.connections.active] is one gauge on the kernel's registry, the
+   sum over every plane: an attach session's TTY plane opening and closing
+   its connection leaves cntrd's wire plane's connection counted. *)
+let test_active_gauge_sums_planes () =
+  let world, _d, w = wire_boot () in
+  let active () = gauge world "proxy.connections.active" in
+  let c = Client.connect w in
+  ignore (ok' (Client.call c "daemon.info"));
+  check_b "the wire connection" true (active () = 1.);
+  let s = ok' (Client.session_create c "web") in
+  ignore (ok' (Client.session_detach c ~session:s.Client.sc_session));
+  check_b "the wire connection after a session came and went" true (active () = 1.);
+  Daemon.wire_close w;
+  check_b "none after the wire closed" true (active () = 0.)
+
 (* Overload property, over raw frames so duplicate replies cannot be
    masked by the client's reply table: burst n calls at a connection with
    an in-flight cap, then drain — every submitted id must get exactly one
@@ -804,6 +819,8 @@ let () =
           Alcotest.test_case "watermark stall and resume" `Quick
             test_wire_watermark_stall_resume;
           Alcotest.test_case "close ends the endpoint" `Quick test_wire_close;
+          Alcotest.test_case "active connections summed over planes" `Quick
+            test_active_gauge_sums_planes;
           QCheck_alcotest.to_alcotest prop_wire_overload_exactly_once;
         ] );
     ]
