@@ -166,8 +166,6 @@ let resume t p =
 
 let suspend register = Effect.perform (Suspend register)
 
-let nothing () = ()
-
 let run_fiber t (id : int) f =
   let effc : type a. a Effect.t -> ((a, unit -> unit) Effect.Deep.continuation -> unit -> unit) option =
     function
@@ -180,7 +178,7 @@ let run_fiber t (id : int) f =
   in
   segment id
     (fun () ->
-      Effect.Deep.match_with f () { Effect.Deep.retc = (fun () -> nothing); exnc = raise; effc })
+      Effect.Deep.match_with f () { Effect.Deep.retc = (fun () -> Fun.id); exnc = raise; effc })
     ()
 
 let pending_events t = Pq.cardinal t.events
@@ -291,8 +289,8 @@ type mutex = {
   mutable mu_depth : int;
   mutable mu_hold_start : int; (* acquisition time of the current hold *)
   mutable mu_holds : int array;
-      (* committed holds, a ring of (start, end) pairs; empty until the
-         first unlock, since most mutexes are never taken *)
+      (* committed holds, a ring of (start, end) pairs; allocated by the
+         first unlock, so a mutex never taken carries none *)
   mutable mu_next : int; (* ring slot the next hold goes to *)
   mutable mu_nholds : int; (* holds in the ring, at most [max_holds] *)
   mu_waiters : parked Dq.t;
