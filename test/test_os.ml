@@ -612,7 +612,7 @@ let test_exec_reads_whole_binary () =
   let before = syscalls k in
   check_i "script exit code" 3 (ok (Kernel.exec k init "/tmp/long" [ "long" ]));
   (* the script's exec, access, open, 2 chunks + EOF, close; then the
-     same for the 31-byte interpreter with one chunk *)
+     same for the 9-byte interpreter, one chunk *)
   check_i "syscalls of a long-header script" 13 (syscalls k - before);
   Alcotest.(check (list string)) "programs ran" [ "/usr/bin/sh /tmp/long"; "big" ] !ran
 
