@@ -46,7 +46,7 @@ let run common name json trace_file =
       | Ok created ->
           let sid = created.Client.sc_session in
           let obs = Daemon.obs daemon in
-          (* Capture every span, including ones the ring would overwrite. *)
+          (* The sink is the tracer's only output: every span from here on. *)
           let buf = Buffer.create 4096 in
           (match trace_file with
           | Some _ ->

@@ -70,7 +70,6 @@ let create ~kernel ~conn ~server_proc ~root_path ?(opts = Opts.cntr_default) ?(t
 
 let fs t = t.fs
 let obs t = Conn.obs t.conn
-let stats t = Conn.stats t.conn
 let fault t = t.fault
 
 (* Relaunch the CntrFS server after a crash: fork a replacement from the

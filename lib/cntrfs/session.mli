@@ -56,10 +56,6 @@ val fs : t -> Fsops.t
     [cntrfs.worker.<i>.busy_ns]). *)
 val obs : t -> Repro_obs.Obs.t
 
-(** Protocol statistics: request counts by kind, bytes, splice usage.
-    A snapshot view over the registry on {!obs}. *)
-val stats : t -> Conn.stats
-
 (** The armed fault plane, when the session was created with one. *)
 val fault : t -> Repro_fault.Fault.t option
 

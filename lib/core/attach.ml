@@ -299,9 +299,12 @@ let report session =
   let metrics = Repro_obs.Obs.metrics (obs session) in
   let c name = Repro_obs.Metrics.counter_value metrics name in
   let g name = Repro_obs.Metrics.gauge_value metrics name in
-  let stats = Session.stats session.sn_cntrfs in
+  (* the opcodes this session's connection issued, busiest first; ties
+     keep the connection's table order *)
   let by_kind =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) stats.Conn.by_kind []
+    Hashtbl.fold
+      (fun k _ acc -> (k, c (Printf.sprintf "fuse.req.%s.count" k)) :: acc)
+      session.sn_cntrfs.Session.conn.Conn.by_kind []
     |> List.sort (fun (_, a) (_, b) -> compare b a)
     |> List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v)
     |> String.concat " "
@@ -338,10 +341,10 @@ let report session =
      queue: depth max %.0f mean %.2f, inflight %.0f (max %.0f), %d spurious wakeups\n\
      workers: %s\n\
      %skernel: %d syscalls, %d context switches\n"
-    stats.Conn.requests by_kind
-    (Size.to_string stats.Conn.bytes_to_server)
-    (Size.to_string stats.Conn.bytes_from_server)
-    (Size.to_string stats.Conn.spliced_bytes)
+    (c "fuse.req.count") by_kind
+    (Size.to_string (c "fuse.bytes.to_server"))
+    (Size.to_string (c "fuse.bytes.from_server"))
+    (Size.to_string (c "fuse.bytes.spliced"))
     hit_rate
     (c "vfs.page_cache.fuse.hits")
     (c "vfs.page_cache.fuse.misses")

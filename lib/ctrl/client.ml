@@ -22,7 +22,9 @@ type wire_state = {
   ws_resps : (Rpc.id, Rpc.response) Hashtbl.t;
 }
 
-type transport = In_process | Wire of wire_state
+(* an in-process client is its own $/cancel scope; a wire client's is its
+   connection, kept by the daemon *)
+type transport = In_process of Daemon.origin | Wire of wire_state
 
 type t = {
   c_daemon : Daemon.t;
@@ -39,7 +41,7 @@ type ticket = Rpc.id
 let in_process d =
   {
     c_daemon = d;
-    c_transport = In_process;
+    c_transport = In_process (Daemon.origin ());
     c_next_id = 1;
     c_notifs = [];
     c_batch = None;
@@ -138,9 +140,9 @@ let send_request t (req : Rpc.request) =
   | Some acc -> t.c_batch <- Some (acc @ [ req ])
   | None -> (
       match t.c_transport with
-      | In_process -> (
+      | In_process origin -> (
           let sink j = t.c_notifs <- t.c_notifs @ [ j ] in
-          match Daemon.submit t.c_daemon ~sink req with
+          match Daemon.submit t.c_daemon ~origin ~sink req with
           | Some tk -> Hashtbl.replace t.c_tickets (Option.get req.Rpc.r_id) tk
           | None -> ())
       | Wire ws -> wire_send t ws (Rpc.encode_request req))
@@ -160,13 +162,13 @@ let flush_batch t =
       match (reqs, t.c_transport) with
       | [], _ -> ()
       | reqs, Wire ws -> wire_send t ws (Rpc.encode_requests reqs)
-      | reqs, In_process ->
+      | reqs, In_process origin ->
           (* same envelope semantics, minus the framing: dispatch in
              order, replies claimable in any order *)
           List.iter
             (fun (req : Rpc.request) ->
               let sink j = t.c_notifs <- t.c_notifs @ [ j ] in
-              match Daemon.submit t.c_daemon ~sink req with
+              match Daemon.submit t.c_daemon ~origin ~sink req with
               | Some tk -> Hashtbl.replace t.c_tickets (Option.get req.Rpc.r_id) tk
               | None -> ())
             reqs)
@@ -188,7 +190,7 @@ let poll t id =
   if t.c_batch <> None then invalid_arg "Client.poll: inside a batch (flush first)";
   Daemon.pump t.c_daemon;
   match t.c_transport with
-  | In_process -> (
+  | In_process _ -> (
       match Hashtbl.find_opt t.c_tickets id with
       | None -> None
       | Some tk -> (
@@ -208,7 +210,7 @@ let poll t id =
 let await t id =
   if t.c_batch <> None then invalid_arg "Client.await: inside a batch (flush first)";
   match t.c_transport with
-  | In_process -> (
+  | In_process _ -> (
       match Hashtbl.find_opt t.c_tickets id with
       | None -> Error (Rpc.error Rpc.internal_error "unknown or already-awaited ticket")
       | Some tk ->
@@ -229,7 +231,7 @@ let await t id =
 let call t meth = await t (submit t meth)
 
 let notifications t =
-  (match t.c_transport with Wire ws -> wire_slurp t ws | In_process -> ());
+  (match t.c_transport with Wire ws -> wire_slurp t ws | In_process _ -> ());
   let ns = t.c_notifs in
   t.c_notifs <- [];
   ns

@@ -23,9 +23,7 @@ type config = {
   c_max_active : int;
   c_queue_depth : int;
   c_tenant : quota;
-  c_attach : Attach.Config.t;
   c_fault : Fault.plan option;
-  c_auto_recover : bool;
   c_sub_buffer : int;  (* undelivered events retained per subscriber *)
   (* wire plane: per-connection flow control *)
   c_wire_inflight : int;  (* admitted-but-unflushed requests per connection *)
@@ -38,9 +36,7 @@ let default_config =
     c_max_active = 64;
     c_queue_depth = 32;
     c_tenant = { q_active = 16; q_queued = 8 };
-    c_attach = Attach.Config.default;
     c_fault = None;
-    c_auto_recover = true;
     c_sub_buffer = 256;
     c_wire_inflight = 64;
     c_wire_high = 65536;
@@ -50,9 +46,17 @@ let default_config =
 (* One in-flight request. *)
 type ticket = {
   p_rid : Rpc.id;
+  p_origin : origin;
   mutable p_cancelled : bool;
   mutable p_resp : Rpc.response option;
 }
+
+(* The requests one client (a wire connection or an in-process client)
+   has in flight.  Every client numbers its ids from 1, so a $/cancel
+   looks only among its own client's requests. *)
+and origin = { mutable o_inflight : ticket list }
+
+let origin () = { o_inflight = [] }
 
 type state = Queued | Active | Recovering | Detached
 
@@ -106,9 +110,6 @@ type wire_metrics = {
   wm_pipelined_max : Metrics.gauge;
   wm_backlog_peak : Metrics.gauge;
   wm_frame_max : Metrics.gauge;
-  mutable wm_pmax : int;
-  mutable wm_bpeak : int;
-  mutable wm_fmax : int;
 }
 
 (* Per-connection write-side flow control: a connection whose framed
@@ -135,6 +136,7 @@ type wire_conn = {
   mutable wc_singles : ticket list;  (* pipelined calls: flushed as resolved *)
   mutable wc_batches : slot array list;  (* envelopes: flushed when complete *)
   mutable wc_inflight : int;  (* admitted, not yet flushed *)
+  wc_origin : origin;
 }
 
 type wire = {
@@ -156,7 +158,6 @@ and t = {
   d_actions : action Queue.t;
   d_sessions : (int, sess) Hashtbl.t;
   mutable d_next_id : int;
-  mutable d_inflight : ticket list;
   mutable d_subs : sub list;
   mutable d_m_sub_dropped : Metrics.counter option;
       (* lazily created: only daemons that ever drop touch the registry *)
@@ -206,7 +207,6 @@ let create ?(config = default_config) world =
     d_actions = Queue.create ();
     d_sessions = Hashtbl.create 64;
     d_next_id = 1;
-    d_inflight = [];
     d_subs = [];
     d_m_sub_dropped = None;
     d_wm = None;
@@ -234,15 +234,15 @@ let clock t = (kernel t).Kernel.clock
 (* Replies, events, cancellation                                      *)
 (* ------------------------------------------------------------------ *)
 
-let reply t p result =
+let reply p result =
   (match p.p_resp with
   | Some _ -> () (* first reply wins; late paths are no-ops *)
   | None -> p.p_resp <- Some { Rpc.p_id = Some p.p_rid; p_result = result });
-  t.d_inflight <- List.filter (fun q -> q != p) t.d_inflight
+  p.p_origin.o_inflight <- List.filter (fun q -> q != p) p.p_origin.o_inflight
 
 let reply_cancelled t p =
   Metrics.incr t.m_cancelled;
-  reply t p (Error (Rpc.error Rpc.cancelled "request cancelled"))
+  reply p (Error (Rpc.error Rpc.cancelled "request cancelled"))
 
 let errno_data e = Jsonx.Obj [ ("errno", Jsonx.Str (Errno.to_string e)) ]
 
@@ -286,8 +286,8 @@ let flush_subs t =
       done)
     t.d_subs
 
-let cancel t id =
-  match List.find_opt (fun p -> p.p_rid = id && p.p_resp = None) t.d_inflight with
+let cancel t origin id =
+  match List.find_opt (fun p -> p.p_rid = id && p.p_resp = None) origin.o_inflight with
   | None -> false
   | Some p ->
       p.p_cancelled <- true;
@@ -382,7 +382,7 @@ let conn_dead a = a.Attach.sn_cntrfs.Repro_cntrfs.Session.conn.Repro_fuse.Conn.d
 let handle_op t sess op =
   match op with
   | Op_exec (p, _) when sess.s_state = Detached || sess.s_attach = None ->
-      reply t p (Error (Rpc.error Rpc.no_session (Printf.sprintf "no session %d" sess.s_id)))
+      reply p (Error (Rpc.error Rpc.no_session (Printf.sprintf "no session %d" sess.s_id)))
   | Op_exec (p, _) when p.p_cancelled -> reply_cancelled t p
   | Op_exec (p, cmd) -> (
       let a = Option.get sess.s_attach in
@@ -391,11 +391,11 @@ let handle_op t sess op =
       else
         match injected with
         | Some e ->
-            reply t p (Error (Rpc.error ~data:(errno_data e) Rpc.fault_injected "exec fault injected"))
+            reply p (Error (Rpc.error ~data:(errno_data e) Rpc.fault_injected "exec fault injected"))
         | None ->
-            let recovered = ref false in
-            let dead = conn_dead a in
-            if dead && t.d_config.c_auto_recover then begin
+            (* a crashed server recovers transparently before the exec *)
+            let recovered = conn_dead a in
+            if recovered then begin
               sess.s_state <- Recovering;
               emit t "session.recovering" [ ("session", Jsonx.Int sess.s_id) ];
               (* deterministic race window: a detach submitted now lands
@@ -404,29 +404,21 @@ let handle_op t sess op =
               act_recover t a;
               Metrics.incr t.m_recovered;
               sess.s_state <- Active;
-              recovered := true;
               emit t "session.recovered" [ ("session", Jsonx.Int sess.s_id) ]
             end;
-            if dead && not t.d_config.c_auto_recover then
-              reply t p
-                (Error
-                   (Rpc.error ~data:(errno_data Errno.ENOTCONN) Rpc.exec_failed
-                      "session server crashed (auto_recover off)"))
-            else begin
-              let code, output = act_run t a cmd in
-              sess.s_execs <- sess.s_execs + 1;
-              reply t p
-                (Ok
-                   (Jsonx.Obj
-                      [
-                        ("code", Jsonx.Int code);
-                        ("output", Jsonx.Str output);
-                        ("recovered", Jsonx.Bool !recovered);
-                      ]))
-            end)
+            let code, output = act_run t a cmd in
+            sess.s_execs <- sess.s_execs + 1;
+            reply p
+              (Ok
+                 (Jsonx.Obj
+                    [
+                      ("code", Jsonx.Int code);
+                      ("output", Jsonx.Str output);
+                      ("recovered", Jsonx.Bool recovered);
+                    ])))
   | Op_detach p ->
       if sess.s_state = Detached then
-        reply t p (Ok (Jsonx.Obj [ ("detached", Jsonx.Bool true); ("already", Jsonx.Bool true) ]))
+        reply p (Ok (Jsonx.Obj [ ("detached", Jsonx.Bool true); ("already", Jsonx.Bool true) ]))
       else begin
         (* clean even when the server is dead or mid-recovery *)
         (match sess.s_attach with Some a -> act_detach t a | None -> ());
@@ -435,7 +427,7 @@ let handle_op t sess op =
         remove t sess;
         emit t "session.detached"
           [ ("session", Jsonx.Int sess.s_id); ("tenant", Jsonx.Str sess.s_tenant) ];
-        reply t p (Ok (Jsonx.Obj [ ("detached", Jsonx.Bool true); ("already", Jsonx.Bool false) ]))
+        reply p (Ok (Jsonx.Obj [ ("detached", Jsonx.Bool true); ("already", Jsonx.Bool false) ]))
       end
 
 let rec serve t sess =
@@ -451,14 +443,14 @@ let rec serve t sess =
       end
 
 (* Failure exits before the mailbox loop still answer queued ops. *)
-let drain_ops t sess =
+let drain_ops sess =
   Queue.iter
     (fun op ->
       match op with
       | Op_exec (p, _) ->
-          reply t p (Error (Rpc.error Rpc.no_session (Printf.sprintf "no session %d" sess.s_id)))
+          reply p (Error (Rpc.error Rpc.no_session (Printf.sprintf "no session %d" sess.s_id)))
       | Op_detach p ->
-          reply t p (Ok (Jsonx.Obj [ ("detached", Jsonx.Bool true); ("already", Jsonx.Bool true) ])))
+          reply p (Ok (Jsonx.Obj [ ("detached", Jsonx.Bool true); ("already", Jsonx.Bool true) ])))
     sess.s_ops;
   Queue.clear sess.s_ops
 
@@ -472,8 +464,8 @@ let reject t sess p why =
     ];
   sess.s_state <- Detached;
   remove t sess;
-  reply t p (Error (Rpc.error Rpc.admission_rejected ("admission rejected: " ^ why)));
-  drain_ops t sess
+  reply p (Error (Rpc.error Rpc.admission_rejected ("admission rejected: " ^ why)));
+  drain_ops sess
 
 let create_fiber t sess p =
   let cfg = t.d_config in
@@ -482,14 +474,14 @@ let create_fiber t sess p =
   | Some e ->
       sess.s_state <- Detached;
       remove t sess;
-      reply t p (Error (Rpc.error ~data:(errno_data e) Rpc.fault_injected "create fault injected"));
-      drain_ops t sess
+      reply p (Error (Rpc.error ~data:(errno_data e) Rpc.fault_injected "create fault injected"));
+      drain_ops sess
   | None ->
       let cancelled () =
         sess.s_state <- Detached;
         remove t sess;
         reply_cancelled t p;
-        drain_ops t sess
+        drain_ops sess
       in
       if p.p_cancelled then cancelled ()
       else begin
@@ -532,11 +524,11 @@ let create_fiber t sess p =
                   release_slot t sess;
                   sess.s_state <- Detached;
                   remove t sess;
-                  reply t p
+                  reply p
                     (Error
                        (Rpc.error ~data:(errno_data e) Rpc.attach_failed
                           ("attach failed: " ^ Errno.to_string e)));
-                  drain_ops t sess
+                  drain_ops sess
               | Ok a ->
                   sess.s_attach <- Some a;
                   sess.s_state <- Active;
@@ -552,7 +544,7 @@ let create_fiber t sess p =
                       ("container", Jsonx.Str sess.s_container);
                     ];
                   let ctx = Attach.context a in
-                  reply t p
+                  reply p
                     (Ok
                        (Jsonx.Obj
                           [
@@ -571,8 +563,8 @@ let create_fiber t sess p =
 (* Dispatch                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let parse_attach_config t params =
-  let base = t.d_config.c_attach in
+let parse_attach_config params =
+  let base = Attach.Config.default in
   let base =
     match Jsonx.field_int params "threads" with
     | Some n when n > 0 -> { base with Attach.Config.threads = n }
@@ -625,14 +617,14 @@ let info_json =
 let dispatch t ?sink ?sink_ready p (req : Rpc.request) =
   let params = req.Rpc.r_params in
   match req.Rpc.r_method with
-  | "daemon.info" -> reply t p (Ok info_json)
+  | "daemon.info" -> reply p (Ok info_json)
   | "session.create" -> (
       match Jsonx.field_str params "container" with
-      | None -> reply t p (Error (Rpc.error Rpc.invalid_params "missing string param: container"))
+      | None -> reply p (Error (Rpc.error Rpc.invalid_params "missing string param: container"))
       | Some container -> (
-          match parse_attach_config t params with
+          match parse_attach_config params with
           | Error msg ->
-              reply t p (Error (Rpc.error Rpc.invalid_params ("bad fault_plan: " ^ msg)))
+              reply p (Error (Rpc.error Rpc.invalid_params ("bad fault_plan: " ^ msg)))
           | Ok acfg ->
               let tenant =
                 Option.value (Jsonx.field_str params "tenant") ~default:"default"
@@ -657,12 +649,12 @@ let dispatch t ?sink ?sink_ready p (req : Rpc.request) =
               ignore (Sched.spawn t.d_sched (fun () -> create_fiber t sess p))))
   | "session.exec" -> (
       match (find_sess t params, Jsonx.field_str params "cmd") with
-      | Error e, _ -> reply t p (Error e)
-      | Ok _, None -> reply t p (Error (Rpc.error Rpc.invalid_params "missing string param: cmd"))
+      | Error e, _ -> reply p (Error e)
+      | Ok _, None -> reply p (Error (Rpc.error Rpc.invalid_params "missing string param: cmd"))
       | Ok sess, Some cmd -> post_op t sess (Op_exec (p, cmd)))
   | "session.stat" -> (
       match find_sess t params with
-      | Error e -> reply t p (Error e)
+      | Error e -> reply p (Error e)
       | Ok sess ->
           let report =
             match sess.s_attach with Some a -> Attach.report a | None -> ""
@@ -670,15 +662,15 @@ let dispatch t ?sink ?sink_ready p (req : Rpc.request) =
           let fields =
             match sess_row sess with Jsonx.Obj f -> f | _ -> assert false
           in
-          reply t p (Ok (Jsonx.Obj (fields @ [ ("report", Jsonx.Str report) ]))))
+          reply p (Ok (Jsonx.Obj (fields @ [ ("report", Jsonx.Str report) ]))))
   | "session.detach" -> (
       (* idempotent at the RPC layer: unknown ids are already-detached *)
       match Jsonx.field_int params "session" with
-      | None -> reply t p (Error (Rpc.error Rpc.invalid_params "missing integer param: session"))
+      | None -> reply p (Error (Rpc.error Rpc.invalid_params "missing integer param: session"))
       | Some id -> (
           match Hashtbl.find_opt t.d_sessions id with
           | None ->
-              reply t p
+              reply p
                 (Ok (Jsonx.Obj [ ("detached", Jsonx.Bool true); ("already", Jsonx.Bool true) ]))
           | Some sess -> post_op t sess (Op_detach p)))
   | "session.list" ->
@@ -687,17 +679,17 @@ let dispatch t ?sink ?sink_ready p (req : Rpc.request) =
         List.sort compare ids
         |> List.map (fun id -> sess_row (Hashtbl.find t.d_sessions id))
       in
-      reply t p (Ok (Jsonx.Obj [ ("sessions", Jsonx.List rows) ]))
+      reply p (Ok (Jsonx.Obj [ ("sessions", Jsonx.List rows) ]))
   | "stats.subscribe" -> (
       match sink with
       | None ->
-          reply t p
+          reply p
             (Error (Rpc.error Rpc.internal_error "transport provides no notification sink"))
       | Some sink ->
           let ready = Option.value sink_ready ~default:(fun () -> true) in
           t.d_subs <-
             t.d_subs @ [ { sb_sink = sink; sb_buf = Queue.create (); sb_ready = ready } ];
-          reply t p
+          reply p
             (Ok
                (Jsonx.Obj
                   [
@@ -706,25 +698,25 @@ let dispatch t ?sink ?sink_ready p (req : Rpc.request) =
                   ])))
   | "$/cancel" -> (
       match Option.bind (Jsonx.mem params "id") Rpc.id_of_json with
-      | None -> reply t p (Error (Rpc.error Rpc.invalid_params "missing param: id"))
+      | None -> reply p (Error (Rpc.error Rpc.invalid_params "missing param: id"))
       | Some id ->
-          let found = cancel t id in
-          reply t p (Ok (Jsonx.Obj [ ("cancelled", Jsonx.Bool found) ])))
-  | m -> reply t p (Error (Rpc.error Rpc.method_not_found ("unknown method: " ^ m)))
+          let found = cancel t p.p_origin id in
+          reply p (Ok (Jsonx.Obj [ ("cancelled", Jsonx.Bool found) ])))
+  | m -> reply p (Error (Rpc.error Rpc.method_not_found ("unknown method: " ^ m)))
 
-let submit t ?sink ?sink_ready (req : Rpc.request) =
+let submit t ~origin ?sink ?sink_ready (req : Rpc.request) =
   Metrics.incr t.m_calls;
   match req.Rpc.r_id with
   | None ->
       (* notifications: only $/cancel is meaningful *)
       (if req.Rpc.r_method = "$/cancel" then
          match Option.bind (Jsonx.mem req.Rpc.r_params "id") Rpc.id_of_json with
-         | Some id -> ignore (cancel t id)
+         | Some id -> ignore (cancel t origin id)
          | None -> ());
       None
   | Some id ->
-      let p = { p_rid = id; p_cancelled = false; p_resp = None } in
-      t.d_inflight <- t.d_inflight @ [ p ];
+      let p = { p_rid = id; p_origin = origin; p_cancelled = false; p_resp = None } in
+      origin.o_inflight <- origin.o_inflight @ [ p ];
       dispatch t ?sink ?sink_ready p req;
       Some p
 
@@ -749,9 +741,6 @@ let wire_metrics t =
           wm_pipelined_max = Metrics.gauge mx "ctrl.wire.pipelined.max";
           wm_backlog_peak = Metrics.gauge mx "ctrl.wire.backlog.peak";
           wm_frame_max = Metrics.gauge mx "ctrl.wire.frame.max";
-          wm_pmax = 0;
-          wm_bpeak = 0;
-          wm_fmax = 0;
         }
       in
       t.d_wm <- Some m;
@@ -779,14 +768,8 @@ let conn_push t wc payload =
   Queue.push framed wc.wc_outq;
   wc.wc_out_len <- wc.wc_out_len + String.length framed;
   let m = wm t in
-  if String.length framed > m.wm_fmax then begin
-    m.wm_fmax <- String.length framed;
-    Metrics.set m.wm_frame_max (float_of_int m.wm_fmax)
-  end;
-  if wc.wc_out_len > m.wm_bpeak then begin
-    m.wm_bpeak <- wc.wc_out_len;
-    Metrics.set m.wm_backlog_peak (float_of_int m.wm_bpeak)
-  end
+  Metrics.high_water m.wm_frame_max (String.length framed);
+  Metrics.high_water m.wm_backlog_peak wc.wc_out_len
 
 let conn_room t wc = wc.wc_out_len < t.d_config.c_wire_high
 
@@ -797,7 +780,7 @@ let conn_room t wc = wc.wc_out_len < t.d_config.c_wire_high
 let wire_admit t wc ~sink ~sink_ready (req : Rpc.request) =
   match req.Rpc.r_id with
   | None ->
-      ignore (submit t ~sink ~sink_ready req);
+      ignore (submit t ~origin:wc.wc_origin ~sink ~sink_ready req);
       `None
   | Some id ->
       if wc.wc_inflight >= t.d_config.c_wire_inflight then begin
@@ -813,14 +796,10 @@ let wire_admit t wc ~sink ~sink_ready (req : Rpc.request) =
           }
       end
       else
-        match submit t ~sink ~sink_ready req with
+        match submit t ~origin:wc.wc_origin ~sink ~sink_ready req with
         | Some tk ->
             wc.wc_inflight <- wc.wc_inflight + 1;
-            let m = wm t in
-            if wc.wc_inflight > m.wm_pmax then begin
-              m.wm_pmax <- wc.wc_inflight;
-              Metrics.set m.wm_pipelined_max (float_of_int m.wm_pmax)
-            end;
+            Metrics.high_water (wm t).wm_pipelined_max wc.wc_inflight;
             `Ticket tk
         | None -> `None
 
@@ -960,6 +939,7 @@ let wire_step t w =
             wc_singles = [];
             wc_batches = [];
             wc_inflight = 0;
+            wc_origin = origin ();
           }
           :: w.w_conns;
         accept_loop ()

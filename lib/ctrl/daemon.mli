@@ -27,7 +27,8 @@
       sessions answer [{detached:true, already:true}], never an error
     - [session.list]
     - [stats.subscribe] — streams [stats.event] notifications
-    - [$/cancel {id}] — cancel the in-flight request with that id
+    - [$/cancel {id}] — cancel the caller's own in-flight request with
+      that id (another client's request with the same id is untouched)
 
     The fault plane's [ctrl] site ({!Repro_fault.Fault.ctrl_action}) is
     consulted on [create] and [exec]. *)
@@ -42,11 +43,7 @@ type config = {
   c_max_active : int;  (** fleet-wide concurrent session ceiling *)
   c_queue_depth : int;  (** fleet-wide admission queue bound *)
   c_tenant : quota;
-  c_attach : Repro_cntr.Attach.Config.t;  (** base config for every session *)
   c_fault : Repro_fault.Fault.plan option;  (** plan consulted at the ctrl site *)
-  c_auto_recover : bool;
-      (** recover crashed sessions transparently on the next exec
-          (otherwise the exec fails with [exec_failed]/ENOTCONN) *)
   c_sub_buffer : int;
       (** undelivered [stats.event]s retained per subscriber; at capacity
           the oldest is dropped and counted under
@@ -67,10 +64,12 @@ type config = {
           resumes (hysteresis — must be < [c_wire_high]) *)
 }
 
-(** 64 active, 32 queued, 16/8 per tenant, {!Repro_cntr.Attach.Config.default},
-    no faults, auto-recovery on, 256-event subscriber buffers; wire flow
-    control at 64 in-flight per connection with 64 KiB/16 KiB
-    high/low watermarks. *)
+(** 64 active, 32 queued, 16/8 per tenant, no faults, 256-event
+    subscriber buffers; wire flow control at 64 in-flight per connection
+    with 64 KiB/16 KiB high/low watermarks.  Every session starts from
+    {!Repro_cntr.Attach.Config.default} (overridden per call by
+    [session.create]'s [tools], [threads] and [fault_plan]), and a
+    crashed session recovers transparently on its next exec. *)
 val default_config : config
 
 type t
@@ -85,7 +84,16 @@ val obs : t -> Repro_obs.Obs.t
 (** Handle on one in-flight request. *)
 type ticket
 
-(** Dispatch one decoded message.  [None] for notifications.  [sink]
+(** The requests one client has in flight.  Every client numbers its ids
+    from 1, so [$/cancel {id}] reaches only a request submitted under the
+    same origin.  Each wire connection has its own; an in-process client
+    makes one. *)
+type origin
+
+val origin : unit -> origin
+
+(** Dispatch one decoded message from [origin]'s client.  [None] for
+    notifications.  [sink]
     receives [stats.event] notification payloads once this connection has
     subscribed via [stats.subscribe]; events queue in a bounded
     per-subscriber buffer ([config.c_sub_buffer], drop-oldest) and are
@@ -94,6 +102,7 @@ type ticket
     {!pump} / {!response}. *)
 val submit :
   t ->
+  origin:origin ->
   ?sink:(Jsonx.t -> unit) ->
   ?sink_ready:(unit -> bool) ->
   Rpc.request ->

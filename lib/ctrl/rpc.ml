@@ -27,7 +27,6 @@ let cancelled = -32800
 let attach_failed = -32000
 let admission_rejected = -32001
 let no_session = -32002
-let exec_failed = -32003
 let fault_injected = -32004
 let overloaded = -32005
 

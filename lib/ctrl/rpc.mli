@@ -49,8 +49,6 @@ val admission_rejected : int  (** -32001, cntrd: queue or quota exhausted *)
 
 val no_session : int  (** -32002, cntrd: unknown session id *)
 
-val exec_failed : int  (** -32003, cntrd: exec on a dead, unrecovered session *)
-
 val fault_injected : int  (** -32004, cntrd: ctrl-site fault fired *)
 
 val overloaded : int

@@ -24,31 +24,26 @@
 
    Accounting lives in the connection's observability handle: aggregate and
    per-opcode counters under "fuse.req.*", queue-depth and in-flight
-   gauges, per-worker busy time, virtual-time latency histograms,
-   context-switch counts under "os.context_switches", and one trace span
-   per request. *)
+   gauges (the max gauges are raised in the registry only, so connections
+   sharing one read the maximum over all of them), per-worker busy time,
+   virtual-time latency histograms, context-switch counts under
+   "os.context_switches", and one trace span per request when a sink is
+   set. *)
 
 open Repro_util
 module Metrics = Repro_obs.Metrics
 module Sched = Repro_sched.Sched
 module Fault = Repro_fault.Fault
 
-type stats = {
-  requests : int;
-  round_trips : int;
-  bytes_to_server : int;
-  bytes_from_server : int;
-  spliced_bytes : int;
-  by_kind : (string, int) Hashtbl.t;
-}
-
-(* Per-opcode counter handles, cached so the request path never does a
-   name lookup: count, bytes each way, and the latency histogram. *)
+(* Per-opcode handles, cached so the request path never builds or looks
+   up a name: count, bytes each way, the latency histogram, and the span
+   name. *)
 type kind_metrics = {
   km_count : Metrics.counter;
   km_to : Metrics.counter;
   km_from : Metrics.counter;
   km_latency : Metrics.histogram;
+  km_span : string; (* "fuse.req.<kind>" *)
 }
 
 (* An in-flight request: what the kernel queued for the server, plus the
@@ -69,7 +64,6 @@ type worker = {
   w_id : int;
   w_busy : Metrics.counter;
   w_depth : Metrics.gauge; (* high-water mark of the local deque *)
-  mutable w_hiwat : int;
   w_lock : Sched.mutex;
   w_cond : Sched.cond;
 }
@@ -112,8 +106,6 @@ type t = {
   bg_cond : Sched.cond; (* throttled one-way submitters park here *)
   mutable bg_inflight : int;
   mutable inflight : int;
-  mutable inflight_max : int;
-  mutable qdepth_max : int;
   mutable workers : worker array;
   mutable worker_exn : exn option;
   m_requests : Metrics.counter;
@@ -170,8 +162,6 @@ let create ?obs ?sched ~clock () =
     bg_cond = Sched.cond ();
     bg_inflight = 0;
     inflight = 0;
-    inflight_max = 0;
-    qdepth_max = 0;
     workers = [||];
     worker_exn = None;
     m_requests = Metrics.counter m "fuse.req.count";
@@ -209,27 +199,11 @@ let kind_metrics t kind =
           km_to = Metrics.counter m (key "bytes_to_server");
           km_from = Metrics.counter m (key "bytes_from_server");
           km_latency = Metrics.histogram m (key "latency_us");
+          km_span = "fuse.req." ^ kind;
         }
       in
       Hashtbl.replace t.by_kind kind km;
       km
-
-(* Snapshot view over the registry counters.  [by_kind] covers the opcodes
-   this connection has issued (connections sharing one registry also share
-   the underlying counters). *)
-let stats t =
-  let by_kind = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun kind km -> Hashtbl.replace by_kind kind (Metrics.value km.km_count))
-    t.by_kind;
-  {
-    requests = Metrics.value t.m_requests;
-    round_trips = Metrics.value t.m_round_trips;
-    bytes_to_server = Metrics.value t.m_bytes_to;
-    bytes_from_server = Metrics.value t.m_bytes_from;
-    spliced_bytes = Metrics.value t.m_spliced;
-    by_kind;
-  }
 
 let set_handler t h = t.handler <- Some h
 
@@ -373,8 +347,7 @@ let process t w item =
             (Int64.to_int (Int64.sub fin item.it_submit_ns));
           Repro_obs.Trace.record
             (Repro_obs.Obs.tracer t.obs)
-            ~name:("fuse.req." ^ item.it_kind)
-            ~begin_ns:item.it_submit_ns ~end_ns:fin ())
+            ~name:item.it_km.km_span ~begin_ns:item.it_submit_ns ~end_ns:fin ())
 
 let rec worker_loop t w =
   Sched.lock t.sched w.w_lock;
@@ -512,7 +485,6 @@ and try_steal t w =
     in
     let rec walk = function
       | [] ->
-          Sched.Ws.steal_failed t.pool;
           Metrics.incr t.m_steal_fails;
           None
       | v :: rest -> (
@@ -542,7 +514,6 @@ let spawn_worker t i =
       w_busy = Metrics.counter m (Printf.sprintf "cntrfs.worker.%d.busy_ns" i);
       w_depth =
         Metrics.gauge m (Printf.sprintf "fuse.queue.per_worker_depth.%d" i);
-      w_hiwat = 0;
       w_lock = Sched.mutex ();
       w_cond = Sched.cond ();
     }
@@ -602,11 +573,7 @@ let enqueue t items =
       Clock.consume_int t.clock Cost.queue_lock_ns;
       Sched.Ws.push t.pool wid item;
       t.inflight <- t.inflight + 1;
-      let d = Sched.Ws.depth t.pool wid in
-      if d > w.w_hiwat then begin
-        w.w_hiwat <- d;
-        Metrics.set w.w_depth (float_of_int d)
-      end;
+      Metrics.high_water w.w_depth (Sched.Ws.depth t.pool wid);
       (* The single targeted try_to_wake_up is the handoff itself — its
          cost is the wakee's context switch, charged when the worker
          resumes (the same convention the old wake-walk used for the first
@@ -616,16 +583,10 @@ let enqueue t items =
       Sched.unlock t.sched w.w_lock)
     items;
   let depth = Sched.Ws.queued t.pool in
-  if depth > t.qdepth_max then begin
-    t.qdepth_max <- depth;
-    Metrics.set t.m_qdepth_max (float_of_int depth)
-  end;
+  Metrics.high_water t.m_qdepth_max depth;
   Metrics.add t.m_qdepth_sum depth;
   Metrics.incr t.m_qdepth_samples;
-  if t.inflight > t.inflight_max then begin
-    t.inflight_max <- t.inflight;
-    Metrics.set t.m_inflight_max (float_of_int t.inflight)
-  end;
+  Metrics.high_water t.m_inflight_max t.inflight;
   Metrics.set t.m_inflight (float_of_int t.inflight)
 
 let item t ?reply ~splice ctx req =
@@ -734,10 +695,8 @@ let round_trip t ~splice ctx req =
       Metrics.incr t.m_ctx_switches;
       let end_ns = Clock.now_ns t.clock in
       Metrics.observe_ns it.it_km.km_latency (Int64.to_int (Int64.sub end_ns begin_ns));
-      Repro_obs.Trace.record
-        (Repro_obs.Obs.tracer t.obs)
-        ~name:("fuse.req." ^ it.it_kind)
-        ~begin_ns ~end_ns ();
+      Repro_obs.Trace.record (Repro_obs.Obs.tracer t.obs) ~name:it.it_km.km_span ~begin_ns
+        ~end_ns ();
       match resp with
       | Protocol.R_err (Errno.ETIMEDOUT | Errno.EINTR | Errno.ENOMEM)
         when idem && n < retry.Fault.max_retries ->
@@ -795,9 +754,7 @@ let call_group t ?(splice = false) ctx reqs =
               (fun (it, _) ->
                 Metrics.observe_ns it.it_km.km_latency
                   (Int64.to_int (Int64.sub end_ns begin_ns));
-                Repro_obs.Trace.record
-                  (Repro_obs.Obs.tracer t.obs)
-                  ~name:("fuse.req." ^ it.it_kind)
+                Repro_obs.Trace.record (Repro_obs.Obs.tracer t.obs) ~name:it.it_km.km_span
                   ~begin_ns ~end_ns ())
               items;
             resps

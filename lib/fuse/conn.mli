@@ -15,30 +15,22 @@
 
     Accounting lands in the connection's {!Repro_obs.Obs.t}: aggregate
     counters ([fuse.req.count], [fuse.round_trips], [fuse.bytes.*]),
-    queue-depth gauges ([fuse.queue.depth.max], derived
-    [fuse.queue.depth.mean]), per-worker deque high-water marks
+    per-opcode counters ([fuse.req.<kind>.count|bytes_to_server|
+    bytes_from_server]), queue-depth gauges ([fuse.queue.depth.max],
+    derived [fuse.queue.depth.mean]), per-worker deque high-water marks
     ([fuse.queue.per_worker_depth.<i>]), in-flight gauges
     ([fuse.inflight], [fuse.inflight.max]), spurious wakeups
     ([fuse.wakeups.spurious]), work-stealing counters ([sched.steals],
     [sched.steal_fails], [sched.local_hits]), queue-wait and per-opcode
     latency histograms, per-worker busy time ([cntrfs.worker.<i>.busy_ns]),
-    context switches ([os.context_switches]) and one trace span per
-    request. *)
+    context switches ([os.context_switches]), and one [fuse.req.<kind>]
+    span per request when the tracer has a sink.  The three max gauges
+    are raised in the registry only ({!Repro_obs.Metrics.high_water}), so
+    connections sharing one registry read the maximum over all of them. *)
 
 open Repro_util
 
-(** Immutable snapshot of the connection's registry counters, built by
-    {!stats}; [by_kind] is a fresh table of per-opcode request counts. *)
-type stats = {
-  requests : int;
-  round_trips : int;
-  bytes_to_server : int;
-  bytes_from_server : int;
-  spliced_bytes : int;
-  by_kind : (string, int) Hashtbl.t;
-}
-
-(** Per-opcode counter handles cached on the connection. *)
+(** Per-opcode metric handles and span name, cached on the connection. *)
 type kind_metrics
 
 (** An in-flight request parked on the pending queue. *)
@@ -76,8 +68,6 @@ type t = {
   bg_cond : Repro_sched.Sched.cond;
   mutable bg_inflight : int;
   mutable inflight : int;
-  mutable inflight_max : int;
-  mutable qdepth_max : int;
   mutable workers : worker array;
   mutable worker_exn : exn option;
   m_requests : Repro_obs.Metrics.counter;
@@ -98,6 +88,7 @@ type t = {
   m_local_hits : Repro_obs.Metrics.counter;
   m_qwait : Repro_obs.Metrics.histogram;
   by_kind : (string, kind_metrics) Hashtbl.t;
+      (** the opcodes this connection has issued *)
 }
 
 (** [obs] defaults to a private handle; pass the kernel's to aggregate
@@ -113,9 +104,6 @@ val create :
 
 val obs : t -> Repro_obs.Obs.t
 val sched : t -> Repro_sched.Sched.t
-
-(** Fresh snapshot of the registry counters. *)
-val stats : t -> stats
 
 (** Install the server's request handler. *)
 val set_handler : t -> (Protocol.ctx -> Protocol.req -> Protocol.resp) -> unit

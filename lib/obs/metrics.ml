@@ -80,6 +80,11 @@ let gauge t name =
 let set g v = g.g_value <- v
 let shift g d = g.g_value <- g.g_value +. d
 
+(* A max gauge lives only here: owners sharing the registry raise it and
+   keep no copy, so it reads the maximum over all of them.  [v] is
+   converted twice so that only a raise boxes a float. *)
+let high_water g v = if float_of_int v > g.g_value then g.g_value <- float_of_int v
+
 (* Derived gauges are computed at snapshot time (hit ratios, amplification
    factors).  Re-registering the same name keeps the first closure, so
    several components can idempotently register a shared derived metric. *)

@@ -42,6 +42,12 @@ val set : gauge -> float -> unit
     changes. *)
 val shift : gauge -> float -> unit
 
+(** [high_water g v] raises a max gauge to [v] when [v] exceeds it, and
+    never lowers it.  Every owner that shares the registry raises the same
+    gauge, so it holds the maximum over all of them; the owners keep no
+    copy of it. *)
+val high_water : gauge -> int -> unit
+
 (** A gauge computed at snapshot time (hit ratios, amplification factors).
     Re-registering an existing derived name keeps the first closure. *)
 val register_derived : t -> string -> (unit -> float) -> unit

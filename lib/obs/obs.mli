@@ -1,7 +1,7 @@
 (** Unified observability handle: a {!Metrics} registry paired with a
-    {!Trace} tracer.  One [t] is shared across the FUSE, CntrFS, VFS and
-    OS layers so that [cntr stats] and bench exports read all counters
-    from a single source of truth. *)
+    {!Trace} tracer (a sink slot; it retains no spans).  One [t] is shared
+    across the FUSE, CntrFS, VFS and OS layers so that [cntr stats] and
+    bench exports read all counters from a single source of truth. *)
 
 type t = { metrics : Metrics.t; tracer : Trace.t }
 

@@ -741,23 +741,13 @@ let unshare t proc kinds =
       (fun kind ->
         match kind with
         | Namespace.Mnt ->
-            let ns = Mount.clone_ns t.mnt_ids proc.Proc.ns.Proc.mnt in
-            (* Re-anchor root/cwd in the cloned namespace: find the clone of
-               the mount they pointed into. *)
+            let ns, clone_of = Mount.clone_ns t.mnt_ids proc.Proc.ns.Proc.mnt in
+            (* Re-anchor root/cwd on the clone of the mount they pointed
+               into. *)
             let rebase v =
-              let old = v.Proc.v_mount in
-              let found =
-                Hashtbl.fold
-                  (fun _ m acc ->
-                    if
-                      m.Mount.m_fs.Fsops.fs_id = old.Mount.m_fs.Fsops.fs_id
-                      && m.Mount.m_root = old.Mount.m_root
-                      && m.Mount.m_mp = None = (old.Mount.m_mp = None)
-                    then Some m
-                    else acc)
-                  ns.Mount.mounts None
-              in
-              match found with
+              match
+                Option.bind (Hashtbl.find_opt clone_of v.Proc.v_mount.Mount.m_id) (Mount.find ns)
+              with
               | Some m -> { v with Proc.v_mount = m }
               | None -> v
             in

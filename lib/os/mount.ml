@@ -111,7 +111,7 @@ let remove ns mid =
 
 (* Copy every mount into a fresh namespace, preserving structure and
    propagation (clones of shared mounts stay in the same peer group, as in
-   Linux). *)
+   Linux).  Also returns the map from each old mount id to its clone's. *)
 let clone_ns ids ns =
   let new_ns_id = fresh_ns ids in
   let id_map = Hashtbl.create 16 in
@@ -125,7 +125,7 @@ let clone_ns ids ns =
       insert ns'
         { m with m_id = remap old_id; m_mp = Option.map (fun (p, i) -> (remap p, i)) m.m_mp })
     ns.mounts;
-  ns'
+  (ns', id_map)
 
 (* mount --make-rprivate /: detach every mount from its peer group. *)
 let make_rprivate ns =

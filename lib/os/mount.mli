@@ -68,8 +68,9 @@ val children : ns -> int -> mount list
 val remove : ns -> int -> unit
 
 (** Copy every mount into a fresh namespace, preserving structure and peer
-    groups (clones of shared mounts stay shared, as in Linux). *)
-val clone_ns : ids -> ns -> ns
+    groups (clones of shared mounts stay shared, as in Linux).  The table
+    maps each old mount id to its clone's id. *)
+val clone_ns : ids -> ns -> ns * (int, int) Hashtbl.t
 
 (** mount --make-rprivate /: detach every mount from its peer group. *)
 val make_rprivate : ns -> unit

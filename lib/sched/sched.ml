@@ -462,9 +462,6 @@ module Ws = struct
            worker is semantically still busy and finds it on its next
            queue check); one at or after it needs a wake *)
     mutable ws_queued : int; (* total items across all queues *)
-    mutable ws_steals : int;
-    mutable ws_steal_fails : int;
-    mutable ws_local_hits : int;
   }
 
   let worker_rng seed i =
@@ -479,9 +476,6 @@ module Ws = struct
       ws_parked = [];
       ws_avail = [||];
       ws_queued = 0;
-      ws_steals = 0;
-      ws_steal_fails = 0;
-      ws_local_hits = 0;
     }
 
   let size p = Array.length p.ws_queues
@@ -502,9 +496,6 @@ module Ws = struct
 
   let depth p i = Dq.length p.ws_queues.(i)
   let queued p = p.ws_queued
-  let steals p = p.ws_steals
-  let steal_fails p = p.ws_steal_fails
-  let local_hits p = p.ws_local_hits
 
   let is_parked p i = List.mem i p.ws_parked
 
@@ -584,20 +575,12 @@ module Ws = struct
     match Dq.pop_front p.ws_queues.(i) with
     | Some x ->
         p.ws_queued <- p.ws_queued - 1;
-        p.ws_local_hits <- p.ws_local_hits + 1;
         Some x
     | None -> None
 
-  (* FIFO steal: the oldest entry of the victim's queue. *)
-  let steal_from p ~victim =
-    match Dq.pop_front p.ws_queues.(victim) with
-    | Some x ->
-        p.ws_queued <- p.ws_queued - 1;
-        p.ws_steals <- p.ws_steals + 1;
-        Some x
-    | None -> None
-
-  let steal_failed p = p.ws_steal_fails <- p.ws_steal_fails + 1
+  (* FIFO steal: the oldest entry of the victim's queue (the owner also
+     pops its front, so a steal is a pop by another worker). *)
+  let steal_from p ~victim = pop p victim
 
   (* Deterministic victim walk for [thief]: a cyclic rotation of the other
      workers, whose starting point mixes the thief's private SplitMix64

@@ -143,8 +143,8 @@ end
     deterministic victim selection (per-worker SplitMix64 streams mixed
     with the virtual clock) and cost-scored submission placement (expected
     pickup delay, with a LIFO parked stack for the wake case).  Pure
-    bookkeeping: the client owns the locks and charges lock/wake/steal-walk
-    costs itself. *)
+    bookkeeping: the client owns the locks, charges lock/wake/steal-walk
+    costs and counts its own pops and steals. *)
 
 module Ws : sig
   type 'a t
@@ -189,14 +189,10 @@ module Ws : sig
   val peek : 'a t -> int -> 'a option
 
   val pop : 'a t -> int -> 'a option
-  (** Owner pop (front); counts a local hit on success. *)
+  (** Owner pop (front). *)
 
   val steal_from : 'a t -> victim:int -> 'a option
-  (** FIFO steal: the oldest entry of [victim]'s queue; counts a steal on
-      success. *)
-
-  val steal_failed : 'a t -> unit
-  (** Record one failed steal walk. *)
+  (** FIFO steal: the oldest entry of [victim]'s queue. *)
 
   val victim_order : 'a t -> thief:int -> now:int64 -> int list
   (** Deterministic cyclic walk over the other workers; the starting point
@@ -204,8 +200,4 @@ module Ws : sig
 
   val drain_all : 'a t -> 'a list
   (** Oldest-first snapshot of everything queued; empties all queues. *)
-
-  val steals : 'a t -> int
-  val steal_fails : 'a t -> int
-  val local_hits : 'a t -> int
 end

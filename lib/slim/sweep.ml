@@ -39,6 +39,7 @@ let run ?(workers = 8) ?metrics ~clock ~images ~cost_ns ~f () =
     done
   done;
   let t0 = Clock.now_ns clock in
+  let steals = ref 0 and steal_fails = ref 0 and local_hits = ref 0 in
   let exec i =
     let image = arr.(i) in
     Clock.consume_int clock (cost_ns image);
@@ -50,6 +51,7 @@ let run ?(workers = 8) ?metrics ~clock ~images ~cost_ns ~f () =
   let rec work w =
     match Sched.Ws.pop pool w with
     | Some i ->
+        incr local_hits;
         exec i;
         Sched.yield sched;
         work w
@@ -66,8 +68,10 @@ let run ?(workers = 8) ?metrics ~clock ~images ~cost_ns ~f () =
           (Sched.Ws.victim_order pool ~thief:w ~now:(Clock.now_ns clock))
       in
       (match stolen with
-      | Some i -> exec i
-      | None -> Sched.Ws.steal_failed pool);
+      | Some i ->
+          incr steals;
+          exec i
+      | None -> incr steal_fails);
       Sched.yield sched;
       steal w
     end
@@ -78,9 +82,9 @@ let run ?(workers = 8) ?metrics ~clock ~images ~cost_ns ~f () =
   (match metrics with
   | None -> ()
   | Some m ->
-      Metrics.add (Metrics.counter m "sched.steals") (Sched.Ws.steals pool);
-      Metrics.add (Metrics.counter m "sched.steal_fails") (Sched.Ws.steal_fails pool);
-      Metrics.add (Metrics.counter m "sched.local_hits") (Sched.Ws.local_hits pool));
+      Metrics.add (Metrics.counter m "sched.steals") !steals;
+      Metrics.add (Metrics.counter m "sched.steal_fails") !steal_fails;
+      Metrics.add (Metrics.counter m "sched.local_hits") !local_hits);
   let stats =
     {
       sw_images = n;
@@ -90,9 +94,9 @@ let run ?(workers = 8) ?metrics ~clock ~images ~cost_ns ~f () =
         (if Int64.compare elapsed 0L > 0 then
            float_of_int n /. (Int64.to_float elapsed /. 1e9)
          else 0.0);
-      sw_steals = Sched.Ws.steals pool;
-      sw_steal_fails = Sched.Ws.steal_fails pool;
-      sw_local_hits = Sched.Ws.local_hits pool;
+      sw_steals = !steals;
+      sw_steal_fails = !steal_fails;
+      sw_local_hits = !local_hits;
     }
   in
   let out = Array.to_list (Array.map Option.get results) in

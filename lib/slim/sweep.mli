@@ -16,8 +16,9 @@ type stats = {
 
 (** [run ~clock ~images ~cost_ns ~f ()] maps [f] over [images] on
     [workers] fibers, charging [cost_ns image] of virtual time per image.
-    Results come back in submission order.  When [metrics] is given the
-    pool counters are mirrored to [sched.steals], [sched.steal_fails] and
+    Results come back in submission order.  The sweep counts its own
+    steals, failed steal walks and local pops for {!stats}; when [metrics]
+    is given it also adds them to [sched.steals], [sched.steal_fails] and
     [sched.local_hits]. *)
 val run :
   ?workers:int ->

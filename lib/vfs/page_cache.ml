@@ -12,14 +12,6 @@ type node = {
   mutable next : node option;
 }
 
-type stats = {
-  hits : int;
-  misses : int;
-  evictions : int;
-  writeback_ios : int;
-  writeback_pages : int;
-}
-
 module Metrics = Repro_obs.Metrics
 
 type t = {
@@ -91,16 +83,6 @@ let create ?metrics ~name ~budget () =
 
 let budget t = t.budget
 let set_on_flush t f = t.on_flush <- f
-
-(* Snapshot view over the registry counters. *)
-let stats t =
-  {
-    hits = Metrics.value t.m_hits;
-    misses = Metrics.value t.m_misses;
-    evictions = Metrics.value t.m_evictions;
-    writeback_ios = Metrics.value t.m_writeback_ios;
-    writeback_pages = Metrics.value t.m_writeback_pages;
-  }
 
 let unlink_node t n =
   (match n.prev with Some p -> p.next <- n.next | None -> t.lru_head <- n.next);

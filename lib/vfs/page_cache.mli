@@ -2,16 +2,6 @@
     presence records for cost accounting; users that also need the bytes
     (the FUSE driver) keep them alongside. *)
 
-(** Immutable snapshot of the cache's registry counters, taken by
-    {!stats}. *)
-type stats = {
-  hits : int;
-  misses : int;
-  evictions : int;
-  writeback_ios : int;
-  writeback_pages : int;
-}
-
 type t
 
 (** Counters are registered on [metrics] (a private registry when omitted)
@@ -25,9 +15,6 @@ val create :
 
 (** Device-write callback for each flushed contiguous run. *)
 val set_on_flush : t -> (ino:int -> page:int -> pages:int -> unit) -> unit
-
-(** Fresh snapshot of the registry counters. *)
-val stats : t -> stats
 
 val budget : t -> Mem_budget.t
 

@@ -22,13 +22,6 @@ let flush_interval_ns = 500_000 (* 0.5 ms of virtual time *)
 (* Sequential readahead window, in pages (128 KiB). *)
 let readahead_pages = 32
 
-type stats = {
-  disk_read_ios : int;
-  disk_read_bytes : int;
-  disk_write_ios : int;
-  disk_write_bytes : int;
-}
-
 module Metrics = Repro_obs.Metrics
 
 type t = {
@@ -76,15 +69,6 @@ let create ?metrics ~clock profile =
           if not t.in_background then
             Clock.consume_int clock (Cost.disk_write_cost bytes)));
   t
-
-(* Snapshot view over the registry counters. *)
-let stats t =
-  {
-    disk_read_ios = Metrics.value t.m_read_ios;
-    disk_read_bytes = Metrics.value t.m_read_bytes;
-    disk_write_ios = Metrics.value t.m_write_ios;
-    disk_write_bytes = Metrics.value t.m_write_bytes;
-  }
 
 let cache t = match t.profile with Ram -> None | Ssd { cache; _ } -> Some cache
 

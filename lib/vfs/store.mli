@@ -11,15 +11,6 @@ type profile =
   | Ram
   | Ssd of { cache : Page_cache.t; flush_pages : int }
 
-(** Immutable snapshot of the store's registry counters, taken by
-    {!stats}. *)
-type stats = {
-  disk_read_ios : int;
-  disk_read_bytes : int;
-  disk_write_ios : int;
-  disk_write_bytes : int;
-}
-
 type t
 
 (** Device I/O lands in [metrics] (a private registry when omitted) under
@@ -27,8 +18,6 @@ type t
     profiles ever increment them. *)
 val create : ?metrics:Repro_obs.Metrics.t -> clock:Clock.t -> profile -> t
 
-(** Fresh snapshot of the registry counters. *)
-val stats : t -> stats
 val cache : t -> Page_cache.t option
 
 (** Install (or clear) a fault-injection latency hook: extra device

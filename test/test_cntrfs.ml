@@ -248,20 +248,21 @@ let test_socket_refused_through_mount () =
 
 (* --- caching behaviour ------------------------------------------------------ *)
 
+(* A counter on the session's registry, by name. *)
+let counter w name =
+  Repro_obs.Metrics.counter_value (Repro_obs.Obs.metrics (Session.obs w.session)) name
+
 let test_keep_cache_avoids_rereads () =
   let w = boot () in
   let data = String.make (64 * 1024) 'z' in
   write_file w.k w.init "/fat/big" data;
   (* first read through the mount: populates the driver cache *)
   ignore (read_file w.k w.init "/cntr/big");
-  let reqs_after_first = (Session.stats w.session).Conn.requests in
+  let reqs_after_first = counter w "fuse.req.count" in
   (* second read: FOPEN_KEEP_CACHE + page cache → no READ requests *)
   ignore (read_file w.k w.init "/cntr/big");
-  let reqs_after_second = (Session.stats w.session).Conn.requests in
-  let read_reqs =
-    Option.value ~default:0
-      (Hashtbl.find_opt (Session.stats w.session).Conn.by_kind "read")
-  in
+  let reqs_after_second = counter w "fuse.req.count" in
+  let read_reqs = counter w "fuse.req.read.count" in
   check_b "some reads happened" true (read_reqs > 0);
   (* the delta allows open/release but no new read requests *)
   check_b "no new READs on warm read" true (reqs_after_second - reqs_after_first <= 3)
@@ -272,11 +273,11 @@ let test_no_keep_cache_rereads () =
   write_file w.k w.init "/fat/big" data;
   ignore (read_file w.k w.init "/cntr/big");
   let reads_first =
-    Option.value ~default:0 (Hashtbl.find_opt (Session.stats w.session).Conn.by_kind "read")
+    counter w "fuse.req.read.count"
   in
   ignore (read_file w.k w.init "/cntr/big");
   let reads_second =
-    Option.value ~default:0 (Hashtbl.find_opt (Session.stats w.session).Conn.by_kind "read")
+    counter w "fuse.req.read.count"
   in
   check_b "cache invalidated on open: rereads hit the server" true
     (reads_second > reads_first)
@@ -286,7 +287,7 @@ let test_write_costs_getxattr_lookup () =
   write_file w.k w.init "/fat/log" "";
   ok (Kernel.chmod w.k w.init "/fat/log" 0o666);
   let before =
-    Option.value ~default:0 (Hashtbl.find_opt (Session.stats w.session).Conn.by_kind "getxattr")
+    counter w "fuse.req.getxattr.count"
   in
   let fd = ok (Kernel.open_ w.k w.init "/cntr/log" [ Types.O_WRONLY; Types.O_APPEND ] ~mode:0) in
   for _ = 1 to 10 do
@@ -294,7 +295,7 @@ let test_write_costs_getxattr_lookup () =
   done;
   ok (Kernel.close w.k w.init fd);
   let after =
-    Option.value ~default:0 (Hashtbl.find_opt (Session.stats w.session).Conn.by_kind "getxattr")
+    counter w "fuse.req.getxattr.count"
   in
   check_i "one security.capability getxattr per write" 10 (after - before)
 

@@ -414,6 +414,37 @@ let test_cancel_queued_create () =
   check_i "ctrl.sessions.total" 1 (counter world "ctrl.sessions.total");
   ignore (ok' (Client.session_detach c ~session:first.Client.sc_session))
 
+(* Every client numbers its ids from 1, so a $/cancel must reach only the
+   canceller's own requests: B cancelling id 2 leaves A's queued create
+   (A's id 2) alone, between two wire clients and between two in-process
+   clients alike. *)
+let test_cancel_scoped_to_client () =
+  let config = { Daemon.default_config with Daemon.c_max_active = 1 } in
+  List.iter
+    (fun (transport, pair) ->
+      let d = Daemon.create ~config (boot ()) in
+      let a, b = pair d in
+      let first = ok' (Client.session_create a "web") in
+      let queued =
+        Client.submit a ~params:(Jsonx.Obj [ ("container", Jsonx.Str "cache") ]) "session.create"
+      in
+      check_b (transport ^ ": A's second create queued") true (Client.poll a queued = None);
+      let cancel = Client.submit b ~params:(Jsonx.Obj [ ("id", Jsonx.Int 2) ]) "$/cancel" in
+      check_b (transport ^ ": B's cancel found nothing of its own") true
+        (Jsonx.mem (ok' (Client.await b cancel)) "cancelled" = Some (Jsonx.Bool false));
+      check_b (transport ^ ": A's create still queued") true (Client.poll a queued = None);
+      ignore (ok' (Client.session_detach a ~session:first.Client.sc_session));
+      match Jsonx.field_int (ok' (Client.await a queued)) "session" with
+      | Some sid -> ignore (ok' (Client.session_detach a ~session:sid))
+      | None -> Alcotest.failf "%s: A's create was not admitted" transport)
+    [
+      ( "wire",
+        fun d ->
+          let w = ok (Daemon.wire_serve d ~path:"/run/cntrd.sock" ()) in
+          (Client.connect w, Client.connect w) );
+      ("in-process", fun d -> (Client.in_process d, Client.in_process d));
+    ]
+
 (* --- admission --------------------------------------------------------------- *)
 
 let test_admission_rejection_under_quota () =
@@ -551,7 +582,7 @@ let test_subscribe_bounded_buffer () =
   in
   let tk =
     Option.get
-      (Daemon.submit d
+      (Daemon.submit d ~origin:(Daemon.origin ())
          ~sink:(fun _ -> incr delivered)
          ~sink_ready:(fun () -> false)
          req)
@@ -794,6 +825,7 @@ let () =
         [
           Alcotest.test_case "in-flight exec" `Quick test_cancel_inflight_exec;
           Alcotest.test_case "queued create" `Quick test_cancel_queued_create;
+          Alcotest.test_case "scoped to the client" `Quick test_cancel_scoped_to_client;
         ] );
       ( "admission",
         [ Alcotest.test_case "rejection under quota" `Quick test_admission_rejection_under_quota ] );

@@ -35,9 +35,6 @@ let boot ?(opts = Opts.cntr_default) () =
   ignore (ok (Kernel.mount_at k init ~fs:(Session.fs session) "/mnt"));
   { k; init; session }
 
-let kind_count w kind =
-  Option.value ~default:0 (Hashtbl.find_opt (Session.stats w.session).Conn.by_kind kind)
-
 let write_file w path data =
   let fd = ok (Kernel.open_ w.k w.init path [ Types.O_CREAT; Types.O_WRONLY; Types.O_TRUNC ] ~mode:0o644) in
   ignore (ok (Kernel.write w.k w.init fd data));
@@ -45,6 +42,8 @@ let write_file w path data =
 
 let metric w name =
   Repro_obs.Metrics.counter_value (Repro_obs.Obs.metrics (Session.obs w.session)) name
+
+let kind_count w kind = metric w (Printf.sprintf "fuse.req.%s.count" kind)
 
 (* --- connection accounting -------------------------------------------------- *)
 
@@ -55,9 +54,8 @@ let test_requests_counted_by_kind () =
   check_b "create counted" true (kind_count w "create" >= 1);
   check_b "lookups counted" true (kind_count w "lookup" >= 1);
   check_b "writes counted" true (kind_count w "write" >= 1);
-  let s = Session.stats w.session in
-  check_b "bytes to server tracked" true (s.Conn.bytes_to_server > 0);
-  check_b "bytes from server tracked" true (s.Conn.bytes_from_server > 0)
+  check_b "bytes to server tracked" true (metric w "fuse.bytes.to_server" > 0);
+  check_b "bytes from server tracked" true (metric w "fuse.bytes.from_server" > 0)
 
 let test_not_serving_before_handshake () =
   (* a fresh connection without start_serving refuses requests, like a FUSE
@@ -130,14 +128,13 @@ let test_splice_accounting () =
   let w = boot () in
   write_file w "/back/big" (String.make (256 * 1024) 'x');
   ignore (ok (Kernel.read_whole w.k w.init "/mnt/big"));
-  let s = Session.stats w.session in
-  check_b "spliced bytes recorded (splice_read on)" true (s.Conn.spliced_bytes > 0)
+  check_b "spliced bytes recorded (splice_read on)" true (metric w "fuse.bytes.spliced" > 0)
 
 let test_no_splice_when_disabled () =
   let w = boot ~opts:{ Opts.cntr_default with Opts.splice_read = false } () in
   write_file w "/back/big" (String.make (256 * 1024) 'x');
   ignore (ok (Kernel.read_whole w.k w.init "/mnt/big"));
-  check_i "no spliced bytes" 0 (Session.stats w.session).Conn.spliced_bytes
+  check_i "no spliced bytes" 0 (metric w "fuse.bytes.spliced")
 
 (* --- the shared data-path model ----------------------------------------------- *)
 
@@ -317,10 +314,11 @@ let test_batched_counters_amortized () =
   conn.Conn.threads <- 1;
   Conn.start_serving conn;
   let m = Repro_obs.Obs.metrics (Conn.obs conn) in
-  let rt0 = (Conn.stats conn).Conn.round_trips in
+  let rt0 = Repro_obs.Metrics.counter_value m "fuse.round_trips" in
   let cs0 = Repro_obs.Metrics.counter_value m "os.context_switches" in
   ignore (Conn.call_group conn Protocol.root_ctx (List.init 8 (fun _ -> Protocol.Statfs)));
-  check_i "8 grouped requests = one round trip" (rt0 + 1) (Conn.stats conn).Conn.round_trips;
+  check_i "8 grouped requests = one round trip" (rt0 + 1)
+    (Repro_obs.Metrics.counter_value m "fuse.round_trips");
   check_i "and two context switches" (cs0 + 2)
     (Repro_obs.Metrics.counter_value m "os.context_switches")
 
@@ -336,9 +334,33 @@ let test_unbatched_counters_exact () =
   for _ = 1 to 5 do
     ignore (Conn.call conn Protocol.root_ctx Protocol.Statfs)
   done;
-  check_i "one round trip per call" 5 (Conn.stats conn).Conn.round_trips;
+  check_i "one round trip per call" 5 (Repro_obs.Metrics.counter_value m "fuse.round_trips");
   check_i "two context switches each" 10
     (Repro_obs.Metrics.counter_value m "os.context_switches")
+
+(* A max gauge lives only in the registry: a second connection on the same
+   registry whose queue peaks lower must leave the first's maxima. *)
+let test_max_gauges_shared_registry () =
+  let obs = Repro_obs.Obs.create () in
+  let connect () =
+    let conn = Conn.create ~obs ~clock:(Clock.create ()) () in
+    Conn.set_handler conn (fun _ _ -> Protocol.R_ok);
+    conn.Conn.threads <- 1;
+    Conn.start_serving conn;
+    conn
+  in
+  let peaks () =
+    List.map
+      (Repro_obs.Metrics.gauge_value (Repro_obs.Obs.metrics obs))
+      [ "fuse.queue.depth.max"; "fuse.inflight.max"; "fuse.queue.per_worker_depth.0" ]
+  in
+  (* two requests in one submission: both queue on the one worker *)
+  ignore (Conn.call_group (connect ()) Protocol.root_ctx [ Protocol.Statfs; Protocol.Statfs ]);
+  Alcotest.(check (list (float 0.))) "first connection peaks at 2" [ 2.; 2.; 2. ] (peaks ());
+  ignore (Conn.call (connect ()) Protocol.root_ctx Protocol.Statfs);
+  check_i "the second connection's request ran" 3
+    (Repro_obs.Metrics.counter_value (Repro_obs.Obs.metrics obs) "fuse.req.count");
+  Alcotest.(check (list (float 0.))) "its lower peak leaves the maxima" [ 2.; 2.; 2. ] (peaks ())
 
 (* --- metadata fast path --------------------------------------------------------- *)
 
@@ -718,6 +740,8 @@ let () =
           Alcotest.test_case "splice disabled" `Quick test_no_splice_when_disabled;
           Alcotest.test_case "batched counters amortized" `Quick test_batched_counters_amortized;
           Alcotest.test_case "unbatched counters exact" `Quick test_unbatched_counters_exact;
+          Alcotest.test_case "max gauges shared by connections" `Quick
+            test_max_gauges_shared_registry;
         ] );
       ( "datapath",
         [

@@ -98,49 +98,21 @@ let test_json_deterministic () =
     (let a = String.index j1 'a' and b = String.index j1 'b' in
      a < b)
 
-(* --- Trace: ring, sinks, with_span --------------------------------------- *)
-
-let test_trace_ring () =
-  let tr = Trace.create ~capacity:4 () in
-  for i = 1 to 6 do
-    Trace.record tr ~name:(Printf.sprintf "s%d" i) ~begin_ns:(Int64.of_int i)
-      ~end_ns:(Int64.of_int (i + 1)) ()
-  done;
-  check_i "recorded" 6 (Trace.recorded tr);
-  check_i "dropped" 2 (Trace.dropped tr);
-  Alcotest.(check (list string)) "oldest first, ring keeps last 4"
-    [ "s3"; "s4"; "s5"; "s6" ]
-    (List.map (fun sp -> sp.Trace.sp_name) (Trace.spans tr));
-  Trace.clear tr;
-  check_i "cleared" 0 (List.length (Trace.spans tr))
+(* --- Trace: the sink is the tracer's only output --------------------------- *)
 
 let test_trace_sink_sees_everything () =
-  let tr = Trace.create ~capacity:2 () in
-  let sink, seen = Trace.memory_sink () in
-  Trace.set_sink tr (Some sink);
-  for i = 1 to 5 do
-    Trace.record tr ~name:"s" ~begin_ns:0L ~end_ns:(Int64.of_int i) ()
-  done;
-  (* ring retains 2, the sink saw all 5 including the overwritten ones *)
-  check_i "ring bounded" 2 (List.length (Trace.spans tr));
-  check_i "sink unbounded" 5 (List.length (seen ()))
-
-let test_trace_with_span () =
   let tr = Trace.create () in
-  let clock = Clock.create () in
-  Clock.consume_int clock 100;
-  let v = Trace.with_span tr ~clock ~attrs:[ ("k", "v") ] "work" (fun () ->
-      Clock.consume_int clock 50;
-      42)
-  in
-  check_i "result" 42 v;
-  match Trace.spans tr with
-  | [ sp ] ->
-      check_s "name" "work" sp.Trace.sp_name;
-      check_b "begin" true (sp.Trace.sp_begin_ns = 100L);
-      check_b "end" true (sp.Trace.sp_end_ns = 150L);
-      Alcotest.(check (list (pair string string))) "attrs" [ ("k", "v") ] sp.Trace.sp_attrs
-  | l -> Alcotest.failf "expected one span, got %d" (List.length l)
+  (* no sink: recording builds nothing and nothing is kept to read later *)
+  Trace.record tr ~name:"unseen" ~begin_ns:0L ~end_ns:1L ();
+  let seen = ref [] in
+  Trace.set_sink tr (Some (fun sp -> seen := sp.Trace.sp_name :: !seen));
+  for i = 1 to 5 do
+    Trace.record tr ~name:(Printf.sprintf "s%d" i) ~begin_ns:0L ~end_ns:(Int64.of_int i) ()
+  done;
+  Trace.set_sink tr None;
+  Trace.record tr ~name:"after" ~begin_ns:0L ~end_ns:1L ();
+  Alcotest.(check (list string)) "every span recorded while set, in order"
+    [ "s1"; "s2"; "s3"; "s4"; "s5" ] (List.rev !seen)
 
 let test_trace_jsonl () =
   let buf = Buffer.create 64 in
@@ -188,8 +160,7 @@ let mini_workload seed =
         done);
   }
 
-let run_with_sink seed sink_of_obs =
-  let obs = Obs.create () in
+let run_with_sink ?(obs = Obs.create ()) seed sink_of_obs =
   (match sink_of_obs with
   | None -> ()
   | Some mk -> Trace.set_sink (Obs.tracer obs) (Some (mk ())));
@@ -204,11 +175,51 @@ let prop_sink_invariant =
     QCheck.(int_range 0 10_000)
     (fun seed ->
       let none = run_with_sink seed None in
-      let mem = run_with_sink seed (Some (fun () -> fst (Trace.memory_sink ()))) in
+      let mem =
+        run_with_sink seed
+          (Some
+             (fun () ->
+               let seen = ref [] in
+               fun sp -> seen := sp :: !seen))
+      in
       let buffered =
         run_with_sink seed (Some (fun () -> Trace.buffer_sink (Buffer.create 256)))
       in
       none = mem && mem = buffered)
+
+(* Every FUSE request is both a latency observation and, with a sink set,
+   one span: per opcode, the sink sees exactly as many [fuse.req.<kind>]
+   spans as [fuse.req.<kind>.latency_us] has observations. *)
+let test_one_span_per_request () =
+  let obs = Obs.create () in
+  let spans = Hashtbl.create 16 in
+  ignore
+    (run_with_sink ~obs 77
+       (Some
+          (fun () sp ->
+            let n = Option.value ~default:0 (Hashtbl.find_opt spans sp.Trace.sp_name) in
+            Hashtbl.replace spans sp.Trace.sp_name (n + 1))));
+  let m = Obs.metrics obs in
+  let kinds =
+    Metrics.counters_with_prefix m ~prefix:"fuse.req."
+    |> List.filter_map (fun (name, _) ->
+           Scanf.sscanf_opt name "fuse.req.%[^.].count%!" Fun.id)
+  in
+  check_b "several opcodes" true (List.length kinds >= 3);
+  let observations kind =
+    match Metrics.histogram_summary m (Printf.sprintf "fuse.req.%s.latency_us" kind) with
+    | Some s -> s.Metrics.s_count
+    | None -> 0
+  in
+  let expected =
+    List.filter_map
+      (fun kind ->
+        match observations kind with 0 -> None | n -> Some ("fuse.req." ^ kind, n))
+      kinds
+  in
+  let seen = Hashtbl.fold (fun name n acc -> (name, n) :: acc) spans [] in
+  Alcotest.(check (list (pair string int)))
+    "spans per opcode = latency observations" expected (List.sort compare seen)
 
 let test_runs_byte_identical () =
   let a = run_with_sink 1234 None and b = run_with_sink 1234 None in
@@ -283,15 +294,14 @@ let () =
         ] );
       ( "trace",
         [
-          Alcotest.test_case "ring retention" `Quick test_trace_ring;
           Alcotest.test_case "sink sees all" `Quick test_trace_sink_sees_everything;
-          Alcotest.test_case "with_span" `Quick test_trace_with_span;
           Alcotest.test_case "jsonl sink" `Quick test_trace_jsonl;
         ] );
       qsuite "sink-invariance" [ prop_sink_invariant ];
       ( "integration",
         [
           Alcotest.test_case "seeded runs byte-identical" `Quick test_runs_byte_identical;
+          Alcotest.test_case "one span per request" `Quick test_one_span_per_request;
           Alcotest.test_case "E3a keep_cache flips metrics" `Quick
             test_e3a_keep_cache_flips_metrics;
           Alcotest.test_case "lookup amplification" `Quick test_amplification_reported;

@@ -197,6 +197,29 @@ let test_mount_ns_isolation () =
   check_err Errno.ENOENT (Kernel.stat k init "/mnt/secret");
   check_s "visible in child" "s" (read_file k child "/mnt/secret")
 
+(* unshare re-anchors the cwd on the clone of the very mount it was in:
+   with one filesystem mounted at /x/a and at /y/b and the cwd at /y/b,
+   ".." must still be /y afterwards, not /x. *)
+let test_unshare_keeps_cwd_mount () =
+  let k, init = boot () in
+  List.iter (fun d -> ok (Kernel.mkdir k init d ~mode:0o755)) [ "/x"; "/x/a"; "/y"; "/y/b" ];
+  write_file k init "/x/marker-x" "";
+  write_file k init "/y/marker-y" "";
+  let twice = Nativefs.ops (Nativefs.create ~name:"twice" ~clock:k.Kernel.clock Store.Ram ()) in
+  ignore (ok (Kernel.mount_at k init ~fs:twice "/x/a"));
+  ignore (ok (Kernel.mount_at k init ~fs:twice "/y/b"));
+  let child = Kernel.fork k init in
+  ok (Kernel.chdir k child "/y/b");
+  let parent_entries () =
+    ok (Kernel.readdir k child "..")
+    |> List.map (fun e -> e.Types.d_name)
+    |> List.filter (fun n -> n <> "." && n <> "..")
+    |> List.sort compare
+  in
+  Alcotest.(check (list string)) "before unshare" [ "b"; "marker-y" ] (parent_entries ());
+  ok (Kernel.unshare k child [ Namespace.Mnt ]);
+  Alcotest.(check (list string)) "after unshare" [ "b"; "marker-y" ] (parent_entries ())
+
 let test_shared_propagation () =
   let k, init = boot () in
   ok (Kernel.mkdir k init "/mnt" ~mode:0o755);
@@ -724,6 +747,7 @@ let () =
           Alcotest.test_case "umount" `Quick test_umount;
           Alcotest.test_case "chroot confinement" `Quick test_chroot_confinement;
           Alcotest.test_case "mount ns isolation" `Quick test_mount_ns_isolation;
+          Alcotest.test_case "unshare keeps the cwd's mount" `Quick test_unshare_keeps_cwd_mount;
           Alcotest.test_case "shared propagation" `Quick test_shared_propagation;
           Alcotest.test_case "propagation into a clone's clone" `Quick
             test_propagation_clone_of_clone;

@@ -79,6 +79,12 @@ let test_duplex_echo () =
 let test_backend_down_refuses_loudly () =
   let k, init = boot () in
   let plane = mk_plane k init in
+  let refusals = ref [] in
+  Repro_obs.Trace.set_sink (Repro_obs.Obs.tracer k.Kernel.obs)
+    (Some
+       (fun sp ->
+         if sp.Repro_obs.Trace.sp_name = "proxy.refused" then
+           refusals := sp.Repro_obs.Trace.sp_attrs :: !refusals));
   (* no listener behind the forwarder's backend path *)
   let fwd =
     ok
@@ -91,10 +97,10 @@ let test_backend_down_refuses_loudly () =
   check_i "not proxied" 0 (Proxy.connection_count fwd);
   (* the client observes a dead connection, not a hang *)
   check_err Errno.ECONNRESET (Kernel.read k init cfd ~len:16);
-  (* the refusal left a trace event *)
-  let spans = Repro_obs.Trace.spans (Repro_obs.Obs.tracer k.Kernel.obs) in
-  check_b "trace event" true
-    (List.exists (fun sp -> sp.Repro_obs.Trace.sp_name = "proxy.refused") spans);
+  (* the refusal reached the trace sink, naming the front path *)
+  check_i "one trace event" 1 (List.length !refusals);
+  check_b "names the path" true
+    (List.mem ("path", "/tmp/front.sock") (List.concat !refusals));
   Proxy.close plane
 
 (* --- half-close ordering ---------------------------------------------------- *)

@@ -280,6 +280,24 @@ let test_ws_victim_order () =
          <> List.filter (fun v -> v <> thief) o1)
        [ 0; 1; 2; 4 ])
 
+(* A thief takes the oldest entry of its victim's queue, the owner pops the
+   next one, and the pool's total follows both; the test counts its own
+   pops and steals, as every pool client does. *)
+let test_ws_steal_takes_oldest () =
+  let p : int Sched.Ws.t = Sched.Ws.create () in
+  Sched.Ws.ensure p 2;
+  List.iter (Sched.Ws.push p 0) [ 1; 2; 3 ];
+  let pops = ref 0 and steals = ref 0 in
+  let count r = Option.map (fun x -> incr r; x) in
+  Alcotest.(check (option int)) "steal takes the oldest" (Some 1)
+    (count steals (Sched.Ws.steal_from p ~victim:0));
+  Alcotest.(check (option int)) "owner pops the next" (Some 2) (count pops (Sched.Ws.pop p 0));
+  check_i "one left" 1 (Sched.Ws.queued p);
+  Alcotest.(check (option int)) "empty victim" None
+    (count steals (Sched.Ws.steal_from p ~victim:1));
+  check_i "pops" 1 !pops;
+  check_i "steals" 1 !steals
+
 (* --- Ws: one worker degenerates to inline ------------------------------------
 
    A pool of ONE worker running the full pop-steal-park loop serves
@@ -335,11 +353,12 @@ let ws_single_worker_prop (works : int list) =
     works;
   Sched.read s worker_done;
   (* every placement in a singleton pool lands on worker 0 (size stays 1),
-     the local-hit counter saw every pop, and no virtual time beyond the
-     inline submit+service sum ever passed *)
+     the worker's own pops served every submission and left nothing
+     queued (its victim walks are empty, so it never steals), and no
+     virtual time beyond the inline submit+service sum ever passed *)
   Sched.Ws.size pool = 1
-  && Sched.Ws.local_hits pool = List.length works
-  && Sched.Ws.steals pool = 0
+  && !served = List.length works
+  && Sched.Ws.queued pool = 0
   && Int64.equal (Clock.now_ns clock) (Int64.of_int expect)
 
 let qcheck_ws_single_worker =
@@ -650,6 +669,7 @@ let () =
       ( "work-stealing",
         [
           tc "deterministic victim order" `Quick test_ws_victim_order;
+          tc "steal takes the oldest entry" `Quick test_ws_steal_takes_oldest;
           QCheck_alcotest.to_alcotest qcheck_ws_single_worker;
         ] );
     ]

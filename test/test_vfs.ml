@@ -159,11 +159,14 @@ let mk_cache ?(limit = 16 * 4096) () =
   (Page_cache.create ~name:"test" ~budget (), budget)
 
 let test_cache_hit_miss () =
-  let c, _ = mk_cache () in
+  let metrics = Repro_obs.Metrics.create () in
+  let c =
+    Page_cache.create ~metrics ~name:"test" ~budget:(Mem_budget.create ~limit_bytes:(16 * 4096)) ()
+  in
   check_b "first is miss" true (Page_cache.touch c ~ino:1 ~page:0 ~dirty:false = `Miss);
   check_b "second is hit" true (Page_cache.touch c ~ino:1 ~page:0 ~dirty:false = `Hit);
-  check_i "hits" 1 (Page_cache.stats c).Page_cache.hits;
-  check_i "misses" 1 (Page_cache.stats c).Page_cache.misses
+  check_i "hits" 1 (Repro_obs.Metrics.counter_value metrics "vfs.page_cache.test.hits");
+  check_i "misses" 1 (Repro_obs.Metrics.counter_value metrics "vfs.page_cache.test.misses")
 
 let test_cache_eviction_lru () =
   let c, budget = mk_cache ~limit:(4 * 4096) () in
@@ -476,12 +479,13 @@ let test_fs_readonly () =
 
 (* --- disk-backed costs --------------------------------------------------- *)
 
-let mk_ssd_fs ?(limit = 64 * 4096) ?(flush_pages = 16) () =
+(* The store counts its device I/O on [metrics]. *)
+let mk_ssd_fs ?metrics ?(limit = 64 * 4096) ?(flush_pages = 16) () =
   let clock = Clock.create () in
   let budget = Mem_budget.create ~limit_bytes:limit in
   let cache = Page_cache.create ~name:"ext4" ~budget () in
   let fs =
-    Nativefs.create ~name:"ext4" ~clock
+    Nativefs.create ?metrics ~name:"ext4" ~clock
       (Store.Ssd { cache; flush_pages })
       ()
   in
@@ -504,21 +508,22 @@ let test_ssd_costs_cached_reread_cheaper () =
   ops.Fsops.release fh
 
 let test_ssd_delete_before_flush_avoids_io () =
-  let ops, fs, _clock, _cache = mk_ssd_fs ~flush_pages:1000 () in
+  let metrics = Repro_obs.Metrics.create () in
+  let ops, _, _, _ = mk_ssd_fs ~metrics ~flush_pages:1000 () in
   let _, fh = ok (ops.Fsops.create root_cred ops.Fsops.root "f" ~mode:0o644 [ Types.O_RDWR ]) in
   ignore (ok (ops.Fsops.write root_cred fh ~off:0 (String.make 8192 'x')));
   ops.Fsops.release fh;
   ok (ops.Fsops.unlink root_cred ops.Fsops.root "f");
-  let stats = Store.stats (Nativefs.store fs) in
-  check_i "no disk writes for deleted dirty file" 0 stats.Store.disk_write_ios
+  check_i "no disk writes for deleted dirty file" 0
+    (Repro_obs.Metrics.counter_value metrics "vfs.disk.write_ios")
 
 let test_ssd_fsync_forces_io () =
-  let ops, fs, _clock, _cache = mk_ssd_fs ~flush_pages:1000 () in
+  let metrics = Repro_obs.Metrics.create () in
+  let ops, _, _, _ = mk_ssd_fs ~metrics ~flush_pages:1000 () in
   let _, fh = ok (ops.Fsops.create root_cred ops.Fsops.root "f" ~mode:0o644 [ Types.O_RDWR ]) in
   ignore (ok (ops.Fsops.write root_cred fh ~off:0 (String.make 8192 'x')));
   ok (ops.Fsops.fsync fh);
-  let stats = Store.stats (Nativefs.store fs) in
-  check_b "fsync wrote" true (stats.Store.disk_write_ios > 0);
+  check_b "fsync wrote" true (Repro_obs.Metrics.counter_value metrics "vfs.disk.write_ios" > 0);
   ops.Fsops.release fh
 
 (* --- Perm / ACL parsing --------------------------------------------------- *)
