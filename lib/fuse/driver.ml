@@ -530,7 +530,7 @@ let create ~conn ~opts ~budget =
       opts;
       clock;
       fs_id = Clock.fresh_fs_id clock;
-      pcache = Page_cache.create ~metrics ~name:"fuse" ~budget ();
+      pcache = Page_cache.create ~metrics ~name:"fuse" ~budget;
       pdata = Hashtbl.create 64;
       unlinked = Hashtbl.create 8;
       sizes = Hashtbl.create 64;

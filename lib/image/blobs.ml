@@ -10,7 +10,6 @@
    pad byte, a descriptor of any size costs its chunk count plus one
    digest of at most max_size bytes. *)
 
-open Repro_os
 module Chunker = Repro_store.Chunker
 
 let memo : (Content.t, Chunker.chunk list) Hashtbl.t = Hashtbl.create 1024
@@ -22,12 +21,9 @@ let content_chunks (c : Content.t) =
       let chunks =
         match c with
         | Content.Literal s -> Chunker.chunks_of_string s
-        | Content.Filler n -> Chunker.chunks_prefixed_uniform ~prefix:"" ~fill:'D' ~total:n ()
-        | Content.Binary { prog; size } ->
-            (* mirror Binfmt.make: "#!BIN <prog>\n" padded with 'x' *)
-            let header = Binfmt.bin_prefix ^ prog ^ "\n" in
-            let total = max size (String.length header) in
-            Chunker.chunks_prefixed_uniform ~prefix:header ~fill:'x' ~total ()
+        | Content.Filler _ | Content.Binary _ ->
+            Chunker.chunks_prefixed_uniform ~prefix:(Content.header c) ~fill:(Content.fill c)
+              ~total:(Content.size c) ()
       in
       Hashtbl.replace memo c chunks;
       chunks

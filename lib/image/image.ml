@@ -103,7 +103,10 @@ let rec mkdir_p kernel proc path =
    bottom-up with whiteouts.  Returns the rootfs.  [proc] supplies the
    kernel context doing the work (the engine daemon). *)
 let materialize t ~kernel ~proc =
-  let rootfs = Nativefs.create ~name:(ref_ t ^ "/rootfs") ~clock:kernel.Kernel.clock Store.Ram () in
+  let rootfs =
+    Nativefs.create ~metrics:(Repro_obs.Obs.metrics kernel.Kernel.obs) ~name:(ref_ t ^ "/rootfs")
+      ~clock:kernel.Kernel.clock Store.Ram ()
+  in
   (* Work in a scratch process whose root is the new fs, so paths are
      simply image-absolute. *)
   let scratch = Kernel.fork kernel proc in
@@ -120,7 +123,10 @@ let materialize t ~kernel ~proc =
         let* fd =
           Kernel.open_ kernel scratch path [ Types.O_CREAT; Types.O_WRONLY; Types.O_TRUNC ] ~mode
         in
-        let* _n = Kernel.write kernel scratch fd (Content.render content) in
+        let* _n =
+          Kernel.write_padded kernel scratch rootfs fd (Content.header content)
+            ~len:(Content.size content) (Content.fill content)
+        in
         let* () = Kernel.close kernel scratch fd in
         Kernel.chmod kernel scratch path mode
     | Layer.Symlink { path; target } ->

@@ -11,7 +11,10 @@ let fuse_minor = 229
 (* Create a devtmpfs instance and register the standard device behaviors
    with the kernel. *)
 let create ~kernel =
-  let fs = Nativefs.create ~name:"devtmpfs" ~clock:kernel.Kernel.clock Store.Ram () in
+  let fs =
+    Nativefs.create ~metrics:(Repro_obs.Obs.metrics kernel.Kernel.obs) ~name:"devtmpfs"
+      ~clock:kernel.Kernel.clock Store.Ram ()
+  in
   let ops = Nativefs.ops fs in
   let root = ops.Fsops.root in
   let cred = Types.root_cred in

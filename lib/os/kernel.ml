@@ -138,12 +138,10 @@ let create ?obs ~clock ~root_fs () =
 let init_proc t = Hashtbl.find t.procs 1
 
 let proc_by_pid t pid =
-  match Hashtbl.find_opt t.procs pid with
-  | Some p when Proc.alive p -> Ok p
-  | _ -> Error Errno.ESRCH
+  match Hashtbl.find_opt t.procs pid with Some p -> Ok p | None -> Error Errno.ESRCH
 
 let all_procs t =
-  Hashtbl.fold (fun _ p acc -> if Proc.alive p then p :: acc else acc) t.procs []
+  Hashtbl.fold (fun _ p acc -> p :: acc) t.procs []
   |> List.sort (fun a b -> compare a.Proc.pid b.Proc.pid)
 
 (* Processes visible from a given pid namespace (it and its descendants). *)
@@ -359,7 +357,10 @@ let read t proc fdn ~len =
   | Proc.Sock_listen _ | Proc.Epoll_fd _ -> Error Errno.EINVAL
   | Proc.Custom c -> c.Proc.c_read ~len
 
-and write t proc fdn data =
+(* The body of [write] and [write_padded]: [put fs cred fh ~off] writes
+   the bytes into a file of [fs], [data ()] gives them to any other
+   sink. *)
+let write_with t proc fdn ~put ~data =
   charge t;
   let* () = fault_check t proc "write" in
   let* entry = fd_entry proc fdn in
@@ -369,21 +370,29 @@ and write t proc fdn data =
       match file_kind f with
       | Types.Chr (a, b) -> (
           match Hashtbl.find_opt t.chardevs (a, b) with
-          | Some dev -> Ok (dev.dev_write data)
+          | Some dev -> Ok (dev.dev_write (data ()))
           | None -> Error Errno.ENXIO)
       | _ ->
-          let* n =
-            fs.Fsops.write (Proc.vfs_cred proc) f.Proc.of_fh ~off:f.Proc.of_offset data
-          in
+          let* n = put fs (Proc.vfs_cred proc) f.Proc.of_fh ~off:f.Proc.of_offset in
           (* For O_APPEND files the fs wrote at EOF; either way the cursor
              advances by what was written. *)
           f.Proc.of_offset <- f.Proc.of_offset + n;
           Ok n)
-  | Proc.Pipe_w p -> Pipe.write p data
+  | Proc.Pipe_w p -> Pipe.write p (data ())
   | Proc.Pipe_r _ -> Error Errno.EBADF
-  | Proc.Sock_conn ep -> Sock.send ep data
+  | Proc.Sock_conn ep -> Sock.send ep (data ())
   | Proc.Sock_listen _ | Proc.Epoll_fd _ -> Error Errno.EINVAL
-  | Proc.Custom c -> c.Proc.c_write data
+  | Proc.Custom c -> c.Proc.c_write (data ())
+
+let write t proc fdn data =
+  write_with t proc fdn
+    ~put:(fun fs cred fh ~off -> fs.Fsops.write cred fh ~off data)
+    ~data:(fun () -> data)
+
+let write_padded t proc nfs fdn header ~len fill =
+  write_with t proc fdn
+    ~put:(fun _ cred fh ~off -> Nativefs.write_padded nfs cred fh ~off header ~len fill)
+    ~data:(fun () -> header ^ String.make (len - String.length header) fill)
 
 let pread t proc fdn ~off ~len =
   charge t;
@@ -718,15 +727,15 @@ let fork t proc =
   Hashtbl.replace t.procs pid child;
   child
 
-(* Close every fd and record the exit code.  The record stays in
-   [t.procs], where [proc_by_pid] answers ESRCH for it: nothing reaps an
-   exited process. *)
+(* Close every fd, record the exit code and reap the process: no [wait]
+   exists, so nothing reads the code from the table. *)
 let exit t proc code =
   charge t;
   if Proc.alive proc then begin
     let fds = Hashtbl.fold (fun fd _ acc -> fd :: acc) proc.Proc.fds [] in
     List.iter (fun fd -> ignore (close t proc fd)) fds;
-    proc.Proc.exit_code <- Some code
+    proc.Proc.exit_code <- Some code;
+    Hashtbl.remove t.procs proc.Proc.pid
   end
 
 (* --- namespaces -------------------------------------------------------- *)

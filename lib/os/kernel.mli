@@ -37,8 +37,9 @@ and t = {
           layers so [os.*], [fuse.*] and [vfs.*] counters land together *)
   k_syscalls : Repro_obs.Metrics.counter;  (** hot handle for [os.syscall.count] *)
   procs : (int, Proc.t) Hashtbl.t;
-      (** every process by pid; an exited one stays until it is reaped,
-          and nothing reaps yet *)
+      (** every live process by pid; {!exit} removes a process, and with
+          it goes whatever only its record held (its mount namespace and
+          that namespace's mounts, a FUSE mount's driver and page cache) *)
   mutable next_pid : int;
   mnt_ids : Mount.ids;
       (** this kernel's mount, mount-namespace and peer-group ids, like
@@ -92,6 +93,16 @@ val close : t -> Proc.t -> int -> (unit, Errno.t) result
 val dup : t -> Proc.t -> int -> (int, Errno.t) result
 val read : t -> Proc.t -> int -> len:int -> (string, Errno.t) result
 val write : t -> Proc.t -> int -> string -> (int, Errno.t) result
+
+(** [write_padded t proc fs fd header ~len fill] is [write t proc fd] of
+    [header] followed by [len - String.length header] copies of [fill],
+    and charges exactly what that write charges.  When [fd] is open on a
+    regular file of [fs] the bytes are never built: whole 64 KiB chunks of
+    the fill share one pad (see {!Repro_vfs.Fdata.write_padded}).  Any
+    other sink gets the rendered bytes.  [fd] must not name a file of
+    another filesystem. *)
+val write_padded :
+  t -> Proc.t -> Nativefs.t -> int -> string -> len:int -> char -> (int, Errno.t) result
 val pread : t -> Proc.t -> int -> off:int -> len:int -> (string, Errno.t) result
 val pwrite : t -> Proc.t -> int -> off:int -> string -> (int, Errno.t) result
 
@@ -178,7 +189,8 @@ val chroot : t -> Proc.t -> string -> (unit, Errno.t) result
 (** fork(2): fds become shared open file descriptions, Linux-style. *)
 val fork : t -> Proc.t -> Proc.t
 
-(** Close all fds and record the exit code; the record stays in [procs]. *)
+(** Close all fds, record the exit code and remove the process from
+    [procs] (reap it: nothing waits for an exit code). *)
 val exit : t -> Proc.t -> int -> unit
 
 (** unshare(2) for the given namespace kinds; requires CAP_SYS_ADMIN.

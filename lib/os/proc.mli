@@ -71,7 +71,8 @@ type t = {
 }
 val vfs_cred : t -> Types.cred
 
-(** [exit_code = None]; an exited process keeps its record in the kernel. *)
+(** [exit_code = None].  The kernel drops an exited process from its
+    table, so only holders of its record still see it. *)
 val alive : t -> bool
 val getenv : t -> string -> string option
 val setenv : t -> string -> string -> unit

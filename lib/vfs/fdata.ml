@@ -3,10 +3,11 @@
 
    A chunk's buffer starts at the length its first write needs, rounded up
    to a 4 KiB page, and at least doubles (up to the chunk size) when a later
-   write reaches past it; bytes past the buffer read as zeros.  A read of
-   one whole, fully allocated chunk returns the chunk's buffer itself and
-   marks the chunk lent: the next mutation of a lent chunk copies it first,
-   so a string once returned never changes. *)
+   write reaches past it; bytes past the buffer read as zeros.  A chunk is
+   lent when its buffer may be shared: a read that covers exactly the
+   buffer returned it, a whole string written at the chunk's start became
+   it, or it is a fill's shared pad.  The next mutation of a lent chunk
+   copies it first, so a shared buffer never changes. *)
 
 let chunk_bits = 16 (* 64 KiB chunks *)
 let chunk_size = 1 lsl chunk_bits
@@ -18,6 +19,16 @@ type t = {
   mutable size : int;
 }
 
+(* One chunk of each byte value, shared by every whole chunk a fill covers
+   in any store of the process.  Only lent chunks hold one, so it is never
+   written. *)
+let pads = Array.make 256 Bytes.empty
+
+let pad c =
+  let i = Char.code c in
+  if Bytes.length pads.(i) = 0 then pads.(i) <- Bytes.make chunk_size c;
+  pads.(i)
+
 let create () = { chunks = Hashtbl.create 8; size = 0 }
 
 let size t = t.size
@@ -28,7 +39,7 @@ let round_to_page n =
   let ps = Repro_util.Cost.page_size in
   (n + ps - 1) land lnot (ps - 1)
 
-(* [c]'s buffer, copied first if a read lent it out. *)
+(* [c]'s buffer, copied first if it is lent. *)
 let own c =
   if c.lent then begin
     c.bytes <- Bytes.copy c.bytes;
@@ -56,6 +67,14 @@ let writable t idx ~need =
         bytes
       end
 
+(* Make [bytes] chunk [idx]'s buffer, lent. *)
+let lend t idx bytes =
+  match Hashtbl.find_opt t.chunks idx with
+  | None -> Hashtbl.replace t.chunks idx { bytes; lent = true }
+  | Some c ->
+      c.bytes <- bytes;
+      c.lent <- true
+
 (* Apply [f chunk_index offset_in_chunk pos n] to each chunk-sized piece
    [pos, pos + n) of the range [0, len) starting at file offset [off]. *)
 let iter_pieces ~off ~len f =
@@ -80,13 +99,14 @@ let copy_out t ~off ~len =
       | None -> () (* hole: already zeroed *));
   Bytes.unsafe_to_string buf
 
-(* Read up to [len] bytes at [off]; short reads happen at EOF. *)
+(* Read up to [len] bytes at [off]; short reads happen at EOF.  A read of
+   exactly a chunk's buffer from the chunk's start lends the buffer. *)
 let read t ~off ~len =
   let len = min len (t.size - off) in
   if len <= 0 then ""
-  else if len = chunk_size && offset_in_chunk off = 0 then
+  else if offset_in_chunk off = 0 then
     match Hashtbl.find_opt t.chunks (chunk_of_offset off) with
-    | Some c when Bytes.length c.bytes = chunk_size ->
+    | Some c when Bytes.length c.bytes = len ->
         c.lent <- true;
         Bytes.unsafe_to_string c.bytes
     | _ -> copy_out t ~off ~len
@@ -94,16 +114,39 @@ let read t ~off ~len =
 
 let grow t ~off ~len = if off + len > t.size then t.size <- off + len
 
-(* Write [s.[pos .. pos + len - 1]] at [off], growing the file as needed. *)
+(* Write [s.[pos .. pos + len - 1]] at [off], growing the file as needed.
+   A whole string of at most a chunk, written at a chunk's start over no
+   longer a buffer, becomes that chunk's buffer: the bytes it replaces
+   were all its own, and past it the chunk read zeros before too. *)
 let write_sub t ~off s ~pos ~len =
-  iter_pieces ~off ~len (fun idx coff p n ->
-      Bytes.blit_string s (pos + p) (writable t idx ~need:(coff + n)) coff n);
+  let adopt =
+    pos = 0 && len = String.length s && len > 0 && len <= chunk_size
+    && offset_in_chunk off = 0
+    &&
+    match Hashtbl.find_opt t.chunks (chunk_of_offset off) with
+    | None -> true
+    | Some c -> Bytes.length c.bytes <= len
+  in
+  if adopt then lend t (chunk_of_offset off) (Bytes.unsafe_of_string s)
+  else
+    iter_pieces ~off ~len (fun idx coff p n ->
+        Bytes.blit_string s (pos + p) (writable t idx ~need:(coff + n)) coff n);
   grow t ~off ~len
 
 let write t ~off data =
   let len = String.length data in
   write_sub t ~off data ~pos:0 ~len;
   len
+
+(* Each whole chunk of the fill becomes [fill]'s shared pad; the partial
+   ones at either end are written in place. *)
+let write_padded t ~off header ~len fill =
+  let hl = String.length header in
+  write_sub t ~off header ~pos:0 ~len:hl;
+  iter_pieces ~off:(off + hl) ~len:(len - hl) (fun idx coff _ n ->
+      if n = chunk_size then lend t idx (pad fill)
+      else Bytes.fill (writable t idx ~need:(coff + n)) coff n fill);
+  grow t ~off ~len
 
 (* Holes and bytes past a chunk's buffer already read as zeros, so only
    the allocated bytes in range are filled. *)

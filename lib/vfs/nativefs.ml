@@ -543,7 +543,9 @@ let read t fh ~off ~len =
         Ok result
     | _ -> Error Errno.EINVAL
 
-let write t cred fh ~off data =
+(* The body of [write] and [write_padded]: [put fdata ~off] stores the
+   [len] bytes. *)
+let write_with t cred fh ~off ~len put =
   let* h = handle t fh in
   if not h.h_writable then Error Errno.EBADF
   else
@@ -551,7 +553,6 @@ let write t cred fh ~off data =
     match inode.Inode.payload with
     | Inode.Dir _ -> Error Errno.EISDIR
     | Inode.Reg fdata ->
-        let len = String.length data in
         let off = if h.h_append then Fdata.size fdata else off in
         let* () =
           match cred.rlimit_fsize with
@@ -563,19 +564,25 @@ let write t cred fh ~off data =
           Perm.write_clears_suid cred
           && inode.Inode.mode land (s_isuid lor s_isgid) <> 0
         then inode.Inode.mode <- inode.Inode.mode land 0o1777;
-        let n = Fdata.write fdata ~off data in
+        put fdata ~off;
         (* copy in from userspace *)
-        Clock.consume_int t.clock (Cost.copy_cost n);
-        if h.h_direct then Store.write_direct t.store ~len:n ~async:h.h_async
+        Clock.consume_int t.clock (Cost.copy_cost len);
+        if h.h_direct then Store.write_direct t.store ~len ~async:h.h_async
         else begin
           (* ext4 write path: block reservation + journal handle per call *)
           Store.charge_write_path t.store;
-          Store.write t.store ~ino:h.h_ino ~off ~len:n ~sync:h.h_sync
+          Store.write t.store ~ino:h.h_ino ~off ~len ~sync:h.h_sync
         end;
         inode.Inode.mtime <- now t;
         inode.Inode.ctime <- now t;
-        Ok n
+        Ok len
     | _ -> Error Errno.EINVAL
+
+let write t cred fh ~off data =
+  write_with t cred fh ~off ~len:(String.length data) (fun d ~off -> ignore (Fdata.write d ~off data))
+
+let write_padded t cred fh ~off header ~len fill =
+  write_with t cred fh ~off ~len (fun d ~off -> Fdata.write_padded d ~off header ~len fill)
 
 let flush _t _fh = Ok ()
 

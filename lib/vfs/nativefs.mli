@@ -18,4 +18,11 @@ val create :
 (** The uniform filesystem interface (mount this). *)
 val ops : t -> Fsops.t
 
+(** [write_padded t cred fh ~off header ~len fill] is [(ops t).write cred
+    fh ~off] of [header] followed by [len - String.length header] copies
+    of [fill]: it checks, charges and stores exactly what that write
+    would, without building the bytes (see {!Fdata.write_padded}). *)
+val write_padded :
+  t -> Types.cred -> Fsops.fh -> off:int -> string -> len:int -> char -> (int, Errno.t) result
+
 val store : t -> Store.t

@@ -56,8 +56,7 @@ let aggregate_hit_ratio metrics () =
   in
   ratio (suffixed ".hits") (suffixed ".misses")
 
-let create ?metrics ~name ~budget () =
-  let metrics = match metrics with Some m -> m | None -> Metrics.create () in
+let create ~metrics ~name ~budget =
   let key suffix = Printf.sprintf "vfs.page_cache.%s.%s" name suffix in
   let m_hits = Metrics.counter metrics (key "hits") in
   let m_misses = Metrics.counter metrics (key "misses") in

@@ -4,14 +4,12 @@
 
 type t
 
-(** Counters are registered on [metrics] (a private registry when omitted)
-    as [vfs.page_cache.<name>.hits|misses|evictions|writeback_ios|
+(** Counters are registered on [metrics] as
+    [vfs.page_cache.<name>.hits|misses|evictions|writeback_ios|
     writeback_pages], plus derived gauges [vfs.page_cache.<name>.hit_ratio]
     and the cross-cache aggregate [vfs.page_cache.hit_ratio].  Two caches
     created with the same name on one registry share counters. *)
-val create :
-  ?metrics:Repro_obs.Metrics.t ->
-  name:string -> budget:Mem_budget.t -> unit -> t
+val create : metrics:Repro_obs.Metrics.t -> name:string -> budget:Mem_budget.t -> t
 
 (** Device-write callback for each flushed contiguous run. *)
 val set_on_flush : t -> (ino:int -> page:int -> pages:int -> unit) -> unit

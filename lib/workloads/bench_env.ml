@@ -52,7 +52,7 @@ let make_env ?obs ~backend ~budget_mb ?(threads = 4) () =
   let init = Kernel.init_proc kernel in
   List.iter (fun d -> ok (Kernel.mkdir kernel init d ~mode:0o755)) [ "/data"; "/cntr" ];
   (* the ext4-on-EBS data volume *)
-  let cache = Page_cache.create ~metrics ~name:"ext4" ~budget () in
+  let cache = Page_cache.create ~metrics ~name:"ext4" ~budget in
   let data_fs =
     Nativefs.create ~metrics ~name:"ext4-data" ~clock
       (Store.Ssd { cache; flush_pages = 64 }) ()

@@ -136,12 +136,13 @@ let test_failed_attach_releases () =
 (* Every failure point of an attach releases what the attach started.  For
    each fault site, the k-th operation there fails with EIO, for k = 1,
    2, ... until an attach gets through, which is then detached.  After
-   each attempt no attach process is alive, no fault hook is armed and
-   init holds the fds it held before. *)
+   each attempt no attach process is alive or left in the kernel's table,
+   no fault hook is armed and init holds the fds it held before. *)
 let test_fault_point_sweep () =
   let world, _app = boot_with_app () in
   let k = world.World.kernel and init = world.World.init in
   let init_fds = Hashtbl.length init.Proc.fds in
+  let booted = Hashtbl.length k.Kernel.procs in
   let released what =
     let live =
       Hashtbl.fold
@@ -151,6 +152,7 @@ let test_fault_point_sweep () =
         k.Kernel.procs 0
     in
     check_i (what ^ ": no attach process alive") 0 live;
+    check_i (what ^ ": procs at boot size") booted (Hashtbl.length k.Kernel.procs);
     check_b (what ^ ": no fault hook armed") true (k.Kernel.k_faults = []);
     check_i (what ^ ": init's fds") init_fds (Hashtbl.length init.Proc.fds)
   in
@@ -206,6 +208,18 @@ let test_exec_in_dead_process_namespace () =
   Attach.detach session
 
 (* --- teardown misuse ----------------------------------------------------------- *)
+
+(* An exited process leaves the kernel's table, and with it the mount
+   namespace, FUSE driver and page cache only it held: attach/detach
+   cycles on one world leave [procs] at its size after boot. *)
+let test_cycles_reap () =
+  let world, _app = boot_with_app () in
+  let k = world.World.kernel in
+  let booted = Hashtbl.length k.Kernel.procs in
+  for _ = 1 to 1000 do
+    Attach.detach (ok (Testbed.attach world "web"))
+  done;
+  check_i "procs after 1000 attach/detach cycles" booted (Hashtbl.length k.Kernel.procs)
 
 let test_double_detach_harmless () =
   let world, app = boot_with_app () in
@@ -323,6 +337,7 @@ let () =
         [
           Alcotest.test_case "attach to stopped" `Quick test_attach_to_stopped_container;
           Alcotest.test_case "session outlives app" `Quick test_exec_in_dead_process_namespace;
+          Alcotest.test_case "attach/detach cycles reap" `Quick test_cycles_reap;
           Alcotest.test_case "double detach" `Quick test_double_detach_harmless;
           Alcotest.test_case "with_session detaches on exception" `Quick
             test_with_session_detaches_on_exception;

@@ -51,6 +51,85 @@ let test_content_kinds () =
   check_b "binary parses" true
     (match Binfmt.parse (Content.render b) with Some (Binfmt.Bin "gdb") -> true | _ -> false)
 
+(* A root in the materialized [rootfs], for reading it back. *)
+let probe_in k init rootfs =
+  let probe = Kernel.fork k init in
+  Kernel.enter_new_mnt_ns k probe ~fs:(Nativefs.ops rootfs);
+  probe
+
+(* Materialization writes a pad without building it: every file still
+   reads back the bytes [Content.render] spells out, at sizes around a
+   chunk, and costs what a write of those bytes costs. *)
+let test_materialized_bytes () =
+  let cs = Fdata.chunk_size in
+  let binary size = Content.Binary { prog = "tool"; size } in
+  let hl = String.length (Content.header (binary 0)) in
+  let literal n = Content.Literal (String.init n (fun i -> Char.chr (97 + (i mod 26)))) in
+  let contents =
+    List.concat_map
+      (fun n -> [ Content.Filler n; binary n; literal n ])
+      [ 0; 1; hl; cs - 1; cs; cs + 1; (3 * cs) + 7 ]
+  in
+  let path i = Printf.sprintf "/f%d" i in
+  let entries =
+    List.mapi (fun i content -> Layer.File { path = path i; mode = 0o644; content }) contents
+  in
+  let k, init = boot () in
+  let image = Image.v ~name:"pads" [ Layer.v ~id:"l" entries ] in
+  let rootfs = ok (Image.materialize image ~kernel:k ~proc:init) in
+  let probe = probe_in k init rootfs in
+  List.iteri
+    (fun i c ->
+      let got = ok (Kernel.read_whole k probe (path i)) in
+      check_b (Printf.sprintf "%s: %d bytes read back" (path i) (Content.size c)) true
+        (String.equal got (Content.render c));
+      (* the same write, padded and rendered, costs the same *)
+      let cost write =
+        let flags = [ Types.O_CREAT; Types.O_WRONLY; Types.O_TRUNC ] in
+        let fd = ok (Kernel.open_ k probe "/cost" flags ~mode:0o644) in
+        let t0 = Clock.now_ns k.Kernel.clock in
+        let n = ok (write fd) in
+        let spent = Int64.sub (Clock.now_ns k.Kernel.clock) t0 in
+        ok (Kernel.close k probe fd);
+        (n, spent)
+      in
+      let padded =
+        cost (fun fd ->
+            Kernel.write_padded k probe rootfs fd (Content.header c) ~len:(Content.size c)
+              (Content.fill c))
+      in
+      let rendered = cost (fun fd -> Kernel.write k probe fd (Content.render c)) in
+      check_b (Printf.sprintf "%s: padded write counts and charges as rendered" (path i)) true
+        (padded = rendered))
+    contents
+
+(* Two rootfs materialized from one image hold one pad: a whole-chunk read
+   of either returns the same buffer, and a write into one changes
+   neither that buffer nor the other rootfs. *)
+let test_shared_pads () =
+  let cs = Fdata.chunk_size in
+  let image =
+    Image.v ~name:"pad"
+      [ Layer.v ~id:"l" [ Layer.File { path = "/big"; mode = 0o644; content = Content.Filler (3 * cs) } ] ]
+  in
+  let k, init = boot () in
+  let open_big () =
+    let probe = probe_in k init (ok (Image.materialize image ~kernel:k ~proc:init)) in
+    (probe, ok (Kernel.open_ k probe "/big" [ Types.O_RDWR ] ~mode:0))
+  in
+  let a = open_big () in
+  let b = open_big () in
+  let chunk1 (probe, fd) = ok (Kernel.pread k probe fd ~off:cs ~len:cs) in
+  let in_a = chunk1 a in
+  let in_b = chunk1 b in
+  check_b "one pad" true (in_a == in_b);
+  check_i "written" 2 (ok (Kernel.pwrite k (fst a) (snd a) ~off:(cs + 5) "zz"));
+  let pad = String.make cs 'D' in
+  check_b "the lent pad is unchanged" true (String.equal in_a pad);
+  check_b "the other rootfs is unchanged" true (String.equal (chunk1 b) pad);
+  check_b "the written rootfs reads its write" true
+    (String.equal (chunk1 a) (String.sub pad 0 5 ^ "zz" ^ String.sub pad 0 (cs - 7)))
+
 (* Descriptor manifests at production chunking params equal the chunks of
    the rendered bytes; every registry number rests on this.  Sizes straddle
    the appmain header (14 bytes), min_size, max_size, the settling
@@ -254,6 +333,8 @@ let () =
           Alcotest.test_case "layer size & paths" `Quick test_layer_size;
           Alcotest.test_case "union + whiteout" `Quick test_union_whiteout;
           Alcotest.test_case "content kinds" `Quick test_content_kinds;
+          Alcotest.test_case "materialized bytes" `Quick test_materialized_bytes;
+          Alcotest.test_case "shared pads" `Quick test_shared_pads;
           Alcotest.test_case "descriptor manifests" `Quick test_descriptor_manifests;
         ] );
       ( "registry",

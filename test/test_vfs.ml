@@ -54,14 +54,19 @@ let test_fdata_cross_chunk () =
   ignore (Fdata.write d ~off "abcdef");
   check_s "crosses boundary" "abcdef" (Fdata.read d ~off ~len:6)
 
-(* Random mutations and reads spanning six chunks, compared against a
-   flat-bytes reference model.  Whole-chunk reads of fully allocated chunks
-   are lent out, so every string a read returns is kept and must still
-   equal the model's bytes at the time of the read once the trace is done:
-   a mutation through a lent chunk shows up there. *)
+(* Random mutations and reads spanning up to eight chunks, compared
+   against a flat-bytes reference model.  A store shares buffers both
+   ways: a read of exactly a chunk's buffer returns it, a whole string
+   written at a chunk's start becomes it, and every whole chunk of a
+   padded write holds the process-wide pad of its fill byte.  So every
+   string a read returned must still equal the model's bytes at the time
+   of the read once the trace is done, and every string a write was given
+   must still hold its bytes: a mutation through a shared buffer shows up
+   there. *)
 type fop =
   | F_write of int * int * int (* offset, length, salt *)
   | F_write_sub of int * int * int * int (* offset, source position, length, salt *)
+  | F_write_padded of int * int * int * char (* offset, header length, length, fill *)
   | F_zero of int * int
   | F_truncate of int
   | F_read of int * int
@@ -69,6 +74,8 @@ type fop =
 let pp_fop = function
   | F_write (o, l, s) -> Printf.sprintf "write off=%d len=%d salt=%d" o l s
   | F_write_sub (o, p, l, s) -> Printf.sprintf "write_sub off=%d pos=%d len=%d salt=%d" o p l s
+  | F_write_padded (o, h, l, c) ->
+      Printf.sprintf "write_padded off=%d header=%d len=%d fill=%c" o h l c
   | F_zero (o, l) -> Printf.sprintf "zero off=%d len=%d" o l
   | F_truncate n -> Printf.sprintf "truncate %d" n
   | F_read (o, l) -> Printf.sprintf "read off=%d len=%d" o l
@@ -81,6 +88,8 @@ let gen_fop =
   QCheck.Gen.(
     let off = int_range 0 span in
     let len = frequency [ (3, int_range 1 200); (1, int_range 1 (cs + 5000)) ] in
+    (* lengths a chunk's buffer often has: adopted strings and pages *)
+    let short = frequency [ (2, int_range 1 200); (2, oneofl [ 4096; 4097; 8192; cs - 1; cs ]) ] in
     let salt = int_range 0 25 in
     let k = int_range 0 3 in
     frequency
@@ -88,12 +97,21 @@ let gen_fop =
         (4, map3 (fun o l s -> F_write (o, l, s)) off len salt);
         (* writes that end a chunk *)
         (3, map3 (fun k l s -> F_write (((k + 1) * cs) - l, l, s)) k (int_range 1 cs) salt);
+        (* whole strings at a chunk's start *)
+        (3, map3 (fun k l s -> F_write (k * cs, l, s)) k short salt);
         (2, map3 (fun o (p, l) s -> F_write_sub (o, p, l, s)) off (pair (int_range 0 50) len) salt);
+        ( 3,
+          map3
+            (fun o (h, pad) c -> F_write_padded (o, h, h + pad, c))
+            (oneof [ off; map (fun k -> k * cs) k ])
+            (pair (int_range 0 30) (int_range 0 ((3 * cs) + 7)))
+            (oneofl [ 'D'; 'x'; 'q' ]) );
         (2, map2 (fun o l -> F_zero (o, l)) off len);
         (1, map (fun n -> F_truncate n) (int_range 0 (span + cs)));
         (3, map2 (fun o l -> F_read (o, l)) off len);
-        (* whole-chunk reads *)
+        (* whole-chunk reads, and reads of exactly a short buffer *)
         (4, map (fun k -> F_read (k * cs, cs)) k);
+        (3, map2 (fun k l -> F_read (k * cs, l)) k short);
       ])
 
 let prop_fdata_model =
@@ -104,10 +122,13 @@ let prop_fdata_model =
     (fun ops ->
       let cs = Fdata.chunk_size in
       let d = Fdata.create () in
-      let model = Bytes.make (6 * cs) '\000' in
+      let model = Bytes.make (8 * cs) '\000' in
       let size = ref 0 in
       let chunks = Hashtbl.create 8 in
       let reads = ref [] in
+      (* each string a write was given, with a copy of its bytes *)
+      let given = ref [] in
+      let give s = given := (s, Bytes.to_string (Bytes.of_string s)) :: !given in
       let extend off len = size := max !size (off + len) in
       let written off len =
         for idx = off / cs to (off + len - 1) / cs do
@@ -118,15 +139,25 @@ let prop_fdata_model =
         (function
           | F_write (off, len, salt) ->
               let data = pattern salt len in
+              give data;
               ignore (Fdata.write d ~off data);
               Bytes.blit_string data 0 model off len;
               written off len;
               extend off len
           | F_write_sub (off, pos, len, salt) ->
               let src = pattern salt (pos + len + 7) in
+              give src;
               Fdata.write_sub d ~off src ~pos ~len;
               Bytes.blit_string src pos model off len;
               written off len;
+              extend off len
+          | F_write_padded (off, hl, len, fill) ->
+              let header = pattern hl hl in
+              give header;
+              Fdata.write_padded d ~off header ~len fill;
+              Bytes.blit_string header 0 model off hl;
+              Bytes.fill model (off + hl) (len - hl) fill;
+              if len > 0 then written off len;
               extend off len
           | F_zero (off, len) ->
               Fdata.zero d ~off ~len;
@@ -148,6 +179,7 @@ let prop_fdata_model =
               reads := (Fdata.read d ~off ~len, expected) :: !reads)
         ops;
       List.for_all (fun (got, expected) -> got = expected) !reads
+      && List.for_all (fun (s, copy) -> s = copy) !given
       && Fdata.size d = !size
       && Fdata.read d ~off:0 ~len:!size = Bytes.sub_string model 0 !size
       && Fdata.allocated d = Hashtbl.length chunks * cs)
@@ -156,12 +188,12 @@ let prop_fdata_model =
 
 let mk_cache ?(limit = 16 * 4096) () =
   let budget = Mem_budget.create ~limit_bytes:limit in
-  (Page_cache.create ~name:"test" ~budget (), budget)
+  (Page_cache.create ~metrics:(Repro_obs.Metrics.create ()) ~name:"test" ~budget, budget)
 
 let test_cache_hit_miss () =
   let metrics = Repro_obs.Metrics.create () in
   let c =
-    Page_cache.create ~metrics ~name:"test" ~budget:(Mem_budget.create ~limit_bytes:(16 * 4096)) ()
+    Page_cache.create ~metrics ~name:"test" ~budget:(Mem_budget.create ~limit_bytes:(16 * 4096))
   in
   check_b "first is miss" true (Page_cache.touch c ~ino:1 ~page:0 ~dirty:false = `Miss);
   check_b "second is hit" true (Page_cache.touch c ~ino:1 ~page:0 ~dirty:false = `Hit);
@@ -483,7 +515,7 @@ let test_fs_readonly () =
 let mk_ssd_fs ?metrics ?(limit = 64 * 4096) ?(flush_pages = 16) () =
   let clock = Clock.create () in
   let budget = Mem_budget.create ~limit_bytes:limit in
-  let cache = Page_cache.create ~name:"ext4" ~budget () in
+  let cache = Page_cache.create ~metrics:(Repro_obs.Metrics.create ()) ~name:"ext4" ~budget in
   let fs =
     Nativefs.create ?metrics ~name:"ext4" ~clock
       (Store.Ssd { cache; flush_pages })
